@@ -7,60 +7,38 @@ nonce-misuse-resistant mode.
 """
 
 from .aead import (
+    OPEN,
+    SEAL,
     AeadMode,
     AuthenticationError,
     SealedMessage,
-    compute_auth,
     nonce_length,
     open_mr,
     open_nr,
-    pkcs7_pad,
-    pkcs7_unpad,
     seal_mr,
     seal_nr,
 )
 from .block_cipher import AES128, CIPHERS, TOY, CipherSpec, get_cipher
-from .tweakable import (
-    Tweak,
-    TweakableKey,
-    derive_subkey_and_mask,
-    encode_ad_tweak,
-    encode_mr_stream_tweak,
-    encode_mr_tag_tweak,
-    encode_nr_msg_tweak,
-    tweak_decrypt,
-    tweak_encrypt,
-)
-from .xof import shake128
+from .tweakable import TweakableKey
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AES128",
-    "AeadMode",
-    "AuthenticationError",
+    "TOY",
     "CIPHERS",
     "CipherSpec",
-    "SealedMessage",
-    "TOY",
-    "Tweak",
-    "TweakableKey",
-    "compute_auth",
-    "derive_subkey_and_mask",
-    "encode_ad_tweak",
-    "encode_mr_stream_tweak",
-    "encode_mr_tag_tweak",
-    "encode_nr_msg_tweak",
     "get_cipher",
-    "nonce_length",
-    "open_mr",
-    "open_nr",
-    "pkcs7_pad",
-    "pkcs7_unpad",
-    "seal_mr",
+    "TweakableKey",
+    "AeadMode",
+    "AuthenticationError",
+    "SealedMessage",
+    "SEAL",
+    "OPEN",
     "seal_nr",
-    "shake128",
-    "tweak_decrypt",
-    "tweak_encrypt",
+    "open_nr",
+    "seal_mr",
+    "open_mr",
+    "nonce_length",
     "__version__",
 ]

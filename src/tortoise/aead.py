@@ -26,7 +26,7 @@ from .tweakable import (
     encode_mr_stream_tweak,
     encode_mr_tag_tweak,
     encode_nr_msg_tweak,
-    mr_nonce_len,
+    nr_counter_limit,
     nr_nonce_len,
     tweak_decrypt,
     tweak_encrypt,
@@ -37,6 +37,8 @@ __all__ = [
     "AeadMode",
     "AuthenticationError",
     "SealedMessage",
+    "SEAL",
+    "OPEN",
     "nonce_length",
     "pkcs7_pad",
     "pkcs7_unpad",
@@ -58,20 +60,18 @@ class AeadMode(enum.Enum):
 
 
 def nonce_length(mode: AeadMode, block_len: int = 16) -> int:
-    """Required nonce width for ``mode`` with the given block size."""
+    """Required nonce width: the counter layout's nonce in nr, all bytes after the prefix in mr."""
     if mode is AeadMode.NONCE_RESPECTING:
         return nr_nonce_len(block_len)
-    return mr_nonce_len(block_len)
+    return block_len - 1
 
 
 @dataclass(frozen=True)
 class SealedMessage:
-    """Output of seal: padded ciphertext, full-block tag, nonce, mode."""
+    """Output of seal: padded ciphertext and full-block tag."""
 
     ciphertext: bytes
     tag: bytes
-    nonce: bytes
-    mode: AeadMode
 
 
 def pkcs7_pad(data: bytes, n: int) -> bytes:
@@ -114,69 +114,98 @@ def compute_auth(key: TweakableKey, ad: bytes) -> bytes:
     return auth
 
 
+def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, data: bytes, tag: bytes | None = None) -> int:
+    """Check every length before any block work; return the block length.
+
+    ``tag`` is given only when opening.  The counter layout numbers the
+    message blocks, and in nr the tag block takes the next counter too.
+    """
+    n = key.cipher.block_len
+    if len(nonce) != nonce_length(mode, n):
+        raise ValueError(f"nonce must be {nonce_length(mode, n)} bytes, got {len(nonce)}")
+    if tag is None:
+        blocks = len(data) // n + 1
+    else:
+        if len(tag) != n:
+            raise ValueError(f"tag must be {n} bytes, got {len(tag)}")
+        if not data or len(data) % n:
+            raise ValueError("ciphertext must be a positive multiple of the block size")
+        blocks = len(data) // n
+    limit = nr_counter_limit(n) - (mode is AeadMode.NONCE_RESPECTING)
+    if blocks > limit:
+        raise ValueError(f"message of {blocks} padded blocks exceeds the {mode.value} limit of {limit}")
+    return n
+
+
+def _nr_tag(key: TweakableKey, nonce: bytes, ad: bytes, checksum: bytes, blocks: int) -> bytes:
+    n = key.cipher.block_len
+    ftag = tweak_encrypt(key, encode_nr_msg_tweak(1, nonce, blocks, n), checksum)
+    return xor_bytes(ftag, compute_auth(key, ad))
+
+
+def _mr_tag(key: TweakableKey, nonce: bytes, ad: bytes, plain: list[bytes]) -> bytes:
+    n = key.cipher.block_len
+    counter_nonce = nonce[: nr_nonce_len(n)]
+    tag = compute_auth(key, ad)
+    for j, p in enumerate(plain):
+        tag = xor_bytes(tag, tweak_encrypt(key, encode_nr_msg_tweak(0, counter_nonce, j, n), p))
+    return tweak_encrypt(key, encode_mr_tag_tweak(nonce, n), tag)
+
+
+def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, blocks: list[bytes]) -> list[bytes]:
+    """XOR ``blocks`` with the keystream seeded by ``tag``; its own inverse."""
+    n = key.cipher.block_len
+    seed = b"\x00" + nonce
+    return [
+        xor_bytes(b, tweak_encrypt(key, encode_mr_stream_tweak(tag, j, n), seed))
+        for j, b in enumerate(blocks)
+    ]
+
+
+def _release(expected: bytes, tag: bytes, plain: list[bytes], n: int) -> bytes:
+    """Return the unpadded plaintext only if the tag verifies in constant time."""
+    if hmac.compare_digest(expected, tag):
+        try:
+            return pkcs7_unpad(b"".join(plain), n)
+        except ValueError:
+            pass  # Indistinguishable from a tag mismatch: no padding oracle.
+    raise AuthenticationError("authentication failed")
+
+
 def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in nonce-respecting mode.
 
     The caller must never reuse a (key, nonce) pair; confidentiality and
     authenticity both degrade if it does.
     """
-    n = key.cipher.block_len
-    if len(nonce) != nr_nonce_len(n):
-        raise ValueError(f"nonce must be {nr_nonce_len(n)} bytes, got {len(nonce)}")
+    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, plaintext)
     blocks = _blocks(pkcs7_pad(plaintext, n), n)
     checksum = bytes(n)
     out = []
     for j, p in enumerate(blocks):
         checksum = xor_bytes(checksum, p)
         out.append(tweak_encrypt(key, encode_nr_msg_tweak(0, nonce, j, n), p))
-    ftag = tweak_encrypt(key, encode_nr_msg_tweak(1, nonce, len(blocks), n), checksum)
-    tag = xor_bytes(ftag, compute_auth(key, ad))
-    return SealedMessage(b"".join(out), tag, nonce, AeadMode.NONCE_RESPECTING)
+    return SealedMessage(b"".join(out), _nr_tag(key, nonce, ad, checksum, len(blocks)))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
-    n = key.cipher.block_len
-    if len(nonce) != nr_nonce_len(n):
-        raise ValueError(f"nonce must be {nr_nonce_len(n)} bytes, got {len(nonce)}")
-    if len(tag) != n:
-        raise ValueError(f"tag must be {n} bytes, got {len(tag)}")
-    if not ciphertext or len(ciphertext) % n:
-        raise ValueError("ciphertext must be a positive multiple of the block size")
+    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ciphertext, tag)
     checksum = bytes(n)
     plain = []
     for j, c in enumerate(_blocks(ciphertext, n)):
         p = tweak_decrypt(key, encode_nr_msg_tweak(0, nonce, j, n), c)
         checksum = xor_bytes(checksum, p)
         plain.append(p)
-    ftag = tweak_encrypt(key, encode_nr_msg_tweak(1, nonce, len(plain), n), checksum)
-    expected = xor_bytes(ftag, compute_auth(key, ad))
-    if not hmac.compare_digest(expected, tag):
-        raise AuthenticationError("authentication failed")
-    try:
-        return pkcs7_unpad(b"".join(plain), n)
-    except ValueError:
-        # Indistinguishable from a tag mismatch: no padding oracle.
-        raise AuthenticationError("authentication failed") from None
+    return _release(_nr_tag(key, nonce, ad, checksum, len(plain)), tag, plain, n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
-    n = key.cipher.block_len
-    if len(nonce) != mr_nonce_len(n):
-        raise ValueError(f"nonce must be {mr_nonce_len(n)} bytes, got {len(nonce)}")
+    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, plaintext)
     blocks = _blocks(pkcs7_pad(plaintext, n), n)
-    counter_nonce = nonce[: nr_nonce_len(n)]
-    tag = compute_auth(key, ad)
-    for j, p in enumerate(blocks):
-        tag = xor_bytes(tag, tweak_encrypt(key, encode_nr_msg_tweak(0, counter_nonce, j, n), p))
-    tag = tweak_encrypt(key, encode_mr_tag_tweak(nonce, n), tag)
-    seed = b"\x00" + nonce
-    out = [
-        xor_bytes(p, tweak_encrypt(key, encode_mr_stream_tweak(tag, j, n), seed))
-        for j, p in enumerate(blocks)
-    ]
-    return SealedMessage(b"".join(out), tag, nonce, AeadMode.MISUSE_RESISTANT)
+    tag = _mr_tag(key, nonce, ad, blocks)
+    return SealedMessage(b"".join(_mr_stream(key, nonce, tag, blocks)), tag)
 
 
 def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -186,26 +215,10 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     plaintext exists internally before verification; it is never returned
     or leaked on failure.
     """
-    n = key.cipher.block_len
-    if len(nonce) != mr_nonce_len(n):
-        raise ValueError(f"nonce must be {mr_nonce_len(n)} bytes, got {len(nonce)}")
-    if len(tag) != n:
-        raise ValueError(f"tag must be {n} bytes, got {len(tag)}")
-    if not ciphertext or len(ciphertext) % n:
-        raise ValueError("ciphertext must be a positive multiple of the block size")
-    seed = b"\x00" + nonce
-    plain = [
-        xor_bytes(c, tweak_encrypt(key, encode_mr_stream_tweak(tag, j, n), seed))
-        for j, c in enumerate(_blocks(ciphertext, n))
-    ]
-    counter_nonce = nonce[: nr_nonce_len(n)]
-    expected = compute_auth(key, ad)
-    for j, p in enumerate(plain):
-        expected = xor_bytes(expected, tweak_encrypt(key, encode_nr_msg_tweak(0, counter_nonce, j, n), p))
-    expected = tweak_encrypt(key, encode_mr_tag_tweak(nonce, n), expected)
-    if not hmac.compare_digest(expected, tag):
-        raise AuthenticationError("authentication failed")
-    try:
-        return pkcs7_unpad(b"".join(plain), n)
-    except ValueError:
-        raise AuthenticationError("authentication failed") from None
+    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ciphertext, tag)
+    plain = _mr_stream(key, nonce, tag, _blocks(ciphertext, n))
+    return _release(_mr_tag(key, nonce, ad, plain), tag, plain, n)
+
+
+SEAL = {AeadMode.NONCE_RESPECTING: seal_nr, AeadMode.MISUSE_RESISTANT: seal_mr}
+OPEN = {AeadMode.NONCE_RESPECTING: open_nr, AeadMode.MISUSE_RESISTANT: open_mr}

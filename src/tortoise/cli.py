@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .aead import AeadMode, AuthenticationError, nonce_length, open_mr, open_nr, seal_mr, seal_nr
+from .aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length
 from .block_cipher import AES128, CIPHERS
 from .kat import differential_check, generate_kats, parse_kat_text, serialize_records, verify_kats
 from .tweakable import TweakableKey
@@ -58,12 +58,13 @@ class Envelope:
 
 
 def pack_envelope(env: Envelope) -> bytes:
-    if len(env.nonce) != nonce_length(env.mode):
-        raise EnvelopeError(f"nonce must be {nonce_length(env.mode)} bytes for mode {env.mode.value}")
-    if len(env.tag) != 16:
-        raise EnvelopeError("tag must be 16 bytes")
-    if not env.ciphertext or len(env.ciphertext) % 16:
-        raise EnvelopeError("ciphertext must be a positive multiple of 16 bytes")
+    n = AES128.block_len
+    if len(env.nonce) != nonce_length(env.mode, n):
+        raise EnvelopeError(f"nonce must be {nonce_length(env.mode, n)} bytes for mode {env.mode.value}")
+    if len(env.tag) != n:
+        raise EnvelopeError(f"tag must be {n} bytes")
+    if not env.ciphertext or len(env.ciphertext) % n:
+        raise EnvelopeError(f"ciphertext must be a positive multiple of {n} bytes")
     return (
         MAGIC
         + bytes([VERSION, _MODE_TO_BYTE[env.mode], len(env.nonce)])
@@ -82,17 +83,18 @@ def parse_envelope(blob: bytes) -> Envelope:
     if blob[5] not in _BYTE_TO_MODE:
         raise EnvelopeError(f"unknown mode byte {blob[5]:#04x}")
     mode = _BYTE_TO_MODE[blob[5]]
+    n = AES128.block_len
     nonce_len = blob[6]
-    if nonce_len != nonce_length(mode):
+    if nonce_len != nonce_length(mode, n):
         raise EnvelopeError(f"nonce_len {nonce_len} invalid for mode {mode.value}")
-    need = 7 + nonce_len + 16 + 8
+    need = 7 + nonce_len + n + 8
     if len(blob) < need:
         raise EnvelopeError("truncated header")
     nonce = blob[7 : 7 + nonce_len]
-    tag = blob[7 + nonce_len : 7 + nonce_len + 16]
+    tag = blob[7 + nonce_len : 7 + nonce_len + n]
     ct_len = int.from_bytes(blob[need - 8 : need], "big")
-    if ct_len == 0 or ct_len % 16:
-        raise EnvelopeError("ct_len must be a positive multiple of 16")
+    if ct_len == 0 or ct_len % n:
+        raise EnvelopeError(f"ct_len must be a positive multiple of {n}")
     if len(blob) != need + ct_len:
         raise EnvelopeError(f"expected {need + ct_len} bytes total, got {len(blob)}")
     return Envelope(mode, nonce, tag, blob[need:])
@@ -102,18 +104,14 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _read_key(args: argparse.Namespace) -> bytes:
+def _read_key(args: argparse.Namespace) -> TweakableKey:
     if args.key_hex is not None:
-        key = bytes.fromhex(args.key_hex)
+        raw = bytes.fromhex(args.key_hex)
     else:
         raw = Path(args.key_file).read_bytes()
-        if len(raw) == 16:
-            key = raw
-        else:
-            key = bytes.fromhex(raw.decode("ascii").strip())
-    if len(key) != 16:
-        raise ValueError(f"key must be 16 bytes, got {len(key)}")
-    return key
+        if len(raw) != AES128.key_len:
+            raw = bytes.fromhex(raw.decode("ascii").strip())
+    return TweakableKey(raw, AES128)
 
 
 def _read_ad(args: argparse.Namespace) -> bytes:
@@ -125,7 +123,7 @@ def _read_ad(args: argparse.Namespace) -> bytes:
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
-    key = TweakableKey(_read_key(args), AES128)
+    key = _read_key(args)
     mode = AeadMode(args.mode)
     if args.nonce_hex is not None:
         nonce = bytes.fromhex(args.nonce_hex)
@@ -133,19 +131,17 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
         nonce = secrets.token_bytes(nonce_length(mode))
     ad = _read_ad(args)
     plaintext = Path(args.in_path).read_bytes()
-    seal = seal_nr if mode is AeadMode.NONCE_RESPECTING else seal_mr
-    sealed = seal(key, nonce, ad, plaintext)
-    blob = pack_envelope(Envelope(mode, sealed.nonce, sealed.tag, sealed.ciphertext))
+    sealed = SEAL[mode](key, nonce, ad, plaintext)
+    blob = pack_envelope(Envelope(mode, nonce, sealed.tag, sealed.ciphertext))
     Path(args.out_path).write_bytes(blob)
     return EXIT_OK
 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
-    key = TweakableKey(_read_key(args), AES128)
+    key = _read_key(args)
     ad = _read_ad(args)
     env = parse_envelope(Path(args.in_path).read_bytes())
-    open_fn = open_nr if env.mode is AeadMode.NONCE_RESPECTING else open_mr
-    plaintext = open_fn(key, env.nonce, ad, env.ciphertext, env.tag)
+    plaintext = OPEN[env.mode](key, env.nonce, ad, env.ciphertext, env.tag)
     Path(args.out_path).write_bytes(plaintext)
     return EXIT_OK
 
@@ -242,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuthenticationError:
         _fail("authentication failed")
         return EXIT_AUTH
-    except (EnvelopeError, ValueError) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # EnvelopeError is a ValueError
         _fail(str(exc))
         return EXIT_USAGE
 

@@ -16,9 +16,9 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .aead import AeadMode, AuthenticationError, nonce_length, open_mr, open_nr, seal_mr, seal_nr
+from .aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length, open_mr, seal_mr
 from .block_cipher import TOY, get_cipher, toy_encrypt_block
-from .tweakable import Tweak, TweakableKey, tweak_encrypt, xor_bytes
+from .tweakable import TweakableKey, tweak_encrypt, xor_bytes
 
 __all__ = [
     "KatRecord",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _FIELDS = ("mode", "cipher", "key", "nonce", "ad", "pt", "ct", "tag")
+_HEX_FIELDS = _FIELDS[2:]
 
 
 class KatParseError(ValueError):
@@ -82,17 +83,8 @@ class Report:
 
 
 def serialize_record(rec: KatRecord) -> str:
-    values = {
-        "mode": rec.mode.value,
-        "cipher": rec.cipher,
-        "key": rec.key.hex(),
-        "nonce": rec.nonce.hex(),
-        "ad": rec.ad.hex(),
-        "pt": rec.pt.hex(),
-        "ct": rec.ct.hex(),
-        "tag": rec.tag.hex(),
-    }
-    return " ".join(f"{name}={values[name]}" for name in _FIELDS)
+    values = [rec.mode.value, rec.cipher] + [getattr(rec, name).hex() for name in _HEX_FIELDS]
+    return " ".join(f"{name}={value}" for name, value in zip(_FIELDS, values))
 
 
 def serialize_records(records: list[KatRecord]) -> str:
@@ -118,7 +110,7 @@ def parse_record(line: str) -> KatRecord:
     except ValueError as exc:
         raise KatParseError(str(exc)) from None
     raw: dict[str, bytes] = {}
-    for name in ("key", "nonce", "ad", "pt", "ct", "tag"):
+    for name in _HEX_FIELDS:
         try:
             raw[name] = bytes.fromhex(values[name])
         except ValueError:
@@ -152,10 +144,6 @@ def parse_kat_text(text: str) -> tuple[list[KatRecord], list[str]]:
     return records, errors
 
 
-_SEAL = {AeadMode.NONCE_RESPECTING: seal_nr, AeadMode.MISUSE_RESISTANT: seal_mr}
-_OPEN = {AeadMode.NONCE_RESPECTING: open_nr, AeadMode.MISUSE_RESISTANT: open_mr}
-
-
 def generate_kats(seed: int, count: int, cipher: str = "aes128") -> list[KatRecord]:
     """Freeze ``count`` records per mode from seeded pseudo-random inputs."""
     if count < 1:
@@ -170,7 +158,7 @@ def generate_kats(seed: int, count: int, cipher: str = "aes128") -> list[KatReco
             nonce = rng.randbytes(nonce_length(mode, n))
             ad = rng.randbytes(rng.randrange(2 * n + 4))
             pt = rng.randbytes(rng.randrange(3 * n + 6))
-            sealed = _SEAL[mode](TweakableKey(key, spec), nonce, ad, pt)
+            sealed = SEAL[mode](TweakableKey(key, spec), nonce, ad, pt)
             records.append(KatRecord(mode, spec.name, key, nonce, ad, pt, sealed.ciphertext, sealed.tag))
     return records
 
@@ -182,11 +170,11 @@ def verify_kats(records: list[KatRecord]) -> Report:
         name = f"record {idx} ({rec.mode.value}/{rec.cipher})"
         try:
             key = TweakableKey(rec.key, get_cipher(rec.cipher))
-            sealed = _SEAL[rec.mode](key, rec.nonce, rec.ad, rec.pt)
+            sealed = SEAL[rec.mode](key, rec.nonce, rec.ad, rec.pt)
             if sealed.ciphertext != rec.ct or sealed.tag != rec.tag:
                 report.results.append(CheckResult(name, False, "seal output differs"))
                 continue
-            recovered = _OPEN[rec.mode](key, rec.nonce, rec.ad, rec.ct, rec.tag)
+            recovered = OPEN[rec.mode](key, rec.nonce, rec.ad, rec.ct, rec.tag)
             if recovered != rec.pt:
                 report.results.append(CheckResult(name, False, "open returned different plaintext"))
                 continue
@@ -219,10 +207,12 @@ def differential_check(trials: int, seed: int = 0) -> Report:
     mismatches = []
     for _ in range(trials):
         key, raw, block = rng.randbytes(2), rng.randbytes(2), rng.randbytes(2)
-        got = tweak_encrypt(TweakableKey(key, TOY), Tweak(raw), block)
+        got = tweak_encrypt(TweakableKey(key, TOY), raw, block)
         want = _composed_toy_tweak_encrypt(key, raw, block)
         if got != want:
-            mismatches.append(f"key={key.hex()} tweak={raw.hex()} block={block.hex()} got={got.hex()} want={want.hex()}")
+            mismatches.append(
+                f"key={key.hex()} tweak={raw.hex()} block={block.hex()} got={got.hex()} want={want.hex()}"
+            )
     report.results.append(
         CheckResult(
             f"tweak_encrypt vs composed oracle ({trials} trials)",
@@ -239,9 +229,9 @@ def differential_check(trials: int, seed: int = 0) -> Report:
         for pt_len in range(3 * n + 1):
             for ad_len in (0, 1, n, 2 * n + 1):
                 pt, ad = rng.randbytes(pt_len), rng.randbytes(ad_len)
-                sealed = _SEAL[mode](key, nonce, ad, pt)
+                sealed = SEAL[mode](key, nonce, ad, pt)
                 try:
-                    back = _OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag)
+                    back = OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag)
                 except AuthenticationError:
                     back = None
                 if back != pt:
@@ -250,10 +240,11 @@ def differential_check(trials: int, seed: int = 0) -> Report:
         CheckResult("seal/open round trips (all short lengths)", not failures, "; ".join(failures[:5]))
     )
 
-    sealed = seal_mr(key, rng.randbytes(nonce_length(AeadMode.MISUSE_RESISTANT, n)), b"ad", b"corrupt me")
+    nonce = rng.randbytes(nonce_length(AeadMode.MISUSE_RESISTANT, n))
+    sealed = seal_mr(key, nonce, b"ad", b"corrupt me")
     bad_tag = xor_bytes(sealed.tag, b"\x01" + bytes(n - 1))
     try:
-        open_mr(key, sealed.nonce, b"ad", sealed.ciphertext, bad_tag)
+        open_mr(key, nonce, b"ad", sealed.ciphertext, bad_tag)
         rejected = False
     except AuthenticationError:
         rejected = True

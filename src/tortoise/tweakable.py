@@ -29,11 +29,10 @@ from .block_cipher import CipherSpec
 from .xof import shake128
 
 __all__ = [
-    "Tweak",
     "TweakableKey",
     "xor_bytes",
     "nr_nonce_len",
-    "mr_nonce_len",
+    "nr_counter_limit",
     "encode_ad_tweak",
     "encode_nr_msg_tweak",
     "encode_mr_tag_tweak",
@@ -51,13 +50,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-@dataclass(frozen=True)
-class Tweak:
-    """One block's worth of tweak bytes, as produced by the encoders."""
-
-    raw: bytes
 
 
 @dataclass(frozen=True)
@@ -80,20 +72,21 @@ def nr_nonce_len(block_len: int) -> int:
     return min(8, block_len - 1)
 
 
-def mr_nonce_len(block_len: int) -> int:
-    """Nonce width for the misuse-resistant mode: all bytes after the prefix."""
-    return block_len - 1
+def nr_counter_limit(block_len: int) -> int:
+    """Number of block counters the counter layouts carry: 2^56 at n=16, 16 at n=2."""
+    counter_len = block_len - 1 - nr_nonce_len(block_len)
+    return 256 ** counter_len if counter_len else 16
 
 
-def encode_ad_tweak(i: int, block_len: int = 16) -> Tweak:
+def encode_ad_tweak(i: int, block_len: int = 16) -> bytes:
     """Tweak for associated-data block ``i``: 0x20, then the index big-endian."""
     limit = 256 ** (block_len - 1)
     if not 0 <= i < limit:
         raise ValueError(f"ad block index {i} out of range [0, {limit})")
-    return Tweak(b"\x20" + i.to_bytes(block_len - 1, "big"))
+    return b"\x20" + i.to_bytes(block_len - 1, "big")
 
 
-def encode_nr_msg_tweak(prefix: int, nonce: bytes, j: int, block_len: int = 16) -> Tweak:
+def encode_nr_msg_tweak(prefix: int, nonce: bytes, j: int, block_len: int = 16) -> bytes:
     """Counter tweak: prefix nibble, nonce, block counter.
 
     ``prefix`` 0 marks a message block, 1 the tag-derivation block.  The
@@ -106,46 +99,42 @@ def encode_nr_msg_tweak(prefix: int, nonce: bytes, j: int, block_len: int = 16) 
     nlen = nr_nonce_len(block_len)
     if len(nonce) != nlen:
         raise ValueError(f"nonce must be {nlen} bytes, got {len(nonce)}")
+    limit = nr_counter_limit(block_len)
+    if not 0 <= j < limit:
+        raise ValueError(f"block counter {j} out of range [0, {limit})")
     counter_len = block_len - 1 - nlen
     if counter_len:
-        if not 0 <= j < 256 ** counter_len:
-            raise ValueError(f"block counter {j} out of range [0, {256 ** counter_len})")
-        return Tweak(bytes([prefix << 4]) + nonce + j.to_bytes(counter_len, "big"))
-    if not 0 <= j < 16:
-        raise ValueError(f"block counter {j} out of range [0, 16)")
-    return Tweak(bytes([(prefix << 4) | j]) + nonce)
+        return bytes([prefix << 4]) + nonce + j.to_bytes(counter_len, "big")
+    return bytes([(prefix << 4) | j]) + nonce
 
 
-def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> Tweak:
-    """Tag tweak for the misuse-resistant mode: 0x10, then the full nonce."""
-    nlen = mr_nonce_len(block_len)
-    if len(nonce) != nlen:
-        raise ValueError(f"nonce must be {nlen} bytes, got {len(nonce)}")
-    return Tweak(b"\x10" + nonce)
+def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> bytes:
+    """Tag tweak for the misuse-resistant mode: 0x10, then a nonce filling the rest."""
+    if len(nonce) != block_len - 1:
+        raise ValueError(f"nonce must be {block_len - 1} bytes, got {len(nonce)}")
+    return b"\x10" + nonce
 
 
-def encode_mr_stream_tweak(tag: bytes, j: int, block_len: int = 16) -> Tweak:
+def encode_mr_stream_tweak(tag: bytes, j: int, block_len: int = 16) -> bytes:
     """Keystream tweak: the tag XOR the block counter as one big-endian block."""
     if len(tag) != block_len:
         raise ValueError(f"tag must be {block_len} bytes, got {len(tag)}")
     limit = min(_STREAM_COUNTER_LIMIT, 256 ** block_len)
     if not 0 <= j < limit:
         raise ValueError(f"block counter {j} out of range [0, {limit})")
-    return Tweak(xor_bytes(tag, j.to_bytes(block_len, "big")))
+    return xor_bytes(tag, j.to_bytes(block_len, "big"))
 
 
-def derive_subkey_and_mask(key: TweakableKey, tweak: Tweak) -> tuple[bytes, bytes]:
+def derive_subkey_and_mask(key: TweakableKey, tweak: bytes) -> tuple[bytes, bytes]:
     """One SHAKE128 squeeze of ``master_key || tweak``: subkey first, mask after."""
     spec = key.cipher
-    if len(tweak.raw) != spec.block_len:
-        raise ValueError(
-            f"tweak must be {spec.block_len} bytes, got {len(tweak.raw)}"
-        )
-    out = shake128(key.master_key + tweak.raw, spec.key_len + spec.block_len)
+    if len(tweak) != spec.block_len:
+        raise ValueError(f"tweak must be {spec.block_len} bytes, got {len(tweak)}")
+    out = shake128(key.master_key + tweak, spec.key_len + spec.block_len)
     return out[: spec.key_len], out[spec.key_len :]
 
 
-def tweak_encrypt(key: TweakableKey, tweak: Tweak, block: bytes) -> bytes:
+def tweak_encrypt(key: TweakableKey, tweak: bytes, block: bytes) -> bytes:
     """Encrypt one block under the permutation selected by ``tweak``."""
     spec = key.cipher
     if len(block) != spec.block_len:
@@ -154,7 +143,7 @@ def tweak_encrypt(key: TweakableKey, tweak: Tweak, block: bytes) -> bytes:
     return xor_bytes(spec.encrypt_block(subkey, block), mask)
 
 
-def tweak_decrypt(key: TweakableKey, tweak: Tweak, block: bytes) -> bytes:
+def tweak_decrypt(key: TweakableKey, tweak: bytes, block: bytes) -> bytes:
     """Invert :func:`tweak_encrypt` for the same key and tweak."""
     spec = key.cipher
     if len(block) != spec.block_len:

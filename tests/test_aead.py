@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tortoise import aead
 from tortoise.aead import (
+    OPEN,
+    SEAL,
     AeadMode,
     AuthenticationError,
     compute_auth,
@@ -115,7 +118,6 @@ def test_seal_nr_zero_kat():
     sealed = seal_nr(ZERO_KEY, bytes(8), b"", b"")
     assert sealed.ciphertext == NR_KAT_CT
     assert sealed.tag == NR_KAT_TAG
-    assert sealed.mode is AeadMode.NONCE_RESPECTING
     assert open_nr(ZERO_KEY, bytes(8), b"", NR_KAT_CT, NR_KAT_TAG) == b""
 
 
@@ -310,3 +312,61 @@ def test_nonce_length_helper():
     assert nonce_length(AeadMode.MISUSE_RESISTANT) == 15
     assert nonce_length(AeadMode.NONCE_RESPECTING, 2) == 1
     assert nonce_length(AeadMode.MISUSE_RESISTANT, 2) == 1
+
+
+# --- length limits, checked before any block work ---------------------------
+
+TOY_KEY = TweakableKey(b"\x42\x24", TOY)
+
+
+class _HugeMessage:
+    """Stands in for a message too large to allocate: only its length is real."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+
+@pytest.fixture
+def tweak_calls(monkeypatch):
+    """Names of the tweakable-cipher calls the aead module makes from now on."""
+    calls = []
+    for name in ("tweak_encrypt", "tweak_decrypt"):
+        real = getattr(aead, name)
+        monkeypatch.setattr(aead, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "mode,max_pt_len", [(AeadMode.NONCE_RESPECTING, 29), (AeadMode.MISUSE_RESISTANT, 31)]
+)
+def test_toy_length_limit(mode, max_pt_len, tweak_calls):
+    # toy counters run 0..15: nr allows 15 padded blocks (its tag takes the 16th), mr 16
+    pt = bytes(range(max_pt_len))
+    sealed = SEAL[mode](TOY_KEY, b"\x5a", b"ad", pt)
+    assert OPEN[mode](TOY_KEY, b"\x5a", b"ad", sealed.ciphertext, sealed.tag) == pt
+    tweak_calls.clear()
+    with pytest.raises(ValueError, match="limit"):
+        SEAL[mode](TOY_KEY, b"\x5a", b"ad", pt + b"!")
+    with pytest.raises(ValueError, match="limit"):
+        OPEN[mode](TOY_KEY, b"\x5a", b"ad", sealed.ciphertext + bytes(2), sealed.tag)
+    assert tweak_calls == []
+
+
+@pytest.mark.parametrize(
+    "mode,max_blocks", [(AeadMode.NONCE_RESPECTING, 2**56 - 1), (AeadMode.MISUSE_RESISTANT, 2**56)]
+)
+def test_aes128_length_limit(mode, max_blocks, tweak_calls):
+    nonce = bytes(nonce_length(mode))
+    # at the limit the entry check passes and the stand-in fails on first use
+    with pytest.raises(TypeError):
+        SEAL[mode](ZERO_KEY, nonce, b"", _HugeMessage(16 * max_blocks - 1))
+    with pytest.raises(TypeError):
+        OPEN[mode](ZERO_KEY, nonce, b"", _HugeMessage(16 * max_blocks), bytes(16))
+    with pytest.raises(ValueError, match="limit"):
+        SEAL[mode](ZERO_KEY, nonce, b"", _HugeMessage(16 * max_blocks))
+    with pytest.raises(ValueError, match="limit"):
+        OPEN[mode](ZERO_KEY, nonce, b"", _HugeMessage(16 * (max_blocks + 1)), bytes(16))
+    assert tweak_calls == []

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from tortoise.block_cipher import AES128, TOY, toy_encrypt_block
 from tortoise.tweakable import (
-    Tweak,
     TweakableKey,
     derive_subkey_and_mask,
     encode_ad_tweak,
     encode_mr_stream_tweak,
     encode_mr_tag_tweak,
     encode_nr_msg_tweak,
-    mr_nonce_len,
+    nr_counter_limit,
     nr_nonce_len,
     tweak_decrypt,
     tweak_encrypt,
@@ -22,7 +21,7 @@ from tortoise.tweakable import (
 )
 
 ZERO_KEY = TweakableKey(bytes(16), AES128)
-ZERO_TWEAK = Tweak(bytes(16))
+ZERO_TWEAK = bytes(16)
 
 # SHAKE128(00^16 || 00^16) squeezed to 32 bytes, frozen from the verified
 # XOF: first half subkey, second half mask.
@@ -53,17 +52,17 @@ def test_derive_distinct_tweaks_differ():
         t1, t2 = rng.randbytes(16), rng.randbytes(16)
         if t1 == t2:
             continue
-        assert derive_subkey_and_mask(key, Tweak(t1)) != derive_subkey_and_mask(key, Tweak(t2))
+        assert derive_subkey_and_mask(key, t1) != derive_subkey_and_mask(key, t2)
 
 
 def test_single_tweak_bit_changes_derivation():
     rng = random.Random(0xB17)
     key = TweakableKey(rng.randbytes(16), AES128)
     base = rng.randbytes(16)
-    ref = derive_subkey_and_mask(key, Tweak(base))
+    ref = derive_subkey_and_mask(key, base)
     for bit in range(128):
         flipped = xor_bytes(base, (1 << bit).to_bytes(16, "big"))
-        assert derive_subkey_and_mask(key, Tweak(flipped)) != ref
+        assert derive_subkey_and_mask(key, flipped) != ref
 
 
 def test_master_key_length_checked():
@@ -85,7 +84,7 @@ def test_round_trip_all_specs():
     for spec, cases in ((TOY, 10_000), (AES128, 500)):
         for _ in range(cases):
             key = TweakableKey(rng.randbytes(spec.key_len), spec)
-            tweak = Tweak(rng.randbytes(spec.block_len))
+            tweak = rng.randbytes(spec.block_len)
             block = rng.randbytes(spec.block_len)
             assert tweak_decrypt(key, tweak, tweak_encrypt(key, tweak, block)) == block
 
@@ -95,7 +94,7 @@ def test_wrong_tweak_fails_to_invert():
     hits = 0
     for _ in range(1000):
         key = TweakableKey(rng.randbytes(16), AES128)
-        t1, t2 = Tweak(rng.randbytes(16)), Tweak(rng.randbytes(16))
+        t1, t2 = rng.randbytes(16), rng.randbytes(16)
         if t1 == t2:
             continue
         block = rng.randbytes(16)
@@ -111,7 +110,7 @@ def test_toy_matches_composed_oracle():
         master, raw, block = rng.randbytes(2), rng.randbytes(2), rng.randbytes(2)
         digest = hashlib.shake_128(master + raw).digest(4)
         want = bytes(a ^ b for a, b in zip(toy_encrypt_block(digest[:2], block), digest[2:]))
-        assert tweak_encrypt(TweakableKey(master, TOY), Tweak(raw), block) == want
+        assert tweak_encrypt(TweakableKey(master, TOY), raw, block) == want
 
 
 def test_block_length_checked():
@@ -120,15 +119,15 @@ def test_block_length_checked():
     with pytest.raises(ValueError):
         tweak_decrypt(ZERO_KEY, ZERO_TWEAK, bytes(17))
     with pytest.raises(ValueError):
-        tweak_encrypt(ZERO_KEY, Tweak(bytes(2)), bytes(16))
+        tweak_encrypt(ZERO_KEY, bytes(2), bytes(16))
 
 
 # --- tweak encoders: 16-byte layout -------------------------------------
 
 def test_ad_tweak_layout():
-    assert encode_ad_tweak(0).raw == bytes.fromhex("20000000000000000000000000000000")
-    assert encode_ad_tweak(1).raw == bytes.fromhex("20000000000000000000000000000001")
-    assert encode_ad_tweak(2**120 - 1).raw == bytes.fromhex("20ffffffffffffffffffffffffffffff")
+    assert encode_ad_tweak(0) == bytes.fromhex("20000000000000000000000000000000")
+    assert encode_ad_tweak(1) == bytes.fromhex("20000000000000000000000000000001")
+    assert encode_ad_tweak(2**120 - 1) == bytes.fromhex("20ffffffffffffffffffffffffffffff")
     with pytest.raises(ValueError):
         encode_ad_tweak(2**120)
     with pytest.raises(ValueError):
@@ -137,8 +136,8 @@ def test_ad_tweak_layout():
 
 def test_nr_msg_tweak_layout():
     nonce = bytes.fromhex("0102030405060708")
-    assert encode_nr_msg_tweak(0, nonce, 2).raw == bytes.fromhex("00010203040506070800000000000002")
-    assert encode_nr_msg_tweak(1, bytes(8), 0).raw == bytes.fromhex("10000000000000000000000000000000")
+    assert encode_nr_msg_tweak(0, nonce, 2) == bytes.fromhex("00010203040506070800000000000002")
+    assert encode_nr_msg_tweak(1, bytes(8), 0) == bytes.fromhex("10000000000000000000000000000000")
     with pytest.raises(ValueError):
         encode_nr_msg_tweak(0, nonce, 2**56)
     with pytest.raises(ValueError):
@@ -148,16 +147,16 @@ def test_nr_msg_tweak_layout():
 
 
 def test_mr_tag_tweak_layout():
-    assert encode_mr_tag_tweak(bytes(15)).raw == bytes.fromhex("10000000000000000000000000000000")
-    assert encode_mr_tag_tweak(b"\xff" * 15).raw == bytes.fromhex("10ffffffffffffffffffffffffffffff")
+    assert encode_mr_tag_tweak(bytes(15)) == bytes.fromhex("10000000000000000000000000000000")
+    assert encode_mr_tag_tweak(b"\xff" * 15) == bytes.fromhex("10ffffffffffffffffffffffffffffff")
     with pytest.raises(ValueError):
         encode_mr_tag_tweak(bytes(14))
 
 
 def test_mr_stream_tweak_layout():
     tag = bytes(range(16))
-    assert encode_mr_stream_tweak(tag, 0).raw == tag
-    assert encode_mr_stream_tweak(bytes(16), 1).raw == bytes.fromhex("00000000000000000000000000000001")
+    assert encode_mr_stream_tweak(tag, 0) == tag
+    assert encode_mr_stream_tweak(bytes(16), 1) == bytes.fromhex("00000000000000000000000000000001")
     with pytest.raises(ValueError):
         encode_mr_stream_tweak(tag, 2**64)
     with pytest.raises(ValueError):
@@ -166,17 +165,17 @@ def test_mr_stream_tweak_layout():
 
 @given(st.binary(min_size=16, max_size=16), st.integers(0, 2**64 - 1))
 def test_mr_stream_tweak_involution(tag, j):
-    assert encode_mr_stream_tweak(encode_mr_stream_tweak(tag, j).raw, j).raw == tag
+    assert encode_mr_stream_tweak(encode_mr_stream_tweak(tag, j), j) == tag
 
 
 # --- tweak encoders: 2-byte toy layout ----------------------------------
 
 def test_toy_layouts():
-    assert encode_ad_tweak(3, block_len=2).raw == bytes.fromhex("2003")
-    assert encode_nr_msg_tweak(0, b"\xab", 5, block_len=2).raw == bytes.fromhex("05ab")
-    assert encode_nr_msg_tweak(1, b"\xab", 5, block_len=2).raw == bytes.fromhex("15ab")
-    assert encode_mr_tag_tweak(b"\xcd", block_len=2).raw == bytes.fromhex("10cd")
-    assert encode_mr_stream_tweak(b"\x12\x34", 0x0101, block_len=2).raw == bytes.fromhex("1335")
+    assert encode_ad_tweak(3, block_len=2) == bytes.fromhex("2003")
+    assert encode_nr_msg_tweak(0, b"\xab", 5, block_len=2) == bytes.fromhex("05ab")
+    assert encode_nr_msg_tweak(1, b"\xab", 5, block_len=2) == bytes.fromhex("15ab")
+    assert encode_mr_tag_tweak(b"\xcd", block_len=2) == bytes.fromhex("10cd")
+    assert encode_mr_stream_tweak(b"\x12\x34", 0x0101, block_len=2) == bytes.fromhex("1335")
     with pytest.raises(ValueError):
         encode_nr_msg_tweak(0, b"\xab", 16, block_len=2)
     with pytest.raises(ValueError):
@@ -185,9 +184,16 @@ def test_toy_layouts():
 
 def test_nonce_widths():
     assert nr_nonce_len(16) == 8
-    assert mr_nonce_len(16) == 15
     assert nr_nonce_len(2) == 1
-    assert mr_nonce_len(2) == 1
+
+
+@pytest.mark.parametrize("block_len,limit", [(16, 2**56), (2, 16)])
+def test_counter_limit_is_encoder_range(block_len, limit):
+    nonce = bytes(nr_nonce_len(block_len))
+    assert nr_counter_limit(block_len) == limit
+    encode_nr_msg_tweak(1, nonce, limit - 1, block_len)
+    with pytest.raises(ValueError, match=f"out of range \\[0, {limit}\\)"):
+        encode_nr_msg_tweak(1, nonce, limit, block_len)
 
 
 # --- encoder injectivity and domain separation ---------------------------
@@ -200,9 +206,9 @@ def test_nonce_widths():
     st.binary(min_size=15, max_size=15),
 )
 def test_domains_never_collide(i, prefix, nonce, j, mr_nonce):
-    ad = encode_ad_tweak(i).raw
-    msg = encode_nr_msg_tweak(prefix, nonce, j).raw
-    tag = encode_mr_tag_tweak(mr_nonce).raw
+    ad = encode_ad_tweak(i)
+    msg = encode_nr_msg_tweak(prefix, nonce, j)
+    tag = encode_mr_tag_tweak(mr_nonce)
     assert ad[0] == 0x20
     assert msg[0] >> 4 in (0, 1)
     assert tag[0] == 0x10
@@ -217,13 +223,13 @@ def test_domains_never_collide(i, prefix, nonce, j, mr_nonce):
 )
 def test_nr_msg_tweak_injective(a, b):
     if a != b:
-        assert encode_nr_msg_tweak(*a).raw != encode_nr_msg_tweak(*b).raw
+        assert encode_nr_msg_tweak(*a) != encode_nr_msg_tweak(*b)
 
 
 @given(st.integers(0, 2**120 - 1), st.integers(0, 2**120 - 1))
 def test_ad_tweak_injective(i1, i2):
     if i1 != i2:
-        assert encode_ad_tweak(i1).raw != encode_ad_tweak(i2).raw
+        assert encode_ad_tweak(i1) != encode_ad_tweak(i2)
 
 
 @given(
@@ -232,4 +238,4 @@ def test_ad_tweak_injective(i1, i2):
 )
 def test_toy_nr_msg_tweak_injective(a, b):
     if a != b:
-        assert encode_nr_msg_tweak(*a, block_len=2).raw != encode_nr_msg_tweak(*b, block_len=2).raw
+        assert encode_nr_msg_tweak(*a, block_len=2) != encode_nr_msg_tweak(*b, block_len=2)
