@@ -1,12 +1,14 @@
 """Block-cipher contract and the two built-in instantiations.
 
 Everything above this layer is generic over :class:`CipherSpec`: a fixed
-block length, a fixed key length, and an encrypt/decrypt pair that is a
-permutation of single blocks for every key.  Two specs ship with the
-package:
+block length, a fixed key length, an encrypt/decrypt pair that is a
+permutation of single blocks for every key, and the same pair over a
+batch of blocks with one key each.  Two specs ship with the package:
 
-* ``AES128`` - the production cipher, delegated to the ``cryptography``
-  package and gated by the repository's known-answer vectors.
+* ``AES128`` - the production cipher.  Single blocks and small batches go
+  to the ``cryptography`` package; larger batches to a byte-sliced kernel
+  in pure Python that gives every block its own key schedule.  Both are
+  gated by the repository's known-answer vectors.
 * ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
   Its entire codomain can be enumerated on a desktop, which is what the
   brute-force verification harness needs.
@@ -44,7 +46,10 @@ class CipherSpec:
 
     ``encrypt_block(key, block)`` must be a bijection on ``block_len``-byte
     strings for every ``key_len``-byte key, and ``decrypt_block`` its exact
-    inverse.  Specs are immutable and safe to share across threads.
+    inverse.  ``encrypt_blocks(keys, blocks)`` and ``decrypt_blocks`` do
+    the same for a batch: ``blocks`` is lane-major, block after block, and
+    ``keys`` holds one key per block in the same order; the result is
+    lane-major too.  Specs are immutable and safe to share across threads.
     """
 
     name: str
@@ -52,22 +57,202 @@ class CipherSpec:
     key_len: int
     encrypt_block: Callable[[bytes, bytes], bytes]
     decrypt_block: Callable[[bytes, bytes], bytes]
+    encrypt_blocks: Callable[[bytes, bytes], bytes]
+    decrypt_blocks: Callable[[bytes, bytes], bytes]
+
+
+# Batches of fewer lanes go block by block: on a 2-core Xeon the
+# byte-sliced kernel overtakes per-block ``cryptography`` calls at about
+# 16 lanes.  The kernel takes a batch whole; its working set is about
+# 300 bytes a lane, so callers bound it by the size of their batches.
+_SLICED_MIN_LANES = 32
+
+
+def _batched(
+    single: Callable[[bytes, bytes], bytes], width: int, sliced: Callable[[bytes, bytes], bytes] | None = None
+) -> Callable[[bytes, bytes], bytes]:
+    """The batch form of ``single``, for keys and blocks both ``width`` bytes long.
+
+    Batches of ``_SLICED_MIN_LANES`` or more go to ``sliced``, if given.
+    """
+
+    def many(keys: bytes, blocks: bytes) -> bytes:
+        if len(blocks) % width or len(keys) != len(blocks):
+            raise ValueError(
+                f"need one {width}-byte key per {width}-byte block, "
+                f"got {len(keys)} key bytes and {len(blocks)} block bytes"
+            )
+        if sliced is None or len(blocks) < width * _SLICED_MIN_LANES:
+            return b"".join([single(keys[i : i + width], blocks[i : i + width]) for i in range(0, len(blocks), width)])
+        return sliced(keys, blocks)
+
+    return many
 
 
 # --- AES-128 -----------------------------------------------------------
+
+# Stateless, so one instance serves every call.
+_ECB = modes.ECB()
+
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
     """Encrypt a single 16-byte block with AES-128."""
     _check_len("key", key, 16)
     _check_len("block", block, 16)
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+    return Cipher(algorithms.AES(key), _ECB).encryptor().update(block)
 
 
 def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
     """Decrypt a single 16-byte block with AES-128."""
     _check_len("key", key, 16)
     _check_len("block", block, 16)
-    return Cipher(algorithms.AES(key), modes.ECB()).decryptor().update(block)
+    return Cipher(algorithms.AES(key), _ECB).decryptor().update(block)
+
+
+# --- AES-128, byte-sliced across lanes ---------------------------------
+#
+# Every block of a batch has its own key, so no key schedule or cipher
+# context can be shared.  The kernel transposes the batch instead: row p
+# holds byte p of every lane (``blocks[p::16]``) and the rows are laid end
+# to end in one byte string.  State byte p is column p // 4, row p % 4, as
+# in FIPS-197.  A byte substitution is then one ``bytes.translate`` over
+# the whole batch, ShiftRows and the byte moves of MixColumns are joins of
+# rows in permuted order, and every XOR (AddRoundKey, the MixColumns sums,
+# the key schedule) is one big-int XOR over the whole state.
+#
+# The lookups are indexed by key and state bytes, so this path is not
+# constant-time against a cache-timing attacker on the same machine; the
+# AES-NI path behind ``cryptography`` is.
+
+
+def _xtime(a: int) -> int:
+    a <<= 1
+    return a ^ 0x11B if a & 0x100 else a
+
+
+def _aes_sbox() -> bytes:
+    """The S-box from its definition: GF(2^8) inverse, then the affine map."""
+    exp, log = [0] * 255, [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i], log[x] = x, i
+        x ^= _xtime(x)  # times 3, a generator of the multiplicative group
+    sbox = []
+    for a in range(256):
+        b = exp[-log[a] % 255] if a else 0
+        r = b | b << 8  # (r >> (8 - k)) & 0xFF rotates b left by k
+        sbox.append(b ^ (r >> 7 & 0xFF) ^ (r >> 6 & 0xFF) ^ (r >> 5 & 0xFF) ^ (r >> 4 & 0xFF) ^ 0x63)
+    return bytes(sbox)
+
+
+_XTIME = bytes(_xtime(x) for x in range(256))
+
+
+def _times(m: int) -> bytes:
+    """The translation table of x * m in GF(2^8)."""
+    out, power = 0, bytes(range(256))
+    while m:
+        if m & 1:
+            out ^= int.from_bytes(power, "big")
+        power = power.translate(_XTIME)
+        m >>= 1
+    return out.to_bytes(256, "big")
+
+
+# Translation tables: S, 2*S and 3*S for SubBytes composed with MixColumns,
+# the inverse S-box, and the four InvMixColumns multipliers.
+_S1 = _aes_sbox()
+_S2 = _S1.translate(_times(2))
+_S3 = _S1.translate(_times(3))
+_INV_S = bytes(sorted(range(256), key=_S1.__getitem__))
+_INV_MIX = tuple(_times(m) for m in (14, 11, 13, 9))
+# The key schedule's S-box, one table per round with that round's rcon folded in.
+_KEY_SBOX = tuple(bytes(s ^ rcon for s in _S1) for rcon in b"\x01\x02\x04\x08\x10\x20\x40\x80\x1b\x36")
+
+# Row orders.  _SHIFTED[k][p] is the byte whose k-th MixColumns term lands
+# in byte p once ShiftRows has moved it: byte p takes 2*S, 3*S, S and S of
+# bytes _SHIFTED[0..3][p].  _INV_SHIFTED undoes ShiftRows, and _COLUMN[k]
+# picks the k-th InvMixColumns term from the same column.
+_SHIFTED = tuple(tuple(4 * ((p // 4 + p % 4 + k) % 4) + (p % 4 + k) % 4 for p in range(16)) for k in range(4))
+_INV_SHIFTED = tuple(4 * ((p // 4 - p % 4) % 4) + p % 4 for p in range(16))
+_COLUMN = tuple(tuple(4 * (p // 4) + (p % 4 + k) % 4 for p in range(16)) for k in range(4))
+
+
+def _to_rows(data: bytes) -> int:
+    """Lane-major 16-byte blocks as one int over the row layout."""
+    return int.from_bytes(b"".join([data[p::16] for p in range(16)]), "big")
+
+
+def _from_rows(state: int, lanes: int) -> bytes:
+    """Invert :func:`_to_rows`."""
+    rows = state.to_bytes(16 * lanes, "big")
+    out = bytearray(16 * lanes)
+    for p in range(16):
+        out[p::16] = rows[p * lanes : (p + 1) * lanes]
+    return bytes(out)
+
+
+def _gather(rows: bytes, order: tuple[int, ...], lanes: int) -> int:
+    """The rows of ``rows`` joined in ``order``, as one int."""
+    view = memoryview(rows)
+    return int.from_bytes(b"".join([view[p * lanes : (p + 1) * lanes] for p in order]), "big")
+
+
+def _round_keys(keys: bytes, lanes: int) -> list[int]:
+    """All 11 round keys of every lane, each one int over the row layout."""
+    word = 4 * lanes
+    bits = 8 * word
+    low = (1 << bits) - 1
+    k = _to_rows(keys)
+    out = [k]
+    for table in _KEY_SBOX:
+        w3 = (k & low).to_bytes(word, "big")  # rows 12-15, the last word
+        # RotWord takes rows 13, 14, 15, 12; byte 0 also takes the rcon.
+        t = w3[lanes : 2 * lanes].translate(table) + (w3[2 * lanes :] + w3[:lanes]).translate(_S1)
+        t = int.from_bytes(t, "big")
+        t |= t << bits
+        k ^= k >> bits  # prefix XOR of the four words ...
+        k ^= k >> 2 * bits
+        k ^= t | t << 2 * bits  # ... then the new word into all four
+        out.append(k)
+    return out
+
+
+def _aes128_encrypt_sliced(keys: bytes, blocks: bytes) -> bytes:
+    lanes = len(blocks) // 16
+    size = 16 * lanes
+    rks = _round_keys(keys, lanes)
+    a, b, c, d = _SHIFTED
+    s = _to_rows(blocks) ^ rks[0]
+    for rk in rks[1:10]:
+        raw = s.to_bytes(size, "big")
+        sub = raw.translate(_S1)
+        s = (
+            _gather(raw.translate(_S2), a, lanes)
+            ^ _gather(raw.translate(_S3), b, lanes)
+            ^ _gather(sub, c, lanes)
+            ^ _gather(sub, d, lanes)
+            ^ rk
+        )
+    s = _gather(s.to_bytes(size, "big").translate(_S1), a, lanes) ^ rks[10]
+    return _from_rows(s, lanes)
+
+
+def _aes128_decrypt_sliced(keys: bytes, blocks: bytes) -> bytes:
+    # The inverse cipher as FIPS-197 states it: InvMixColumns after
+    # AddRoundKey costs four translations per round, where the equivalent
+    # inverse cipher would also spend four on every round key.
+    lanes = len(blocks) // 16
+    size = 16 * lanes
+    rks = _round_keys(keys, lanes)
+    s = _to_rows(blocks) ^ rks[10]
+    for rk in reversed(rks[1:10]):
+        raw = (_gather(s.to_bytes(size, "big").translate(_INV_S), _INV_SHIFTED, lanes) ^ rk).to_bytes(size, "big")
+        s = 0
+        for table, order in zip(_INV_MIX, _COLUMN):
+            s ^= _gather(raw.translate(table), order, lanes)
+    s = _gather(s.to_bytes(size, "big").translate(_INV_S), _INV_SHIFTED, lanes) ^ rks[0]
+    return _from_rows(s, lanes)
 
 
 # --- Toy cipher --------------------------------------------------------
@@ -127,8 +312,14 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
     return s.to_bytes(2, "big")
 
 
-AES128 = CipherSpec("aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block)
-TOY = CipherSpec("toy", 2, 2, toy_encrypt_block, toy_decrypt_block)
+AES128 = CipherSpec(
+    "aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block,
+    _batched(aes128_encrypt_block, 16, _aes128_encrypt_sliced),
+    _batched(aes128_decrypt_block, 16, _aes128_decrypt_sliced),
+)
+TOY = CipherSpec(
+    "toy", 2, 2, toy_encrypt_block, toy_decrypt_block, _batched(toy_encrypt_block, 2), _batched(toy_decrypt_block, 2)
+)
 
 CIPHERS: dict[str, CipherSpec] = {spec.name: spec for spec in (AES128, TOY)}
 

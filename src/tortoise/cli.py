@@ -21,6 +21,7 @@ failure, 3 known-answer verification failure.
 from __future__ import annotations
 
 import argparse
+import os
 import secrets
 import sys
 from dataclasses import dataclass
@@ -122,6 +123,31 @@ def _read_ad(args: argparse.Namespace) -> bytes:
     return b""
 
 
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it into place.
+
+    A failed write leaves ``path`` as it was and removes the temp file, so
+    no partial envelope or plaintext is ever visible under ``path``.  Only
+    a missing path or a regular file is renamed over: a symlink (such as
+    ``/dev/stdout``), pipe or device is written through in place.
+    """
+    target = Path(path)
+    if target.is_symlink() or (target.exists() and not target.is_file()):
+        target.write_bytes(data)  # renaming would replace the link or node, not what it names
+        return
+    # Created as tempfile.mkstemp would (exclusive, mode 0600), without
+    # adding tempfile's imports to every start-up.
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     key = _read_key(args)
     mode = AeadMode(args.mode)
@@ -133,7 +159,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     plaintext = Path(args.in_path).read_bytes()
     sealed = SEAL[mode](key, nonce, ad, plaintext)
     blob = pack_envelope(Envelope(mode, nonce, sealed.tag, sealed.ciphertext))
-    Path(args.out_path).write_bytes(blob)
+    _write_atomic(args.out_path, blob)
     return EXIT_OK
 
 
@@ -142,7 +168,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     ad = _read_ad(args)
     env = parse_envelope(Path(args.in_path).read_bytes())
     plaintext = OPEN[env.mode](key, env.nonce, ad, env.ciphertext, env.tag)
-    Path(args.out_path).write_bytes(plaintext)
+    _write_atomic(args.out_path, plaintext)
     return EXIT_OK
 
 

@@ -5,7 +5,10 @@ subkey plus an n-byte mask; a block is encrypted under the subkey and the
 mask is XORed onto the result.  Distinct tweaks therefore select
 independent-looking permutations without touching the underlying cipher's
 round structure, and any :class:`~tortoise.block_cipher.CipherSpec` can be
-dropped in unchanged.
+dropped in unchanged.  :func:`tweak_encrypt_many` and
+:func:`tweak_decrypt_many` take many tweaks and blocks at once and hand
+the blocks to the cipher as one batch; the single-block calls give the
+same result for a batch of one.
 
 Tweaks are exactly one block wide.  Byte 0 carries a 4-bit domain prefix
 in its high nibble:
@@ -35,11 +38,15 @@ __all__ = [
     "nr_counter_limit",
     "encode_ad_tweak",
     "encode_nr_msg_tweak",
+    "encode_nr_msg_tweaks",
     "encode_mr_tag_tweak",
     "encode_mr_stream_tweak",
+    "encode_mr_stream_tweaks",
     "derive_subkey_and_mask",
     "tweak_encrypt",
     "tweak_decrypt",
+    "tweak_encrypt_many",
+    "tweak_decrypt_many",
 ]
 
 # Counters beyond 2^64 blocks are outside any practical message size.
@@ -94,18 +101,25 @@ def encode_nr_msg_tweak(prefix: int, nonce: bytes, j: int, block_len: int = 16) 
     none remain, as with 2-byte blocks, it moves into the low nibble of
     byte 0 and is limited to 15.
     """
+    return encode_nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0]
+
+
+def encode_nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int = 16) -> list[bytes]:
+    """:func:`encode_nr_msg_tweak` for each counter of an ascending ``counters`` range."""
     if prefix not in (0, 1):
         raise ValueError("prefix must be 0 (message) or 1 (tag)")
     nlen = nr_nonce_len(block_len)
     if len(nonce) != nlen:
         raise ValueError(f"nonce must be {nlen} bytes, got {len(nonce)}")
     limit = nr_counter_limit(block_len)
-    if not 0 <= j < limit:
-        raise ValueError(f"block counter {j} out of range [0, {limit})")
+    for j in (counters[0], counters[-1]) if counters else ():
+        if not 0 <= j < limit:
+            raise ValueError(f"block counter {j} out of range [0, {limit})")
     counter_len = block_len - 1 - nlen
     if counter_len:
-        return bytes([prefix << 4]) + nonce + j.to_bytes(counter_len, "big")
-    return bytes([(prefix << 4) | j]) + nonce
+        head = bytes([prefix << 4]) + nonce
+        return [head + j.to_bytes(counter_len, "big") for j in counters]
+    return [bytes([(prefix << 4) | j]) + nonce for j in counters]
 
 
 def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> bytes:
@@ -117,12 +131,19 @@ def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> bytes:
 
 def encode_mr_stream_tweak(tag: bytes, j: int, block_len: int = 16) -> bytes:
     """Keystream tweak: the tag XOR the block counter as one big-endian block."""
+    return encode_mr_stream_tweaks(tag, range(j, j + 1), block_len)[0]
+
+
+def encode_mr_stream_tweaks(tag: bytes, counters: range, block_len: int = 16) -> list[bytes]:
+    """:func:`encode_mr_stream_tweak` for each counter of an ascending ``counters`` range."""
     if len(tag) != block_len:
         raise ValueError(f"tag must be {block_len} bytes, got {len(tag)}")
     limit = min(_STREAM_COUNTER_LIMIT, 256 ** block_len)
-    if not 0 <= j < limit:
-        raise ValueError(f"block counter {j} out of range [0, {limit})")
-    return xor_bytes(tag, j.to_bytes(block_len, "big"))
+    for j in (counters[0], counters[-1]) if counters else ():
+        if not 0 <= j < limit:
+            raise ValueError(f"block counter {j} out of range [0, {limit})")
+    t = int.from_bytes(tag, "big")
+    return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 
 
 def derive_subkey_and_mask(key: TweakableKey, tweak: bytes) -> tuple[bytes, bytes]:
@@ -132,6 +153,36 @@ def derive_subkey_and_mask(key: TweakableKey, tweak: bytes) -> tuple[bytes, byte
         raise ValueError(f"tweak must be {spec.block_len} bytes, got {len(tweak)}")
     out = shake128(key.master_key + tweak, spec.key_len + spec.block_len)
     return out[: spec.key_len], out[spec.key_len :]
+
+
+def _derive_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> tuple[bytes, bytes]:
+    """:func:`derive_subkey_and_mask` for every tweak: the subkeys and the masks, each end to end.
+
+    ``blocks`` must hold one block per tweak.
+    """
+    mk, kl, n = key.master_key, key.cipher.key_len, key.cipher.block_len
+    if len(blocks) != n * len(tweaks):
+        raise ValueError(f"blocks must be {n} bytes per tweak, got {len(blocks)} for {len(tweaks)}")
+    outs = [shake128(mk + tweak, kl + n) for tweak in tweaks if len(tweak) == n]
+    if len(outs) != len(tweaks):
+        raise ValueError(f"every tweak must be {n} bytes")
+    return b"".join([out[:kl] for out in outs]), b"".join([out[kl:] for out in outs])
+
+
+def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
+    """Encrypt ``blocks``, one block per tweak, each under the permutation its tweak selects.
+
+    ``blocks`` and the result are the blocks end to end.  The blocks are
+    independent, so the cipher sees them as one batch.
+    """
+    subkeys, masks = _derive_many(key, tweaks, blocks)
+    return xor_bytes(key.cipher.encrypt_blocks(subkeys, blocks), masks)
+
+
+def tweak_decrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
+    """Invert :func:`tweak_encrypt_many` for the same key and tweaks."""
+    subkeys, masks = _derive_many(key, tweaks, blocks)
+    return key.cipher.decrypt_blocks(subkeys, xor_bytes(blocks, masks))
 
 
 def tweak_encrypt(key: TweakableKey, tweak: bytes, block: bytes) -> bytes:

@@ -1,0 +1,157 @@
+"""The batch block-cipher contract and the batch tweakable calls built on it."""
+
+import random
+
+import pytest
+
+import reference_aes
+from tortoise import aead, block_cipher
+from tortoise.block_cipher import (
+    AES128,
+    CIPHERS,
+    TOY,
+    aes128_decrypt_block,
+    aes128_encrypt_block,
+    toy_decrypt_block,
+    toy_encrypt_block,
+)
+from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length
+from tortoise.tweakable import (
+    TweakableKey,
+    encode_mr_stream_tweak,
+    encode_mr_stream_tweaks,
+    encode_nr_msg_tweak,
+    encode_nr_msg_tweaks,
+    tweak_decrypt,
+    tweak_decrypt_many,
+    tweak_encrypt,
+    tweak_encrypt_many,
+)
+
+MIN = block_cipher._SLICED_MIN_LANES
+MAX = aead._SEGMENT
+# One lane, both sides of the per-block/sliced switch, and around the largest batch aead makes.
+AES_LANES = [1, MIN - 1, MIN, MIN + 1, MAX - 1, MAX, MAX + 1]
+
+
+def _split(data: bytes, n: int) -> list[bytes]:
+    return [data[i : i + n] for i in range(0, len(data), n)]
+
+
+@pytest.mark.parametrize("lanes", AES_LANES)
+def test_aes128_batch_matches_single_block_calls(lanes):
+    rng = random.Random(lanes)
+    keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
+    ct = AES128.encrypt_blocks(keys, blocks)
+    pairs = list(zip(_split(keys, 16), _split(blocks, 16), _split(ct, 16)))
+    assert [aes128_encrypt_block(k, p) for k, p, _ in pairs] == [c for _, _, c in pairs]
+    assert AES128.decrypt_blocks(keys, blocks) == b"".join(aes128_decrypt_block(k, p) for k, p, _ in pairs)
+    assert AES128.decrypt_blocks(keys, ct) == blocks
+
+
+@pytest.mark.parametrize("lanes", AES_LANES)
+def test_aes128_batch_matches_independent_implementation(lanes):
+    rng = random.Random(0xB0 + lanes)
+    keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
+    # Every lane is checked at the small sizes; a spread sample at the large ones.
+    picks = range(lanes) if lanes <= MIN + 1 else sorted(rng.sample(range(lanes), 40) + [0, lanes - 1])
+    ct = _split(AES128.encrypt_blocks(keys, blocks), 16)
+    pt = _split(AES128.decrypt_blocks(keys, blocks), 16)
+    for i in picks:
+        key, block = keys[16 * i : 16 * i + 16], blocks[16 * i : 16 * i + 16]
+        assert ct[i] == reference_aes.encrypt_block(key, block)
+        assert pt[i] == reference_aes.decrypt_block(key, block)
+
+
+def test_aes128_sliced_kernel_fips197_vector():
+    # The kernel on its own, below the lane count the dispatcher would give it.
+    key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+    pt = bytes.fromhex("00112233445566778899aabbccddeeff")
+    ct = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+    assert block_cipher._aes128_encrypt_sliced(key * 3, pt * 3) == ct * 3
+    assert block_cipher._aes128_decrypt_sliced(key * 3, ct * 3) == pt * 3
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 5, 300])
+def test_toy_batch_matches_single_block_calls(lanes):
+    rng = random.Random(lanes)
+    keys, blocks = rng.randbytes(2 * lanes), rng.randbytes(2 * lanes)
+    ct = TOY.encrypt_blocks(keys, blocks)
+    assert ct == b"".join(toy_encrypt_block(k, b) for k, b in zip(_split(keys, 2), _split(blocks, 2)))
+    assert TOY.decrypt_blocks(keys, blocks) == b"".join(
+        toy_decrypt_block(k, b) for k, b in zip(_split(keys, 2), _split(blocks, 2))
+    )
+    assert TOY.decrypt_blocks(keys, ct) == blocks
+
+
+@pytest.mark.parametrize("spec", CIPHERS.values(), ids=lambda s: s.name)
+def test_batch_shape_checked(spec):
+    k, n = spec.key_len, spec.block_len
+    for keys, blocks in [(bytes(k), bytes(n + 1)), (bytes(k + 1), bytes(n)), (bytes(2 * k), bytes(n))]:
+        with pytest.raises(ValueError):
+            spec.encrypt_blocks(keys, blocks)
+        with pytest.raises(ValueError):
+            spec.decrypt_blocks(keys, blocks)
+
+
+@pytest.mark.parametrize("spec,lanes", [(AES128, 3), (AES128, MIN + 7), (TOY, 3), (TOY, 40)], ids=str)
+def test_tweak_many_matches_single_calls(spec, lanes):
+    rng = random.Random(lanes)
+    key = TweakableKey(rng.randbytes(spec.key_len), spec)
+    n = spec.block_len
+    tweaks = [rng.randbytes(n) for _ in range(lanes)]
+    blocks = rng.randbytes(n * lanes)
+    ct = tweak_encrypt_many(key, tweaks, blocks)
+    assert ct == b"".join(tweak_encrypt(key, t, b) for t, b in zip(tweaks, _split(blocks, n)))
+    assert tweak_decrypt_many(key, tweaks, blocks) == b"".join(
+        tweak_decrypt(key, t, b) for t, b in zip(tweaks, _split(blocks, n))
+    )
+    assert tweak_decrypt_many(key, tweaks, ct) == blocks
+
+
+def test_tweak_many_checks_shapes():
+    key = TweakableKey(bytes(16), AES128)
+    with pytest.raises(ValueError, match="tweak must be 16 bytes"):
+        tweak_encrypt_many(key, [bytes(16), bytes(15)], bytes(32))
+    with pytest.raises(ValueError, match="tweak must be 16 bytes"):
+        tweak_encrypt(key, bytes(17), bytes(16))
+    with pytest.raises(ValueError):
+        tweak_encrypt_many(key, [bytes(16)], bytes(32))
+    with pytest.raises(ValueError):
+        tweak_decrypt_many(key, [bytes(16)] * 2, bytes(16))
+    assert tweak_encrypt_many(key, [], b"") == b""
+
+
+@pytest.mark.parametrize("block_len,prefix", [(16, 0), (16, 1), (2, 0), (2, 1)])
+def test_nr_tweak_batch_matches_single(block_len, prefix):
+    nonce = bytes(range(1, min(8, block_len - 1) + 1))
+    counters = range(3, 15)
+    assert encode_nr_msg_tweaks(prefix, nonce, counters, block_len) == [
+        encode_nr_msg_tweak(prefix, nonce, j, block_len) for j in counters
+    ]
+    assert encode_nr_msg_tweaks(prefix, nonce, range(0), block_len) == []
+    with pytest.raises(ValueError):
+        encode_nr_msg_tweaks(prefix, nonce, range(-1, 2), block_len)
+    with pytest.raises(ValueError):
+        encode_nr_msg_tweaks(prefix, nonce, range(16 if block_len == 2 else 2**56 - 1, 2**56 + 1), block_len)
+
+
+def test_stream_tweak_batch_matches_single():
+    tag = bytes(range(16))
+    assert encode_mr_stream_tweaks(tag, range(300)) == [encode_mr_stream_tweak(tag, j) for j in range(300)]
+    with pytest.raises(ValueError):
+        encode_mr_stream_tweaks(tag, range(2**64 - 1, 2**64 + 1))
+    with pytest.raises(ValueError):
+        encode_mr_stream_tweaks(tag[:15], range(1))
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_aead_runs_give_the_same_bytes(mode, monkeypatch):
+    # 40 message and 11 AD blocks cut into runs of at most 3 give the bytes of one run each.
+    rng = random.Random(7)
+    key = TweakableKey(rng.randbytes(16), AES128)
+    nonce, ad, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(170), rng.randbytes(16 * 40 - 5)
+    whole = SEAL[mode](key, nonce, ad, pt)
+    monkeypatch.setattr(aead, "_SEGMENT", 3)
+    assert SEAL[mode](key, nonce, ad, pt) == whole
+    assert OPEN[mode](key, nonce, ad, whole.ciphertext, whole.tag) == pt

@@ -224,3 +224,123 @@ def test_kat_diff_clean(capsys):
     assert main(["kat", "diff", "--trials", "200"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+# --- atomic output ------------------------------------------------------------
+
+
+class _FailingFile:
+    """Writes half of what it is given, then fails as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("existing", [None, b"previous contents"])
+def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, command, existing):
+    import tortoise.cli as cli
+
+    src, env = tmp_path / "plain.bin", tmp_path / "sealed.bin"
+    src.write_bytes(b"x" * 1000)
+    assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "nr", "--nonce-hex", NR_NONCE,
+                 "--in", str(src), "--out", str(env)]) == 0
+    out = tmp_path / "out.bin"
+    if existing is not None:
+        out.write_bytes(existing)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    real_fdopen = cli.os.fdopen
+    monkeypatch.setattr(cli.os, "fdopen", lambda *a, **k: _FailingFile(real_fdopen(*a, **k)))
+    argv = {
+        "encrypt": ["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-hex", MR_NONCE, "--in", str(src)],
+        "decrypt": ["decrypt", "--key-hex", KEY_HEX, "--in", str(env)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    # The output is absent or untouched, and no temp file is left beside it.
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_output_replaces_existing_file(tmp_path):
+    out = tmp_path / "sealed.bin"
+    out.write_bytes(b"stale" * 100)
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"fresh")
+    assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-hex", MR_NONCE,
+                 "--in", str(src), "--out", str(out)]) == 0
+    assert parse_envelope(out.read_bytes()).mode is AeadMode.MISUSE_RESISTANT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.bin", "sealed.bin"]
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path):
+    import os
+    import stat
+    import threading
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"to a pipe")
+    assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "nr", "--nonce-hex", NR_NONCE,
+                 "--in", str(src), "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert got and parse_envelope(got[0]).mode is AeadMode.NONCE_RESPECTING
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_output_through_a_symlink_keeps_the_link(tmp_path):
+    import os
+
+    real = tmp_path / "real.bin"
+    real.write_bytes(b"stale")
+    link = tmp_path / "link.bin"
+    os.symlink(real, link)
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"through a link")
+    assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "nr", "--nonce-hex", NR_NONCE,
+                 "--in", str(src), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert parse_envelope(real.read_bytes()).mode is AeadMode.NONCE_RESPECTING
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "plain.bin", "real.bin"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_output_to_stdout_link_redirected_to_a_file(tmp_path):
+    # Like ``--out /dev/stdout > file``, through a link of our own that points
+    # where /dev/stdout does, so a regression cannot replace the system's link.
+    import os
+    import subprocess
+    import sys
+
+    src, env = tmp_path / "plain.bin", tmp_path / "sealed.bin"
+    src.write_bytes(b"to stdout\n" * 50)
+    assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-hex", MR_NONCE,
+                 "--in", str(src), "--out", str(env)]) == 0
+    stdout_link = tmp_path / "stdout"
+    os.symlink("/proc/self/fd/1", stdout_link)
+    redirected = tmp_path / "redirected.bin"
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    with redirected.open("wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tortoise.cli", "decrypt", "--key-hex", KEY_HEX,
+             "--in", str(env), "--out", str(stdout_link)],
+            stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src_dir}, timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert redirected.read_bytes() == src.read_bytes()
+    assert stdout_link.is_symlink()
