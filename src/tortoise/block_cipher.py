@@ -1,9 +1,10 @@
 """Block-cipher contract and the two built-in instantiations.
 
 Everything above this layer is generic over :class:`CipherSpec`: a fixed
-block length, a fixed key length, an encrypt/decrypt pair that is a
-permutation of single blocks for every key, and the same pair over a
-batch of blocks with one key each.  Two specs ship with the package:
+block length, a fixed key length, and an encrypt/decrypt pair that is a
+permutation of single blocks for every key.  A spec may add a kernel that
+takes a whole batch of blocks with one key each; without one, batches go
+block by block.  Two specs ship with the package:
 
 * ``AES128`` - the production cipher.  Single blocks and small batches go
   to the ``cryptography`` package; larger batches to a byte-sliced kernel
@@ -40,16 +41,24 @@ def _check_len(name: str, value: bytes, expected: int) -> None:
         raise ValueError(f"{name} must be {expected} bytes, got {len(value)}")
 
 
+# Batches of fewer lanes go block by block: on a 2-core Xeon the
+# byte-sliced AES kernel overtakes per-block ``cryptography`` calls at
+# about 16 lanes.  A kernel takes a batch whole; the AES kernel's working
+# set is about 300 bytes a lane, so callers bound it by the size of their
+# batches.
+_SLICED_MIN_LANES = 32
+
+
 @dataclass(frozen=True)
 class CipherSpec:
     """A pluggable single-block cipher.
 
     ``encrypt_block(key, block)`` must be a bijection on ``block_len``-byte
     strings for every ``key_len``-byte key, and ``decrypt_block`` its exact
-    inverse.  ``encrypt_blocks(keys, blocks)`` and ``decrypt_blocks`` do
-    the same for a batch: ``blocks`` is lane-major, block after block, and
-    ``keys`` holds one key per block in the same order; the result is
-    lane-major too.  Specs are immutable and safe to share across threads.
+    inverse.  ``encrypt_kernel(keys, blocks)`` and ``decrypt_kernel``, if
+    given, compute the same over a whole batch at once and are used for
+    batches of ``_SLICED_MIN_LANES`` blocks or more.  Specs are immutable
+    and safe to share across threads.
     """
 
     name: str
@@ -57,36 +66,30 @@ class CipherSpec:
     key_len: int
     encrypt_block: Callable[[bytes, bytes], bytes]
     decrypt_block: Callable[[bytes, bytes], bytes]
-    encrypt_blocks: Callable[[bytes, bytes], bytes]
-    decrypt_blocks: Callable[[bytes, bytes], bytes]
+    encrypt_kernel: Callable[[bytes, bytes], bytes] | None = None
+    decrypt_kernel: Callable[[bytes, bytes], bytes] | None = None
 
+    def encrypt_blocks(self, keys: bytes, blocks: bytes) -> bytes:
+        """Encrypt a batch: ``blocks`` end to end, ``keys`` one per block in the same order.
 
-# Batches of fewer lanes go block by block: on a 2-core Xeon the
-# byte-sliced kernel overtakes per-block ``cryptography`` calls at about
-# 16 lanes.  The kernel takes a batch whole; its working set is about
-# 300 bytes a lane, so callers bound it by the size of their batches.
-_SLICED_MIN_LANES = 32
+        The result is laid out like ``blocks``.
+        """
+        return self._batch(self.encrypt_block, self.encrypt_kernel, keys, blocks)
 
+    def decrypt_blocks(self, keys: bytes, blocks: bytes) -> bytes:
+        """Invert :meth:`encrypt_blocks` for the same keys."""
+        return self._batch(self.decrypt_block, self.decrypt_kernel, keys, blocks)
 
-def _batched(
-    single: Callable[[bytes, bytes], bytes], width: int, sliced: Callable[[bytes, bytes], bytes] | None = None
-) -> Callable[[bytes, bytes], bytes]:
-    """The batch form of ``single``, for keys and blocks both ``width`` bytes long.
-
-    Batches of ``_SLICED_MIN_LANES`` or more go to ``sliced``, if given.
-    """
-
-    def many(keys: bytes, blocks: bytes) -> bytes:
-        if len(blocks) % width or len(keys) != len(blocks):
+    def _batch(self, single: Callable, kernel: Callable | None, keys: bytes, blocks: bytes) -> bytes:
+        k, n = self.key_len, self.block_len
+        lanes = len(blocks) // n
+        if len(blocks) % n or len(keys) != k * lanes:
             raise ValueError(
-                f"need one {width}-byte key per {width}-byte block, "
-                f"got {len(keys)} key bytes and {len(blocks)} block bytes"
+                f"need one {k}-byte key per {n}-byte block, got {len(keys)} key bytes and {len(blocks)} block bytes"
             )
-        if sliced is None or len(blocks) < width * _SLICED_MIN_LANES:
-            return b"".join([single(keys[i : i + width], blocks[i : i + width]) for i in range(0, len(blocks), width)])
-        return sliced(keys, blocks)
-
-    return many
+        if kernel is None or lanes < _SLICED_MIN_LANES:
+            return b"".join([single(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(lanes)])
+        return kernel(keys, blocks)
 
 
 # --- AES-128 -----------------------------------------------------------
@@ -262,27 +265,21 @@ def _aes128_decrypt_sliced(keys: bytes, blocks: bytes) -> bytes:
 # exists so the generic framework can be checked exhaustively.
 
 _SBOX4 = (0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2)
+_SBOX4_INV = tuple(sorted(range(16), key=_SBOX4.__getitem__))
 
 
 def _rotl16(x: int, r: int) -> int:
     return ((x << r) | (x >> (16 - r))) & 0xFFFF
 
 
-def _sub16(x: int) -> int:
-    return (
-        (_SBOX4[x >> 12] << 12)
-        | (_SBOX4[(x >> 8) & 0xF] << 8)
-        | (_SBOX4[(x >> 4) & 0xF] << 4)
-        | _SBOX4[x & 0xF]
-    )
-
-
-# One table per direction: substitute every nibble, then rotate a nibble left.
-_TOY_FWD = [_rotl16(_sub16(x), 4) for x in range(1 << 16)]
-_TOY_INV = [0] * (1 << 16)
-for _x, _y in enumerate(_TOY_FWD):
-    _TOY_INV[_y] = _x
-del _x, _y
+# One table per direction, each a product of two byte tables.  Forward:
+# substitute every nibble (the high and low bytes become s and t), then
+# rotate a nibble left.  A nibble-wise substitution commutes with a nibble
+# rotation, so the inverse rotates the inverse substitutions u and v right.
+_SUB8 = [_SBOX4[b >> 4] << 4 | _SBOX4[b & 15] for b in range(256)]
+_INV8 = [_SBOX4_INV[b >> 4] << 4 | _SBOX4_INV[b & 15] for b in range(256)]
+_TOY_FWD = [(s & 15) << 12 | s >> 4 | t << 4 for s in _SUB8 for t in _SUB8]
+_TOY_INV = [u << 4 | (v & 15) << 12 | v >> 4 for u in _INV8 for v in _INV8]
 
 _TOY_RC = (0x243F, 0x6A88, 0x85A3, 0x08D3, 0x1319)
 
@@ -313,13 +310,9 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
 
 
 AES128 = CipherSpec(
-    "aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block,
-    _batched(aes128_encrypt_block, 16, _aes128_encrypt_sliced),
-    _batched(aes128_decrypt_block, 16, _aes128_decrypt_sliced),
+    "aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block, _aes128_encrypt_sliced, _aes128_decrypt_sliced
 )
-TOY = CipherSpec(
-    "toy", 2, 2, toy_encrypt_block, toy_decrypt_block, _batched(toy_encrypt_block, 2), _batched(toy_decrypt_block, 2)
-)
+TOY = CipherSpec("toy", 2, 2, toy_encrypt_block, toy_decrypt_block)
 
 CIPHERS: dict[str, CipherSpec] = {spec.name: spec for spec in (AES128, TOY)}
 

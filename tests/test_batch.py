@@ -1,8 +1,10 @@
 """The batch block-cipher contract and the batch tweakable calls built on it."""
 
+import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import reference_aes
 from tortoise import aead, block_cipher
@@ -10,12 +12,11 @@ from tortoise.block_cipher import (
     AES128,
     CIPHERS,
     TOY,
+    CipherSpec,
     aes128_decrypt_block,
     aes128_encrypt_block,
-    toy_decrypt_block,
-    toy_encrypt_block,
 )
-from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length
+from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, seal_nr
 from tortoise.tweakable import (
     TweakableKey,
     encode_mr_stream_tweak,
@@ -36,6 +37,20 @@ AES_LANES = [1, MIN - 1, MIN, MIN + 1, MAX - 1, MAX, MAX + 1]
 
 def _split(data: bytes, n: int) -> list[bytes]:
     return [data[i : i + n] for i in range(0, len(data), n)]
+
+
+def _aes256_encrypt_block(key: bytes, block: bytes) -> bytes:
+    assert len(key) == 32
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+
+
+def _aes256_decrypt_block(key: bytes, block: bytes) -> bytes:
+    assert len(key) == 32
+    return Cipher(algorithms.AES(key), modes.ECB()).decryptor().update(block)
+
+
+# A plug-in built from its block pair alone: no batch kernel, and a key twice the block length.
+AES256 = CipherSpec("aes256", 16, 32, _aes256_encrypt_block, _aes256_decrypt_block)
 
 
 @pytest.mark.parametrize("lanes", AES_LANES)
@@ -72,29 +87,45 @@ def test_aes128_sliced_kernel_fips197_vector():
     assert block_cipher._aes128_decrypt_sliced(key * 3, ct * 3) == pt * 3
 
 
-@pytest.mark.parametrize("lanes", [0, 1, 5, 300])
-def test_toy_batch_matches_single_block_calls(lanes):
+@pytest.mark.parametrize(
+    "spec,lanes",
+    [(TOY, 0), (TOY, 1), (TOY, 5), (TOY, 300), (AES256, 1), (AES256, MIN - 1), (AES256, MIN), (AES256, MIN + 1)],
+    ids=str,
+)
+def test_batch_without_kernel_matches_single_block_calls(spec, lanes):
     rng = random.Random(lanes)
-    keys, blocks = rng.randbytes(2 * lanes), rng.randbytes(2 * lanes)
-    ct = TOY.encrypt_blocks(keys, blocks)
-    assert ct == b"".join(toy_encrypt_block(k, b) for k, b in zip(_split(keys, 2), _split(blocks, 2)))
-    assert TOY.decrypt_blocks(keys, blocks) == b"".join(
-        toy_decrypt_block(k, b) for k, b in zip(_split(keys, 2), _split(blocks, 2))
-    )
-    assert TOY.decrypt_blocks(keys, ct) == blocks
+    k, n = spec.key_len, spec.block_len
+    keys, blocks = rng.randbytes(k * lanes), rng.randbytes(n * lanes)
+    pairs = list(zip(_split(keys, k), _split(blocks, n)))
+    ct = spec.encrypt_blocks(keys, blocks)
+    assert ct == b"".join(spec.encrypt_block(key, b) for key, b in pairs)
+    assert spec.decrypt_blocks(keys, blocks) == b"".join(spec.decrypt_block(key, b) for key, b in pairs)
+    assert spec.decrypt_blocks(keys, ct) == blocks
 
 
-@pytest.mark.parametrize("spec", CIPHERS.values(), ids=lambda s: s.name)
+def test_aes256_plugin_fips197_vector():
+    # FIPS-197 Appendix C.3, so the hand composition below rests on AES-256 itself.
+    key = bytes(range(32))
+    pt = bytes.fromhex("00112233445566778899aabbccddeeff")
+    ct = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
+    assert AES256.encrypt_block(key, pt) == ct
+    assert AES256.decrypt_block(key, ct) == pt
+
+
+@pytest.mark.parametrize("spec", [*CIPHERS.values(), AES256], ids=lambda s: s.name)
 def test_batch_shape_checked(spec):
     k, n = spec.key_len, spec.block_len
-    for keys, blocks in [(bytes(k), bytes(n + 1)), (bytes(k + 1), bytes(n)), (bytes(2 * k), bytes(n))]:
+    bad = [(bytes(k), bytes(n + 1)), (bytes(k + 1), bytes(n)), (bytes(2 * k), bytes(n)), (bytes(k), bytes(2 * n))]
+    for keys, blocks in bad:
         with pytest.raises(ValueError):
             spec.encrypt_blocks(keys, blocks)
         with pytest.raises(ValueError):
             spec.decrypt_blocks(keys, blocks)
 
 
-@pytest.mark.parametrize("spec,lanes", [(AES128, 3), (AES128, MIN + 7), (TOY, 3), (TOY, 40)], ids=str)
+@pytest.mark.parametrize(
+    "spec,lanes", [(AES128, 3), (AES128, MIN + 7), (TOY, 3), (TOY, 40), (AES256, 3), (AES256, MIN + 7)], ids=str
+)
 def test_tweak_many_matches_single_calls(spec, lanes):
     rng = random.Random(lanes)
     key = TweakableKey(rng.randbytes(spec.key_len), spec)
@@ -155,3 +186,35 @@ def test_aead_runs_give_the_same_bytes(mode, monkeypatch):
     monkeypatch.setattr(aead, "_SEGMENT", 3)
     assert SEAL[mode](key, nonce, ad, pt) == whole
     assert OPEN[mode](key, nonce, ad, whole.ciphertext, whole.tag) == pt
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+@pytest.mark.parametrize("pt_len", [0, 17, 16 * MIN + 3])
+def test_block_pair_only_spec_seals_and_opens(mode, pt_len):
+    rng = random.Random(pt_len)
+    key = TweakableKey(rng.randbytes(32), AES256)
+    nonce, ad, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(40), rng.randbytes(pt_len)
+    sealed = SEAL[mode](key, nonce, ad, pt)
+    assert len(sealed.ciphertext) == 16 * (pt_len // 16 + 1) and len(sealed.tag) == 16
+    assert OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag) == pt
+
+
+def test_aes256_seal_nr_matches_hand_composition():
+    # The scheme's equations written out with hashlib and AES-256 alone.
+    rng = random.Random(256)
+    master, nonce, ad, pt = rng.randbytes(32), rng.randbytes(8), rng.randbytes(5), rng.randbytes(20)
+
+    def xor(a, b):
+        return bytes(x ^ y for x, y in zip(a, b))
+
+    def tweak_encrypt_by_hand(tweak, block):
+        out = hashlib.shake_128(master + tweak).digest(32 + 16)  # subkey, then mask
+        return xor(Cipher(algorithms.AES(out[:32]), modes.ECB()).encryptor().update(block), out[32:])
+
+    p0, p1 = pt[:16], pt[16:] + bytes([12]) * 12
+    ct = tweak_encrypt_by_hand(b"\x00" + nonce + bytes(7), p0)
+    ct += tweak_encrypt_by_hand(b"\x00" + nonce + (1).to_bytes(7, "big"), p1)
+    auth = tweak_encrypt_by_hand(b"\x20" + bytes(15), ad + bytes([11]) * 11)
+    tag = xor(tweak_encrypt_by_hand(b"\x10" + nonce + (2).to_bytes(7, "big"), xor(p0, p1)), auth)
+    sealed = seal_nr(TweakableKey(master, AES256), nonce, ad, pt)
+    assert (sealed.ciphertext, sealed.tag) == (ct, tag)

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tortoise import aead
 from tortoise.block_cipher import AES128, TOY, toy_encrypt_block
 from tortoise.tweakable import (
     TweakableKey,
     derive_subkey_and_mask,
     encode_ad_tweak,
     encode_mr_stream_tweak,
+    encode_mr_stream_tweaks,
     encode_mr_tag_tweak,
     encode_nr_msg_tweak,
+    encode_nr_msg_tweaks,
     nr_counter_limit,
     nr_nonce_len,
     tweak_decrypt,
@@ -213,8 +216,55 @@ def test_domains_never_collide(i, prefix, nonce, j, mr_nonce):
     assert msg[0] >> 4 in (0, 1)
     assert tag[0] == 0x10
     assert ad != msg and ad != tag
-    if prefix == 0:
+    if prefix == 0:  # an nr tag tweak can equal an mr tag tweak, as the next tests pin
         assert msg != tag
+
+
+@given(st.binary(min_size=8, max_size=8), st.integers(1, 2**56 - 1))
+def test_aes128_nr_tag_tweaks_are_mr_tag_tweaks(nonce, j):
+    # Both tag layouts start with nibble 0001: the nr tag tweak of (nonce, block count j)
+    # is the mr tag tweak of the nonce followed by j in 7 bytes.
+    assert encode_nr_msg_tweak(1, nonce, j) == encode_mr_tag_tweak(nonce + j.to_bytes(7, "big"))
+
+
+def test_aes128_nr_and_mr_tags_share_a_permutation(monkeypatch):
+    # So one master key used in both modes runs the nr and the mr tag block
+    # through the same tweakable permutation.
+    seen = []
+
+    def recording(key, tweak, block):
+        seen.append(tweak)
+        return tweak_encrypt(key, tweak, block)
+
+    monkeypatch.setattr(aead, "tweak_encrypt", recording)
+    key, nonce = TweakableKey(bytes(range(16)), AES128), bytes(range(8))
+    aead.seal_nr(key, nonce, b"", b"")
+    aead.seal_mr(key, nonce + (1).to_bytes(7, "big"), b"", b"")
+    assert len(seen) == 2 and seen[0] == seen[1]
+
+
+def test_toy_domain_census():
+    # Every tweak each layout can produce within the toy limits: nr seals at
+    # most 15 padded blocks (its tag takes counter 15 at most), mr 16, and
+    # the AD encoder numbers up to 256 blocks.
+    limit = nr_counter_limit(2)
+    nonces = [bytes([b]) for b in range(256)]
+    ad = {encode_ad_tweak(i, 2) for i in range(256)}
+    nr_msg = {t for nonce in nonces for t in encode_nr_msg_tweaks(0, nonce, range(limit - 1), 2)}
+    nr_tag = {encode_nr_msg_tweak(1, nonce, j, 2) for nonce in nonces for j in range(1, limit)}
+    mr_sum = {t for nonce in nonces for t in encode_nr_msg_tweaks(0, nonce, range(limit), 2)}
+    mr_tag = {encode_mr_tag_tweak(nonce, 2) for nonce in nonces}
+    stream = {t for x in range(1 << 16) for t in encode_mr_stream_tweaks(x.to_bytes(2, "big"), range(limit), 2)}
+    assert (len(ad), len(nr_msg), len(nr_tag), len(mr_sum), len(mr_tag)) == (256, 15 * 256, 15 * 256, 16 * 256, 256)
+    # AD, message and tag tweaks are disjoint, across both modes.
+    msg, tag = nr_msg | mr_sum, nr_tag | mr_tag
+    assert not ad & msg and not ad & tag and not msg & tag
+    # Unlike on aes128, the two tag layouts never meet: the nr tag counter is at least 1 and sits in the nibble.
+    assert not nr_tag & mr_tag
+    # The mr tag sum reuses the nr message tweaks by construction, plus the 16th counter.
+    assert nr_msg < mr_sum and mr_sum - nr_msg == {bytes([15]) + nonce for nonce in nonces}
+    # The keystream tweak has no domain nibble and takes every 16-bit value.
+    assert stream == {x.to_bytes(2, "big") for x in range(1 << 16)}
 
 
 @given(
