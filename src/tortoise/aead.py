@@ -14,9 +14,9 @@ Both modes PKCS#7-pad the plaintext and the associated data, carry a
 full-block tag, and verify it in constant time before releasing anything.
 
 Every tweakable call on a message, associated-data or keystream block is
-independent of the others, so each such group goes to the tweakable
-cipher in batches of at most ``_SEGMENT`` blocks, and the checksum and
-accumulators are XOR-folded batch by batch.
+independent of the others, so each such group, the nr tag block joining
+the associated data, goes to the tweakable cipher in batches of at most
+``_SEGMENT`` blocks, and the checksum and sums are XOR-folded batch by batch.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .tweakable import (
     nr_counter_limit,
     nr_nonce_len,
     tweak_decrypt_many,
-    tweak_encrypt,
     tweak_encrypt_many,
     xor_bytes,
 )
@@ -191,11 +190,12 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, data: bytes, tag: by
 
 
 def _nr_tag(key: TweakableKey, nonce: bytes, ad: bytes, plain: bytes) -> bytes:
-    """Tag-tweak of the plaintext checksum, XOR the AD accumulator."""
+    """Tag-tweak of the plaintext checksum, XOR the AD accumulator: one sum, the checksum first."""
     n = key.cipher.block_len
-    checksum = _fold(plain, n).to_bytes(n, "big")
-    tag = tweak_encrypt(key, encode_nr_msg_tweak(1, nonce, len(plain) // n, n), checksum)
-    return xor_bytes(tag, compute_auth(key, ad))
+    tag_tweak = encode_nr_msg_tweak(1, nonce, len(plain) // n, n)
+    data = _fold(plain, n).to_bytes(n, "big") + pkcs7_pad(ad, n)
+    acc = _tweak_sum(key, lambda js: [encode_ad_tweak(j - 1, n) if j else tag_tweak for j in js], data)
+    return acc.to_bytes(n, "big")
 
 
 def _mr_tag(key: TweakableKey, nonce: bytes, ad: bytes, plain: bytes) -> bytes:
@@ -204,7 +204,7 @@ def _mr_tag(key: TweakableKey, nonce: bytes, ad: bytes, plain: bytes) -> bytes:
     auth = compute_auth(key, ad)
     acc = _tweak_sum(key, lambda js: encode_nr_msg_tweaks(0, counter_nonce, js, n), plain)
     tag = xor_bytes(auth, acc.to_bytes(n, "big"))
-    return tweak_encrypt(key, encode_mr_tag_tweak(nonce, n), tag)
+    return tweak_encrypt_many(key, [encode_mr_tag_tweak(nonce, n)], tag)
 
 
 def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes) -> bytes:

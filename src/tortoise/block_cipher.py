@@ -272,14 +272,15 @@ def _rotl16(x: int, r: int) -> int:
     return ((x << r) | (x >> (16 - r))) & 0xFFFF
 
 
-# One table per direction, each a product of two byte tables.  Forward:
-# substitute every nibble (the high and low bytes become s and t), then
-# rotate a nibble left.  A nibble-wise substitution commutes with a nibble
-# rotation, so the inverse rotates the inverse substitutions u and v right.
-_SUB8 = [_SBOX4[b >> 4] << 4 | _SBOX4[b & 15] for b in range(256)]
-_INV8 = [_SBOX4_INV[b >> 4] << 4 | _SBOX4_INV[b & 15] for b in range(256)]
-_TOY_FWD = [(s & 15) << 12 | s >> 4 | t << 4 for s in _SUB8 for t in _SUB8]
-_TOY_INV = [u << 4 | (v & 15) << 12 | v >> 4 for u in _INV8 for v in _INV8]
+# A round's substitution and rotation, as one lookup per byte of the state:
+# x becomes HI[x >> 8] ^ LO[x & 255].  Forward substitutes every nibble,
+# then rotates a nibble left.  A nibble-wise substitution commutes with a
+# nibble rotation, so the inverse rotates the inverse substitution right.
+# Each HI entry is the LO entry for the same byte, rotated by a byte.
+_FWD_LO = [_rotl16(_SBOX4[b >> 4] << 4 | _SBOX4[b & 15], 4) for b in range(256)]
+_INV_LO = [_rotl16(_SBOX4_INV[b >> 4] << 4 | _SBOX4_INV[b & 15], 12) for b in range(256)]
+_FWD_HI = [_rotl16(x, 8) for x in _FWD_LO]
+_INV_HI = [_rotl16(x, 8) for x in _INV_LO]
 
 _TOY_RC = (0x243F, 0x6A88, 0x85A3, 0x08D3, 0x1319)
 
@@ -293,10 +294,10 @@ def toy_encrypt_block(key: bytes, block: bytes) -> bytes:
     _check_len("key", key, 2)
     _check_len("block", block, 2)
     rks = _toy_round_keys(int.from_bytes(key, "big"))
-    s = int.from_bytes(block, "big")
-    for r in range(4):
-        s = _TOY_FWD[s ^ rks[r]]
-    return (s ^ rks[4]).to_bytes(2, "big")
+    s = int.from_bytes(block, "big") ^ rks[0]
+    for rk in rks[1:]:
+        s = _FWD_HI[s >> 8] ^ _FWD_LO[s & 255] ^ rk
+    return s.to_bytes(2, "big")
 
 
 def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
@@ -304,8 +305,8 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
     _check_len("block", block, 2)
     rks = _toy_round_keys(int.from_bytes(key, "big"))
     s = int.from_bytes(block, "big") ^ rks[4]
-    for r in (3, 2, 1, 0):
-        s = _TOY_INV[s] ^ rks[r]
+    for rk in rks[3::-1]:
+        s = _INV_HI[s >> 8] ^ _INV_LO[s & 255] ^ rk
     return s.to_bytes(2, "big")
 
 

@@ -105,19 +105,28 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _hex(flag: str, text: str) -> bytes:
+    """Parse a hex argument; the error names the flag, not the bytes."""
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise ValueError(f"{flag} is not valid hex") from None
+
+
 def _read_key(args: argparse.Namespace) -> TweakableKey:
     if args.key_hex is not None:
-        raw = bytes.fromhex(args.key_hex)
+        raw = _hex("--key-hex", args.key_hex)
     else:
         raw = Path(args.key_file).read_bytes()
         if len(raw) != AES128.key_len:
-            raw = bytes.fromhex(raw.decode("ascii").strip())
+            # latin-1 decodes any bytes, so only _hex's message, which quotes none, can fail.
+            raw = _hex("--key-file", raw.decode("latin-1"))
     return TweakableKey(raw, AES128)
 
 
 def _read_ad(args: argparse.Namespace) -> bytes:
     if args.ad_hex is not None:
-        return bytes.fromhex(args.ad_hex)
+        return _hex("--ad-hex", args.ad_hex)
     if args.ad_file is not None:
         return Path(args.ad_file).read_bytes()
     return b""
@@ -135,9 +144,9 @@ def _write_atomic(path: str, data: bytes) -> None:
     if target.is_symlink() or (target.exists() and not target.is_file()):
         target.write_bytes(data)  # renaming would replace the link or node, not what it names
         return
-    # Created as tempfile.mkstemp would (exclusive, mode 0600), without
-    # adding tempfile's imports to every start-up.
-    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    # Created as tempfile.mkstemp would (exclusive, mode 0600), without adding
+    # tempfile's imports to every start-up; fixed-length, so any ``path`` name fits.
+    tmp = target.with_name(f".tortoise-{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "wb") as f:
@@ -152,7 +161,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     key = _read_key(args)
     mode = AeadMode(args.mode)
     if args.nonce_hex is not None:
-        nonce = bytes.fromhex(args.nonce_hex)
+        nonce = _hex("--nonce-hex", args.nonce_hex)
     else:
         nonce = secrets.token_bytes(nonce_length(mode))
     ad = _read_ad(args)

@@ -6,9 +6,9 @@ mask is XORed onto the result.  Distinct tweaks therefore select
 independent-looking permutations without touching the underlying cipher's
 round structure, and any :class:`~tortoise.block_cipher.CipherSpec` can be
 dropped in unchanged.  :func:`tweak_encrypt_many` and
-:func:`tweak_decrypt_many` take many tweaks and blocks at once and hand
-the blocks to the cipher as one batch; the single-block calls give the
-same result for a batch of one.
+:func:`tweak_decrypt_many` are the one entry point: they take many tweaks
+and blocks at once and hand the blocks to the cipher as one batch, and a
+single block is a batch of one.
 
 Tweaks are exactly one block wide.  Byte 0 carries a 4-bit domain prefix
 in its high nibble:
@@ -42,9 +42,6 @@ __all__ = [
     "encode_mr_tag_tweak",
     "encode_mr_stream_tweak",
     "encode_mr_stream_tweaks",
-    "derive_subkey_and_mask",
-    "tweak_encrypt",
-    "tweak_decrypt",
     "tweak_encrypt_many",
     "tweak_decrypt_many",
 ]
@@ -146,19 +143,11 @@ def encode_mr_stream_tweaks(tag: bytes, counters: range, block_len: int = 16) ->
     return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 
 
-def derive_subkey_and_mask(key: TweakableKey, tweak: bytes) -> tuple[bytes, bytes]:
-    """One SHAKE128 squeeze of ``master_key || tweak``: subkey first, mask after."""
-    spec = key.cipher
-    if len(tweak) != spec.block_len:
-        raise ValueError(f"tweak must be {spec.block_len} bytes, got {len(tweak)}")
-    out = shake128(key.master_key + tweak, spec.key_len + spec.block_len)
-    return out[: spec.key_len], out[spec.key_len :]
-
-
 def _derive_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> tuple[bytes, bytes]:
-    """:func:`derive_subkey_and_mask` for every tweak: the subkeys and the masks, each end to end.
+    """One SHAKE128 squeeze of ``master_key || tweak`` per tweak: subkey first, mask after.
 
-    ``blocks`` must hold one block per tweak.
+    Returns the subkeys and the masks, each end to end.  ``blocks`` must
+    hold one block per tweak.
     """
     mk, kl, n = key.master_key, key.cipher.key_len, key.cipher.block_len
     if len(blocks) != n * len(tweaks):
@@ -183,21 +172,3 @@ def tweak_decrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) ->
     """Invert :func:`tweak_encrypt_many` for the same key and tweaks."""
     subkeys, masks = _derive_many(key, tweaks, blocks)
     return key.cipher.decrypt_blocks(subkeys, xor_bytes(blocks, masks))
-
-
-def tweak_encrypt(key: TweakableKey, tweak: bytes, block: bytes) -> bytes:
-    """Encrypt one block under the permutation selected by ``tweak``."""
-    spec = key.cipher
-    if len(block) != spec.block_len:
-        raise ValueError(f"block must be {spec.block_len} bytes, got {len(block)}")
-    subkey, mask = derive_subkey_and_mask(key, tweak)
-    return xor_bytes(spec.encrypt_block(subkey, block), mask)
-
-
-def tweak_decrypt(key: TweakableKey, tweak: bytes, block: bytes) -> bytes:
-    """Invert :func:`tweak_encrypt` for the same key and tweak."""
-    spec = key.cipher
-    if len(block) != spec.block_len:
-        raise ValueError(f"block must be {spec.block_len} bytes, got {len(block)}")
-    subkey, mask = derive_subkey_and_mask(key, tweak)
-    return spec.decrypt_block(subkey, xor_bytes(block, mask))

@@ -84,6 +84,31 @@ def test_wrong_nonce_length_is_usage_error(tmp_path):
     assert rc == 1
 
 
+def test_non_ascii_key_file_error_names_the_flag_not_the_key(tmp_path, capsys):
+    src, key_file = tmp_path / "p", tmp_path / "key.bin"
+    src.write_bytes(b"x")
+    key = bytes(range(0x80, 0xA0))  # 32 bytes: neither 16 raw bytes nor ASCII
+    key_file.write_bytes(key)
+    rc = main(["encrypt", "--key-file", str(key_file), "--mode", "nr", "--nonce-hex", NR_NONCE,
+               "--in", str(src), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "--key-file" in err
+    assert not any(f"{b:02x}" in err for b in key)  # as 0x.., \\x.. or bare hex
+
+
+@pytest.mark.parametrize("flag", ["--key-hex", "--nonce-hex", "--ad-hex"])
+def test_bad_hex_error_names_the_flag(tmp_path, capsys, flag):
+    src = tmp_path / "p"
+    src.write_bytes(b"x")
+    args = {"--key-hex": KEY_HEX, "--nonce-hex": NR_NONCE, "--ad-hex": "aa"}
+    args[flag] = "zz"
+    rc = main(["encrypt", "--mode", "nr", *[x for pair in args.items() for x in pair],
+               "--in", str(src), "--out", str(tmp_path / "e")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag} is not valid hex\n"
+
+
 def test_missing_args_is_usage_error(capsys):
     assert main(["encrypt", "--key-hex", KEY_HEX]) == 1
     capsys.readouterr()
@@ -271,6 +296,17 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, co
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     if existing is not None:
         assert out.read_bytes() == existing
+
+
+def test_longest_output_name_is_written_atomically(tmp_path):
+    # The temp file beside the output must fit whatever name the output has.
+    src, env, back = tmp_path / "plain.bin", tmp_path / ("e" * 255), tmp_path / ("b" * 255)
+    src.write_bytes(b"long names")
+    assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "nr", "--nonce-hex", NR_NONCE,
+                 "--in", str(src), "--out", str(env)]) == 0
+    assert main(["decrypt", "--key-hex", KEY_HEX, "--in", str(env), "--out", str(back)]) == 0
+    assert back.read_bytes() == b"long names"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([src.name, env.name, back.name])
 
 
 def test_output_replaces_existing_file(tmp_path):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from tortoise import tweakable
 from tortoise.aead import AeadMode
 from tortoise.kat import (
     KatParseError,
@@ -122,6 +123,20 @@ def test_differential_check_clean():
     report = differential_check(1000)
     assert report.ok, "\n".join(report.lines())
     assert len(report.results) == 3
+
+
+def test_differential_check_catches_a_broken_batch_path(monkeypatch):
+    # One mask bit flipped in the squeeze that every message, AD and tag block goes through.
+    real = tweakable._derive_many
+
+    def broken(key, tweaks, blocks):
+        subkeys, masks = real(key, tweaks, blocks)
+        return subkeys, bytes([masks[0] ^ 1]) + masks[1:]
+
+    monkeypatch.setattr(tweakable, "_derive_many", broken)
+    oracle = differential_check(100).results[0]
+    assert oracle.name.endswith("vs composed oracle (100 trials)")
+    assert not oracle.ok and oracle.detail
 
 
 def test_differential_check_deterministic():
