@@ -6,10 +6,11 @@ permutation of single blocks for every key.  A spec may add a kernel that
 takes a whole batch of blocks with one key each; without one, batches go
 block by block.  Two specs ship with the package:
 
-* ``AES128`` - the production cipher.  Single blocks and small batches go
-  to the ``cryptography`` package; larger batches to a byte-sliced kernel
-  in pure Python that gives every block its own key schedule.  Both are
-  gated by the repository's known-answer vectors.
+* ``AES128`` - the production cipher.  Single blocks go to the
+  ``cryptography`` package.  Batches go to OpenSSL's EVP interface, one
+  context re-keyed per block, or, from ``_SLICED_MIN_LANES`` blocks on, to
+  a byte-sliced kernel in pure Python that gives every block its own key
+  schedule.  All three are gated by the repository's known-answer vectors.
 * ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
   Its entire codomain can be enumerated on a desktop, which is what the
   brute-force verification harness needs.
@@ -41,14 +42,6 @@ def _check_len(name: str, value: bytes, expected: int) -> None:
         raise ValueError(f"{name} must be {expected} bytes, got {len(value)}")
 
 
-# Batches of fewer lanes go block by block: on a 2-core Xeon the
-# byte-sliced AES kernel overtakes per-block ``cryptography`` calls at
-# about 16 lanes.  A kernel takes a batch whole; the AES kernel's working
-# set is about 300 bytes a lane, so callers bound it by the size of their
-# batches.
-_SLICED_MIN_LANES = 32
-
-
 @dataclass(frozen=True)
 class CipherSpec:
     """A pluggable single-block cipher.
@@ -56,9 +49,9 @@ class CipherSpec:
     ``encrypt_block(key, block)`` must be a bijection on ``block_len``-byte
     strings for every ``key_len``-byte key, and ``decrypt_block`` its exact
     inverse.  ``encrypt_kernel(keys, blocks)`` and ``decrypt_kernel``, if
-    given, compute the same over a whole batch at once and are used for
-    batches of ``_SLICED_MIN_LANES`` blocks or more.  Specs are immutable
-    and safe to share across threads.
+    given, compute the same over a whole batch at once and take every
+    batch, of any size; a spec without them goes block by block.  Specs are
+    immutable and safe to share across threads.
     """
 
     name: str
@@ -87,9 +80,14 @@ class CipherSpec:
             raise ValueError(
                 f"need one {k}-byte key per {n}-byte block, got {len(keys)} key bytes and {len(blocks)} block bytes"
             )
-        if kernel is None or lanes < _SLICED_MIN_LANES:
-            return b"".join([single(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(lanes)])
+        if kernel is None:
+            return _each_block(single, k, n, keys, blocks)
         return kernel(keys, blocks)
+
+
+def _each_block(single: Callable[[bytes, bytes], bytes], k: int, n: int, keys: bytes, blocks: bytes) -> bytes:
+    """A batch as one ``single(key, block)`` call per lane."""
+    return b"".join([single(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(len(blocks) // n)])
 
 
 # --- AES-128 -----------------------------------------------------------
@@ -112,6 +110,73 @@ def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
     return Cipher(algorithms.AES(key), _ECB).decryptor().update(block)
 
 
+# --- AES-128 through OpenSSL's EVP interface ---------------------------
+#
+# A ``cryptography`` context costs about 19 us to build, and a batch needs
+# one per block.  One EVP context re-keyed per block costs a few us a lane,
+# most of it two ``ctypes`` calls.  ``hashlib``'s ``_hashlib`` extension
+# already links libcrypto, so loading the extension's own file resolves
+# the EVP symbols through that dependency: no other library is searched
+# for or loaded.  Without it, batches go block by block.
+
+
+def _load_libcrypto() -> ctypes.CDLL:
+    import _hashlib
+
+    lib = ctypes.CDLL(_hashlib.__file__)
+    ptr, int_ = ctypes.c_void_p, ctypes.c_int
+    for name, restype, argtypes in (
+        ("EVP_CIPHER_CTX_new", ptr, []),
+        ("EVP_CIPHER_CTX_free", None, [ptr]),
+        ("EVP_aes_128_ecb", ptr, []),
+        ("EVP_CIPHER_CTX_set_padding", int_, [ptr, int_]),
+        # (ctx, cipher, engine, key, iv, enc) and (ctx, out, outl, in, inl)
+        ("EVP_CipherInit_ex", int_, [ptr, ptr, ptr, ptr, ptr, int_]),
+        ("EVP_CipherUpdate", int_, [ptr, ptr, ptr, ptr, int_]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+try:
+    import ctypes
+
+    _LIBCRYPTO = _load_libcrypto()
+except (ImportError, OSError, AttributeError):
+    _LIBCRYPTO = None
+
+
+def _aes128_evp(keys: bytes, blocks: bytes, enc: int) -> bytes:
+    """AES-128 of each 16-byte block under its own key: ``enc`` 1 encrypts, 0 decrypts."""
+    n = len(blocks)
+    # The lane loop reads 16 key bytes per block through raw pointers.
+    if len(keys) != n or n % 16:
+        raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} key bytes and {n} block bytes")
+    lib = _LIBCRYPTO
+    buf = ctypes.create_string_buffer(keys + blocks, 3 * n)  # keys, blocks, then the output
+    outl = ctypes.c_int()
+    base, outl_ptr = ctypes.addressof(buf), ctypes.addressof(outl)
+    ctx = lib.EVP_CIPHER_CTX_new()
+    if not ctx:
+        raise MemoryError("EVP_CIPHER_CTX_new failed")
+    try:
+        if lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_ecb(), None, None, None, enc) != 1:
+            raise RuntimeError("EVP_CipherInit_ex failed")
+        if lib.EVP_CIPHER_CTX_set_padding(ctx, 0) != 1:
+            raise RuntimeError("EVP_CIPHER_CTX_set_padding failed")
+        init, update = lib.EVP_CipherInit_ex, lib.EVP_CipherUpdate
+        for key in range(base, base + n, 16):
+            # enc -1 keeps the direction; the cipher and padding carry over.
+            if init(ctx, None, None, key, None, -1) != 1:
+                raise RuntimeError("EVP_CipherInit_ex failed")
+            if update(ctx, key + 2 * n, outl_ptr, key + n, 16) != 1 or outl.value != 16:
+                raise RuntimeError("EVP_CipherUpdate failed")
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)  # also cleanses the key schedule
+    return ctypes.string_at(base + 2 * n, n)
+
+
 # --- AES-128, byte-sliced across lanes ---------------------------------
 #
 # Every block of a batch has its own key, so no key schedule or cipher
@@ -125,7 +190,7 @@ def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
 #
 # The lookups are indexed by key and state bytes, so this path is not
 # constant-time against a cache-timing attacker on the same machine; the
-# AES-NI path behind ``cryptography`` is.
+# AES-NI paths behind EVP and ``cryptography`` are.
 
 
 def _xtime(a: int) -> int:
@@ -258,6 +323,35 @@ def _aes128_decrypt_sliced(keys: bytes, blocks: bytes) -> bytes:
     return _from_rows(s, lanes)
 
 
+# --- AES-128 batches: EVP below the threshold, sliced from it on --------
+
+# EVP costs about 3.1 us a lane from a few dozen lanes on.  The sliced
+# kernel's fixed cost is about 200 us a call, so its encryption overtakes
+# EVP between 256 and 512 lanes: 3.4 against 3.1 us a lane at 256, 2.9
+# against 3.1 at 512 (2-core Xeon, one CPU).  Decryption shares the
+# threshold.  The sliced kernel decrypts about 20% slower than EVP at any
+# size, but on 64 KiB nr opens, whose runs are 1,366 lanes, sending them
+# to EVP measured within noise (2.60 against 2.66 MiB/s), so a second
+# threshold would buy nothing measurable.
+_SLICED_MIN_LANES = 512
+
+
+def _aes128_encrypt_kernel(keys: bytes, blocks: bytes) -> bytes:
+    if len(blocks) >= 16 * _SLICED_MIN_LANES:
+        return _aes128_encrypt_sliced(keys, blocks)
+    if _LIBCRYPTO is None:
+        return _each_block(aes128_encrypt_block, 16, 16, keys, blocks)
+    return _aes128_evp(keys, blocks, 1)
+
+
+def _aes128_decrypt_kernel(keys: bytes, blocks: bytes) -> bytes:
+    if len(blocks) >= 16 * _SLICED_MIN_LANES:
+        return _aes128_decrypt_sliced(keys, blocks)
+    if _LIBCRYPTO is None:
+        return _each_block(aes128_decrypt_block, 16, 16, keys, blocks)
+    return _aes128_evp(keys, blocks, 0)
+
+
 # --- Toy cipher --------------------------------------------------------
 #
 # 4-round SPN on 16-bit blocks: round-key XOR, 4-bit S-box on each nibble,
@@ -311,7 +405,7 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
 
 
 AES128 = CipherSpec(
-    "aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block, _aes128_encrypt_sliced, _aes128_decrypt_sliced
+    "aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block, _aes128_encrypt_kernel, _aes128_decrypt_kernel
 )
 TOY = CipherSpec("toy", 2, 2, toy_encrypt_block, toy_decrypt_block)
 

@@ -115,12 +115,14 @@ def _hex(flag: str, text: str) -> bytes:
 
 def _read_key(args: argparse.Namespace) -> TweakableKey:
     if args.key_hex is not None:
-        raw = _hex("--key-hex", args.key_hex)
+        flag, raw = "--key-hex", _hex("--key-hex", args.key_hex)
     else:
-        raw = Path(args.key_file).read_bytes()
+        flag, raw = "--key-file", Path(args.key_file).read_bytes()
         if len(raw) != AES128.key_len:
             # latin-1 decodes any bytes, so only _hex's message, which quotes none, can fail.
-            raw = _hex("--key-file", raw.decode("latin-1"))
+            raw = _hex(flag, raw.decode("latin-1"))
+    if len(raw) != AES128.key_len:
+        raise ValueError(f"{flag} must hold a {AES128.key_len}-byte key, got {len(raw)} bytes")
     return TweakableKey(raw, AES128)
 
 
@@ -162,6 +164,8 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     mode = AeadMode(args.mode)
     if args.nonce_hex is not None:
         nonce = _hex("--nonce-hex", args.nonce_hex)
+        if len(nonce) != nonce_length(mode):
+            raise ValueError(f"--nonce-hex must hold {nonce_length(mode)} bytes for mode {mode.value}, got {len(nonce)}")
     else:
         nonce = secrets.token_bytes(nonce_length(mode))
     ad = _read_ad(args)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -30,8 +31,8 @@ from tortoise.tweakable import (
 
 MIN = block_cipher._SLICED_MIN_LANES
 MAX = aead._SEGMENT
-# One lane, both sides of the per-block/sliced switch, and around the largest batch aead makes.
-AES_LANES = [1, MIN - 1, MIN, MIN + 1, MAX - 1, MAX, MAX + 1]
+# Empty and tiny batches, both sides of the EVP/sliced switch, and around the largest batch aead makes.
+AES_LANES = [0, 1, 2, 3, MIN - 1, MIN, MIN + 1, MAX - 1, MAX, MAX + 1]
 
 
 def _split(data: bytes, n: int) -> list[bytes]:
@@ -75,6 +76,93 @@ def test_aes128_batch_matches_independent_implementation(lanes):
         key, block = keys[16 * i : 16 * i + 16], blocks[16 * i : 16 * i + 16]
         assert ct[i] == reference_aes.encrypt_block(key, block)
         assert pt[i] == reference_aes.decrypt_block(key, block)
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 3, MIN - 1])
+def test_aes128_fallback_without_libcrypto_gives_the_same_bytes(lanes, monkeypatch):
+    rng = random.Random(0xFA + lanes)
+    keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
+    ct, pt = AES128.encrypt_blocks(keys, blocks), AES128.decrypt_blocks(keys, blocks)
+    calls = []
+    for name in ("aes128_encrypt_block", "aes128_decrypt_block"):
+        real = getattr(block_cipher, name)
+        monkeypatch.setattr(block_cipher, name, lambda k, b, real=real: calls.append(1) or real(k, b))
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", None)
+    assert AES128.encrypt_blocks(keys, blocks) == ct
+    assert AES128.decrypt_blocks(keys, blocks) == pt
+    assert len(calls) == 2 * lanes
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="hashlib links libcrypto dynamically on Linux")
+def test_libcrypto_loads_on_linux():
+    # Without it every small batch silently takes the per-block path, several times slower.
+    assert block_cipher._LIBCRYPTO is not None
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+def test_small_aes128_batch_makes_no_per_block_call(monkeypatch):
+    def refuse(key, block):
+        raise AssertionError("per-block call")
+
+    monkeypatch.setattr(block_cipher, "aes128_encrypt_block", refuse)
+    monkeypatch.setattr(block_cipher, "aes128_decrypt_block", refuse)
+    keys, blocks = random.Random(3).randbytes(48), random.Random(4).randbytes(48)
+    assert AES128.decrypt_blocks(keys, AES128.encrypt_blocks(keys, blocks)) == blocks
+
+
+class _Lib:
+    """The loaded libcrypto with one function replaced, counting contexts freed."""
+
+    def __init__(self, real, name, fake):
+        self._real, self.freed = real, 0
+        setattr(self, name, fake)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def EVP_CIPHER_CTX_free(self, ctx):
+        self.freed += 1
+        self._real.EVP_CIPHER_CTX_free(ctx)
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+@pytest.mark.parametrize("name", ["EVP_CipherInit_ex", "EVP_CIPHER_CTX_set_padding", "EVP_CipherUpdate"])
+def test_failed_evp_call_raises_and_frees_the_context(name, monkeypatch):
+    lib = _Lib(block_cipher._LIBCRYPTO, name, lambda *args: 0)
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
+    with pytest.raises(RuntimeError, match=name):
+        AES128.encrypt_blocks(bytes(48), bytes(48))
+    assert lib.freed == 1
+    with pytest.raises(RuntimeError, match=name):
+        seal_nr(TweakableKey(bytes(16), AES128), bytes(8), b"", bytes(40))
+    assert lib.freed == 2
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+def test_short_evp_output_raises(monkeypatch):
+    real = block_cipher._LIBCRYPTO.EVP_CipherUpdate
+
+    def short(ctx, out, outl, inp, inl):
+        real(ctx, out, outl, inp, inl)
+        return real(ctx, out, outl, inp, 0)  # succeeds, but sets outl to 0
+
+    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_CipherUpdate", short)
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
+    with pytest.raises(RuntimeError, match="EVP_CipherUpdate"):
+        AES128.decrypt_blocks(bytes(16), bytes(16))
+    assert lib.freed == 1
+
+
+@pytest.mark.parametrize("keys,blocks", [(bytes(15), bytes(16)), (bytes(32), bytes(48)), (bytes(17), bytes(17))])
+def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypatch):
+    class NoCalls:
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} reached")
+
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", NoCalls())
+    for enc in (1, 0):
+        with pytest.raises(ValueError, match="16-byte key per 16-byte block"):
+            block_cipher._aes128_evp(keys, blocks, enc)
 
 
 def test_aes128_sliced_kernel_fips197_vector():

@@ -68,20 +68,36 @@ def test_key_file_raw_and_hex(tmp_path):
     assert back.read_bytes() == b"key from file"
 
 
-def test_short_key_is_usage_error(tmp_path):
+def test_short_key_is_usage_error(tmp_path, capsys):
     src = tmp_path / "p"
     src.write_bytes(b"x")
     rc = main(["encrypt", "--key-hex", "00" * 15, "--mode", "nr", "--nonce-hex", NR_NONCE,
                "--in", str(src), "--out", str(tmp_path / "e")])
     assert rc == 1
+    assert capsys.readouterr().err == "error: --key-hex must hold a 16-byte key, got 15 bytes\n"
 
 
-def test_wrong_nonce_length_is_usage_error(tmp_path):
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_wrong_length_key_file_error_names_the_flag_not_the_key(tmp_path, capsys, command):
+    src, key_file = tmp_path / "p", tmp_path / "key"
+    src.write_bytes(b"x")
+    key_file.write_bytes(b"a1b2c3d4\n")  # valid hex, but a 4-byte key
+    extra = ["--mode", "nr", "--nonce-hex", NR_NONCE] if command == "encrypt" else []
+    rc = main([command, "--key-file", str(key_file), *extra, "--in", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --key-file must hold a 16-byte key, got 4 bytes\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode,nonce_hex,want", [("mr", NR_NONCE, 15), ("nr", "00112233", 8)])
+def test_wrong_nonce_length_is_usage_error(tmp_path, capsys, mode, nonce_hex, want):
     src = tmp_path / "p"
     src.write_bytes(b"x")
-    rc = main(["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-hex", NR_NONCE,
+    rc = main(["encrypt", "--key-hex", KEY_HEX, "--mode", mode, "--nonce-hex", nonce_hex,
                "--in", str(src), "--out", str(tmp_path / "e")])
     assert rc == 1
+    got = len(nonce_hex) // 2
+    assert capsys.readouterr().err == f"error: --nonce-hex must hold {want} bytes for mode {mode}, got {got}\n"
 
 
 def test_non_ascii_key_file_error_names_the_flag_not_the_key(tmp_path, capsys):
