@@ -58,9 +58,7 @@ __all__ = [
 
 
 # Blocks per batch call: 32 KiB of a 16-byte-block message.  This bounds
-# the tweaks, subkeys and masks held at once, and the working set of the
-# byte-sliced AES kernel, which per block is flat from about 1,000 to
-# 8,000 blocks.
+# the tweaks, subkeys and masks held at once.
 _SEGMENT = 2048
 
 

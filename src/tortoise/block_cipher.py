@@ -7,10 +7,11 @@ takes a whole batch of blocks with one key each; without one, batches go
 block by block.  Two specs ship with the package:
 
 * ``AES128`` - the production cipher.  Single blocks go to the
-  ``cryptography`` package.  Batches go to OpenSSL's EVP interface, one
-  context re-keyed per block, or, from ``_SLICED_MIN_LANES`` blocks on, to
-  a byte-sliced kernel in pure Python that gives every block its own key
-  schedule.  All three are gated by the repository's known-answer vectors.
+  ``cryptography`` package.  Batches go to OpenSSL's EVP interface through
+  ``ctypes``, on one context per thread re-keyed for every block, or,
+  where that libcrypto cannot be loaded, block by block to
+  ``cryptography``.  All paths are gated by the repository's known-answer
+  vectors.
 * ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
   Its entire codomain can be enumerated on a desktop, which is what the
   brute-force verification harness needs.
@@ -18,6 +19,7 @@ block by block.  Two specs ship with the package:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -110,7 +112,7 @@ def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
     return Cipher(algorithms.AES(key), _ECB).decryptor().update(block)
 
 
-# --- AES-128 through OpenSSL's EVP interface ---------------------------
+# --- AES-128 batches through OpenSSL's EVP interface ------------------
 #
 # A ``cryptography`` context costs about 19 us to build, and a batch needs
 # one per block.  One EVP context re-keyed per block costs a few us a lane,
@@ -130,9 +132,13 @@ def _load_libcrypto() -> ctypes.CDLL:
         ("EVP_CIPHER_CTX_free", None, [ptr]),
         ("EVP_aes_128_ecb", ptr, []),
         ("EVP_CIPHER_CTX_set_padding", int_, [ptr, int_]),
-        # (ctx, cipher, engine, key, iv, enc) and (ctx, out, outl, in, inl)
-        ("EVP_CipherInit_ex", int_, [ptr, ptr, ptr, ptr, ptr, int_]),
-        ("EVP_CipherUpdate", int_, [ptr, ptr, ptr, ptr, int_]),
+        # (ctx, cipher, engine, key, iv, enc) and (ctx, out, outl, in, inl) run
+        # once per lane, and declared argtypes made a lane about 20% slower.
+        # Undeclared, ctypes passes each argument as it is, so every pointer
+        # must be a ``c_void_p``, ``bytes``, a ctypes buffer, ``byref`` or
+        # None, and every Python int is taken as a C int.
+        ("EVP_CipherInit_ex", int_, None),
+        ("EVP_CipherUpdate", int_, None),
     ):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
@@ -147,206 +153,79 @@ except (ImportError, OSError, AttributeError):
     _LIBCRYPTO = None
 
 
+class _Context:
+    """One thread's EVP context, set up for AES-128-ECB without padding.
+
+    ctypes releases the interpreter lock inside every foreign call, so
+    threads must not share a context.  Each thread's is freed with it.
+    """
+
+    ptr = None  # until ``__init__`` has a context to free
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self.lib, self.ptr = lib, ctypes.c_void_p(lib.EVP_CIPHER_CTX_new())
+        if not self.ptr:
+            raise MemoryError("EVP_CIPHER_CTX_new failed")
+        try:
+            if lib.EVP_CipherInit_ex(self.ptr, ctypes.c_void_p(lib.EVP_aes_128_ecb()), None, None, None, 1) != 1:
+                raise RuntimeError("EVP_CipherInit_ex failed")
+            if lib.EVP_CIPHER_CTX_set_padding(self.ptr, 0) != 1:
+                raise RuntimeError("EVP_CIPHER_CTX_set_padding failed")
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        if self.ptr:
+            self.lib.EVP_CIPHER_CTX_free(self.ptr)  # also cleanses the key schedule
+            self.ptr = None
+
+    __del__ = close
+
+
+_THREAD = threading.local()
+# Loaded after a batch's last lane, so that no subkey's schedule outlives the call.
+_ZERO_KEY = bytes(16)
+
+
 def _aes128_evp(keys: bytes, blocks: bytes, enc: int) -> bytes:
     """AES-128 of each 16-byte block under its own key: ``enc`` 1 encrypts, 0 decrypts."""
     n = len(blocks)
-    # The lane loop reads 16 key bytes per block through raw pointers.
     if len(keys) != n or n % 16:
         raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} key bytes and {n} block bytes")
-    lib = _LIBCRYPTO
-    buf = ctypes.create_string_buffer(keys + blocks, 3 * n)  # keys, blocks, then the output
-    outl = ctypes.c_int()
-    base, outl_ptr = ctypes.addressof(buf), ctypes.addressof(outl)
-    ctx = lib.EVP_CIPHER_CTX_new()
-    if not ctx:
-        raise MemoryError("EVP_CIPHER_CTX_new failed")
+    context = getattr(_THREAD, "context", None)
+    if context is None:
+        context = _THREAD.context = _Context(_LIBCRYPTO)
+    ctx, lib = context.ptr, context.lib
+    init, update = lib.EVP_CipherInit_ex, lib.EVP_CipherUpdate
+    out, outl = ctypes.create_string_buffer(16), ctypes.c_int()
+    outl_ref = ctypes.byref(outl)
+    parts = []
     try:
-        if lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_ecb(), None, None, None, enc) != 1:
-            raise RuntimeError("EVP_CipherInit_ex failed")
-        if lib.EVP_CIPHER_CTX_set_padding(ctx, 0) != 1:
-            raise RuntimeError("EVP_CIPHER_CTX_set_padding failed")
-        init, update = lib.EVP_CipherInit_ex, lib.EVP_CipherUpdate
-        for key in range(base, base + n, 16):
-            # enc -1 keeps the direction; the cipher and padding carry over.
-            if init(ctx, None, None, key, None, -1) != 1:
+        for i in range(0, n, 16):
+            # The cipher and the padding setting carry over a re-key; enc sets the direction.
+            if init(ctx, None, None, keys[i : i + 16], None, enc) != 1:
                 raise RuntimeError("EVP_CipherInit_ex failed")
-            if update(ctx, key + 2 * n, outl_ptr, key + n, 16) != 1 or outl.value != 16:
+            if update(ctx, out, outl_ref, blocks[i : i + 16], 16) != 1 or outl.value != 16:
                 raise RuntimeError("EVP_CipherUpdate failed")
-    finally:
-        lib.EVP_CIPHER_CTX_free(ctx)  # also cleanses the key schedule
-    return ctypes.string_at(base + 2 * n, n)
-
-
-# --- AES-128, byte-sliced across lanes ---------------------------------
-#
-# Every block of a batch has its own key, so no key schedule or cipher
-# context can be shared.  The kernel transposes the batch instead: row p
-# holds byte p of every lane (``blocks[p::16]``) and the rows are laid end
-# to end in one byte string.  State byte p is column p // 4, row p % 4, as
-# in FIPS-197.  A byte substitution is then one ``bytes.translate`` over
-# the whole batch, ShiftRows and the byte moves of MixColumns are joins of
-# rows in permuted order, and every XOR (AddRoundKey, the MixColumns sums,
-# the key schedule) is one big-int XOR over the whole state.
-#
-# The lookups are indexed by key and state bytes, so this path is not
-# constant-time against a cache-timing attacker on the same machine; the
-# AES-NI paths behind EVP and ``cryptography`` are.
-
-
-def _xtime(a: int) -> int:
-    a <<= 1
-    return a ^ 0x11B if a & 0x100 else a
-
-
-def _aes_sbox() -> bytes:
-    """The S-box from its definition: GF(2^8) inverse, then the affine map."""
-    exp, log = [0] * 255, [0] * 256
-    x = 1
-    for i in range(255):
-        exp[i], log[x] = x, i
-        x ^= _xtime(x)  # times 3, a generator of the multiplicative group
-    sbox = []
-    for a in range(256):
-        b = exp[-log[a] % 255] if a else 0
-        r = b | b << 8  # (r >> (8 - k)) & 0xFF rotates b left by k
-        sbox.append(b ^ (r >> 7 & 0xFF) ^ (r >> 6 & 0xFF) ^ (r >> 5 & 0xFF) ^ (r >> 4 & 0xFF) ^ 0x63)
-    return bytes(sbox)
-
-
-_XTIME = bytes(_xtime(x) for x in range(256))
-
-
-def _times(m: int) -> bytes:
-    """The translation table of x * m in GF(2^8)."""
-    out, power = 0, bytes(range(256))
-    while m:
-        if m & 1:
-            out ^= int.from_bytes(power, "big")
-        power = power.translate(_XTIME)
-        m >>= 1
-    return out.to_bytes(256, "big")
-
-
-# Translation tables: S, 2*S and 3*S for SubBytes composed with MixColumns,
-# the inverse S-box, and the four InvMixColumns multipliers.
-_S1 = _aes_sbox()
-_S2 = _S1.translate(_times(2))
-_S3 = _S1.translate(_times(3))
-_INV_S = bytes(sorted(range(256), key=_S1.__getitem__))
-_INV_MIX = tuple(_times(m) for m in (14, 11, 13, 9))
-# The key schedule's S-box, one table per round with that round's rcon folded in.
-_KEY_SBOX = tuple(bytes(s ^ rcon for s in _S1) for rcon in b"\x01\x02\x04\x08\x10\x20\x40\x80\x1b\x36")
-
-# Row orders.  _SHIFTED[k][p] is the byte whose k-th MixColumns term lands
-# in byte p once ShiftRows has moved it: byte p takes 2*S, 3*S, S and S of
-# bytes _SHIFTED[0..3][p].  _INV_SHIFTED undoes ShiftRows, and _COLUMN[k]
-# picks the k-th InvMixColumns term from the same column.
-_SHIFTED = tuple(tuple(4 * ((p // 4 + p % 4 + k) % 4) + (p % 4 + k) % 4 for p in range(16)) for k in range(4))
-_INV_SHIFTED = tuple(4 * ((p // 4 - p % 4) % 4) + p % 4 for p in range(16))
-_COLUMN = tuple(tuple(4 * (p // 4) + (p % 4 + k) % 4 for p in range(16)) for k in range(4))
-
-
-def _to_rows(data: bytes) -> int:
-    """Lane-major 16-byte blocks as one int over the row layout."""
-    return int.from_bytes(b"".join([data[p::16] for p in range(16)]), "big")
-
-
-def _from_rows(state: int, lanes: int) -> bytes:
-    """Invert :func:`_to_rows`."""
-    rows = state.to_bytes(16 * lanes, "big")
-    out = bytearray(16 * lanes)
-    for p in range(16):
-        out[p::16] = rows[p * lanes : (p + 1) * lanes]
-    return bytes(out)
-
-
-def _gather(rows: bytes, order: tuple[int, ...], lanes: int) -> int:
-    """The rows of ``rows`` joined in ``order``, as one int."""
-    view = memoryview(rows)
-    return int.from_bytes(b"".join([view[p * lanes : (p + 1) * lanes] for p in order]), "big")
-
-
-def _round_keys(keys: bytes, lanes: int) -> list[int]:
-    """All 11 round keys of every lane, each one int over the row layout."""
-    word = 4 * lanes
-    bits = 8 * word
-    low = (1 << bits) - 1
-    k = _to_rows(keys)
-    out = [k]
-    for table in _KEY_SBOX:
-        w3 = (k & low).to_bytes(word, "big")  # rows 12-15, the last word
-        # RotWord takes rows 13, 14, 15, 12; byte 0 also takes the rcon.
-        t = w3[lanes : 2 * lanes].translate(table) + (w3[2 * lanes :] + w3[:lanes]).translate(_S1)
-        t = int.from_bytes(t, "big")
-        t |= t << bits
-        k ^= k >> bits  # prefix XOR of the four words ...
-        k ^= k >> 2 * bits
-        k ^= t | t << 2 * bits  # ... then the new word into all four
-        out.append(k)
-    return out
-
-
-def _aes128_encrypt_sliced(keys: bytes, blocks: bytes) -> bytes:
-    lanes = len(blocks) // 16
-    size = 16 * lanes
-    rks = _round_keys(keys, lanes)
-    a, b, c, d = _SHIFTED
-    s = _to_rows(blocks) ^ rks[0]
-    for rk in rks[1:10]:
-        raw = s.to_bytes(size, "big")
-        sub = raw.translate(_S1)
-        s = (
-            _gather(raw.translate(_S2), a, lanes)
-            ^ _gather(raw.translate(_S3), b, lanes)
-            ^ _gather(sub, c, lanes)
-            ^ _gather(sub, d, lanes)
-            ^ rk
-        )
-    s = _gather(s.to_bytes(size, "big").translate(_S1), a, lanes) ^ rks[10]
-    return _from_rows(s, lanes)
-
-
-def _aes128_decrypt_sliced(keys: bytes, blocks: bytes) -> bytes:
-    # The inverse cipher as FIPS-197 states it: InvMixColumns after
-    # AddRoundKey costs four translations per round, where the equivalent
-    # inverse cipher would also spend four on every round key.
-    lanes = len(blocks) // 16
-    size = 16 * lanes
-    rks = _round_keys(keys, lanes)
-    s = _to_rows(blocks) ^ rks[10]
-    for rk in reversed(rks[1:10]):
-        raw = (_gather(s.to_bytes(size, "big").translate(_INV_S), _INV_SHIFTED, lanes) ^ rk).to_bytes(size, "big")
-        s = 0
-        for table, order in zip(_INV_MIX, _COLUMN):
-            s ^= _gather(raw.translate(table), order, lanes)
-    s = _gather(s.to_bytes(size, "big").translate(_INV_S), _INV_SHIFTED, lanes) ^ rks[0]
-    return _from_rows(s, lanes)
-
-
-# --- AES-128 batches: EVP below the threshold, sliced from it on --------
-
-# EVP costs about 3.1 us a lane from a few dozen lanes on.  The sliced
-# kernel's fixed cost is about 200 us a call, so its encryption overtakes
-# EVP between 256 and 512 lanes: 3.4 against 3.1 us a lane at 256, 2.9
-# against 3.1 at 512 (2-core Xeon, one CPU).  Decryption shares the
-# threshold.  The sliced kernel decrypts about 20% slower than EVP at any
-# size, but on 64 KiB nr opens, whose runs are 1,366 lanes, sending them
-# to EVP measured within noise (2.60 against 2.66 MiB/s), so a second
-# threshold would buy nothing measurable.
-_SLICED_MIN_LANES = 512
+            parts.append(out.raw)
+        if init(ctx, None, None, _ZERO_KEY, None, enc) != 1:
+            raise RuntimeError("EVP_CipherInit_ex failed")
+    except BaseException:
+        # The context may hold a subkey or be in an unknown state: drop it.
+        _THREAD.context = None
+        context.close()
+        raise
+    return b"".join(parts)
 
 
 def _aes128_encrypt_kernel(keys: bytes, blocks: bytes) -> bytes:
-    if len(blocks) >= 16 * _SLICED_MIN_LANES:
-        return _aes128_encrypt_sliced(keys, blocks)
     if _LIBCRYPTO is None:
         return _each_block(aes128_encrypt_block, 16, 16, keys, blocks)
     return _aes128_evp(keys, blocks, 1)
 
 
 def _aes128_decrypt_kernel(keys: bytes, blocks: bytes) -> bytes:
-    if len(blocks) >= 16 * _SLICED_MIN_LANES:
-        return _aes128_decrypt_sliced(keys, blocks)
     if _LIBCRYPTO is None:
         return _each_block(aes128_decrypt_block, 16, 16, keys, blocks)
     return _aes128_evp(keys, blocks, 0)

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -29,10 +30,10 @@ from tortoise.tweakable import (
     tweak_encrypt_many,
 )
 
-MIN = block_cipher._SLICED_MIN_LANES
 MAX = aead._SEGMENT
-# Empty and tiny batches, both sides of the EVP/sliced switch, and around the largest batch aead makes.
-AES_LANES = [0, 1, 2, 3, MIN - 1, MIN, MIN + 1, MAX - 1, MAX, MAX + 1]
+# Empty and tiny batches, 511-513 lanes (where a table-based kernel once took over), and around the
+# largest batch aead makes.
+AES_LANES = [0, 1, 2, 3, 511, 512, 513, MAX - 1, MAX, MAX + 1]
 
 
 def _split(data: bytes, n: int) -> list[bytes]:
@@ -69,7 +70,7 @@ def test_aes128_batch_matches_independent_implementation(lanes):
     rng = random.Random(0xB0 + lanes)
     keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
     # Every lane is checked at the small sizes; a spread sample at the large ones.
-    picks = range(lanes) if lanes <= MIN + 1 else sorted(rng.sample(range(lanes), 40) + [0, lanes - 1])
+    picks = range(lanes) if lanes <= 513 else sorted(rng.sample(range(lanes), 40) + [0, lanes - 1])
     ct = _split(AES128.encrypt_blocks(keys, blocks), 16)
     pt = _split(AES128.decrypt_blocks(keys, blocks), 16)
     for i in picks:
@@ -78,7 +79,7 @@ def test_aes128_batch_matches_independent_implementation(lanes):
         assert pt[i] == reference_aes.decrypt_block(key, block)
 
 
-@pytest.mark.parametrize("lanes", [0, 1, 3, MIN - 1])
+@pytest.mark.parametrize("lanes", [0, 1, 3, 511])
 def test_aes128_fallback_without_libcrypto_gives_the_same_bytes(lanes, monkeypatch):
     rng = random.Random(0xFA + lanes)
     keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
@@ -95,7 +96,7 @@ def test_aes128_fallback_without_libcrypto_gives_the_same_bytes(lanes, monkeypat
 
 @pytest.mark.skipif(sys.platform != "linux", reason="hashlib links libcrypto dynamically on Linux")
 def test_libcrypto_loads_on_linux():
-    # Without it every small batch silently takes the per-block path, several times slower.
+    # Without it every batch silently takes the per-block path, several times slower.
     assert block_cipher._LIBCRYPTO is not None
 
 
@@ -111,31 +112,116 @@ def test_small_aes128_batch_makes_no_per_block_call(monkeypatch):
 
 
 class _Lib:
-    """The loaded libcrypto with one function replaced, counting contexts freed."""
+    """The loaded libcrypto with one function replaced, counting contexts made and freed."""
 
     def __init__(self, real, name, fake):
-        self._real, self.freed = real, 0
+        self._real, self.made, self.freed = real, 0, 0
         setattr(self, name, fake)
 
     def __getattr__(self, name):
         return getattr(self._real, name)
+
+    def EVP_CIPHER_CTX_new(self):
+        self.made += 1
+        return self._real.EVP_CIPHER_CTX_new()
 
     def EVP_CIPHER_CTX_free(self, ctx):
         self.freed += 1
         self._real.EVP_CIPHER_CTX_free(ctx)
 
 
+def _on_a_new_thread(fn):
+    """``fn()`` on a thread of its own, which starts with no EVP context and frees its own on exit."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=60)
+
+
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
 @pytest.mark.parametrize("name", ["EVP_CipherInit_ex", "EVP_CIPHER_CTX_set_padding", "EVP_CipherUpdate"])
 def test_failed_evp_call_raises_and_frees_the_context(name, monkeypatch):
-    lib = _Lib(block_cipher._LIBCRYPTO, name, lambda *args: 0)
+    real = getattr(block_cipher._LIBCRYPTO, name)
+    failures = []
+
+    def fail_twice(*args):
+        if len(failures) < 2:
+            failures.append(name)
+            return 0
+        return real(*args)
+
+    lib = _Lib(block_cipher._LIBCRYPTO, name, fail_twice)
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
-    with pytest.raises(RuntimeError, match=name):
-        AES128.encrypt_blocks(bytes(48), bytes(48))
-    assert lib.freed == 1
-    with pytest.raises(RuntimeError, match=name):
-        seal_nr(TweakableKey(bytes(16), AES128), bytes(8), b"", bytes(40))
-    assert lib.freed == 2
+    keys, blocks = random.Random(5).randbytes(48), random.Random(6).randbytes(48)
+
+    def run():
+        with pytest.raises(RuntimeError, match=name):
+            AES128.encrypt_blocks(keys, blocks)
+        assert (lib.made, lib.freed) == (1, 1)
+        with pytest.raises(RuntimeError, match=name):
+            seal_nr(TweakableKey(bytes(16), AES128), bytes(8), b"", bytes(40))
+        assert (lib.made, lib.freed) == (2, 2)
+        # The next batch on this thread gets a fresh context, and it stays open for the batch after.
+        ct = AES128.encrypt_blocks(keys, blocks)
+        assert AES128.decrypt_blocks(keys, ct) == blocks
+        assert (lib.made, lib.freed) == (3, 2)
+        return ct
+
+    ct = _on_a_new_thread(run)
+    assert ct == b"".join(aes128_encrypt_block(k, b) for k, b in zip(_split(keys, 16), _split(blocks, 16)))
+    assert lib.freed == 3  # with its thread
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+def test_every_batch_ends_on_the_zero_key(monkeypatch):
+    real = block_cipher._LIBCRYPTO.EVP_CipherInit_ex
+    keys_seen = []
+
+    def spy(ctx, cipher, engine, key, iv, enc):
+        keys_seen.append(key)
+        return real(ctx, cipher, engine, key, iv, enc)
+
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", _Lib(block_cipher._LIBCRYPTO, "EVP_CipherInit_ex", spy))
+
+    def run():
+        AES128.encrypt_blocks(b"", b"")  # sets the thread's context up
+        for lanes in (0, 1, 3, 600):
+            keys = random.Random(lanes).randbytes(16 * lanes)
+            for batch in (AES128.encrypt_blocks, AES128.decrypt_blocks):
+                keys_seen.clear()
+                batch(keys, bytes(16 * lanes))
+                assert keys_seen == [*_split(keys, 16), bytes(16)]
+
+    _on_a_new_thread(run)
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+def test_threads_seal_and_open_the_same_bytes_as_one_thread():
+    # Each thread must have its own context: ctypes releases the GIL inside every EVP call.
+    rng = random.Random(4)
+    jobs = [
+        (mode, TweakableKey(rng.randbytes(16), AES128), rng.randbytes(nonce_length(mode)), rng.randbytes(13), rng.randbytes(size))
+        for mode in AeadMode
+        for size in (40, 16 * 511 + 3, 16 * 700)
+    ]
+    want = [SEAL[mode](key, nonce, ad, pt) for mode, key, nonce, ad, pt in jobs]
+
+    def worker(offset):
+        got = []
+        for i in range(2 * len(jobs)):
+            mode, key, nonce, ad, pt = jobs[(offset + i) % len(jobs)]
+            sealed = SEAL[mode](key, nonce, ad, pt)
+            got.append((sealed, OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag) == pt))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [pool.submit(worker, offset) for offset in range(4)]
+            outputs = [r.result(timeout=120) for r in results]
+    finally:
+        sys.setswitchinterval(interval)
+    for offset, got in enumerate(outputs):
+        assert got == [(want[(offset + i) % len(jobs)], True) for i in range(2 * len(jobs))]
 
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
@@ -148,9 +234,13 @@ def test_short_evp_output_raises(monkeypatch):
 
     lib = _Lib(block_cipher._LIBCRYPTO, "EVP_CipherUpdate", short)
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
-    with pytest.raises(RuntimeError, match="EVP_CipherUpdate"):
-        AES128.decrypt_blocks(bytes(16), bytes(16))
-    assert lib.freed == 1
+
+    def run():
+        with pytest.raises(RuntimeError, match="EVP_CipherUpdate"):
+            AES128.decrypt_blocks(bytes(16), bytes(16))
+        assert (lib.made, lib.freed) == (1, 1)
+
+    _on_a_new_thread(run)
 
 
 @pytest.mark.parametrize("keys,blocks", [(bytes(15), bytes(16)), (bytes(32), bytes(48)), (bytes(17), bytes(17))])
@@ -165,18 +255,18 @@ def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypa
             block_cipher._aes128_evp(keys, blocks, enc)
 
 
-def test_aes128_sliced_kernel_fips197_vector():
-    # The kernel on its own, below the lane count the dispatcher would give it.
+def test_aes128_batch_fips197_vector():
+    # FIPS-197 Appendix C.1, so the batch path rests on AES-128 itself and not only on the per-block path.
     key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     pt = bytes.fromhex("00112233445566778899aabbccddeeff")
     ct = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-    assert block_cipher._aes128_encrypt_sliced(key * 3, pt * 3) == ct * 3
-    assert block_cipher._aes128_decrypt_sliced(key * 3, ct * 3) == pt * 3
+    assert AES128.encrypt_blocks(key * 3, pt * 3) == ct * 3
+    assert AES128.decrypt_blocks(key * 3, ct * 3) == pt * 3
 
 
 @pytest.mark.parametrize(
     "spec,lanes",
-    [(TOY, 0), (TOY, 1), (TOY, 5), (TOY, 300), (AES256, 1), (AES256, MIN - 1), (AES256, MIN), (AES256, MIN + 1)],
+    [(TOY, 0), (TOY, 1), (TOY, 5), (TOY, 300), (AES256, 1), (AES256, 511), (AES256, 512), (AES256, 513)],
     ids=str,
 )
 def test_batch_without_kernel_matches_single_block_calls(spec, lanes):
@@ -211,7 +301,7 @@ def test_batch_shape_checked(spec):
 
 
 @pytest.mark.parametrize(
-    "spec,lanes", [(AES128, 3), (AES128, MIN + 7), (TOY, 3), (TOY, 40), (AES256, 3), (AES256, MIN + 7)], ids=str
+    "spec,lanes", [(AES128, 3), (AES128, 519), (TOY, 3), (TOY, 40), (AES256, 3), (AES256, 519)], ids=str
 )
 def test_tweak_many_matches_hand_composition(spec, lanes):
     rng = random.Random(lanes)
@@ -276,7 +366,7 @@ def test_aead_runs_give_the_same_bytes(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", list(AeadMode))
-@pytest.mark.parametrize("pt_len", [0, 17, 16 * MIN + 3])
+@pytest.mark.parametrize("pt_len", [0, 17, 16 * 512 + 3])
 def test_block_pair_only_spec_seals_and_opens(mode, pt_len):
     rng = random.Random(pt_len)
     key = TweakableKey(rng.randbytes(32), AES256)

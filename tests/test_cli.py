@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tortoise import cli
 from tortoise.aead import AeadMode
 from tortoise.cli import Envelope, EnvelopeError, main, pack_envelope, parse_envelope
 
@@ -147,6 +148,15 @@ def test_wrong_ad_auth_fails(tmp_path):
     rc = main(["decrypt", "--key-hex", KEY_HEX, "--ad-hex", "bb", "--in", str(env), "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+def test_second_call_gets_none_of_the_first_calls_options(tmp_path):
+    # main() builds its parser once per process, and each call still parses only its own flags.
+    env = _roundtrip(tmp_path, "nr", NR_NONCE, b"bound to ad", ad_args=("--ad-hex", "aa"))
+    out = tmp_path / "nope"
+    assert main(["decrypt", "--key-hex", KEY_HEX, "--in", str(env), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_malformed_envelope_is_usage_error(tmp_path):
