@@ -198,9 +198,9 @@ def test_threads_seal_and_open_the_same_bytes_as_one_thread():
     # Each thread must have its own context: ctypes releases the GIL inside every EVP call.
     rng = random.Random(4)
     jobs = [
-        (mode, TweakableKey(rng.randbytes(16), AES128), rng.randbytes(nonce_length(mode)), rng.randbytes(13), rng.randbytes(size))
+        (mode, TweakableKey(rng.randbytes(16), AES128), rng.randbytes(nonce_length(mode)), rng.randbytes(13), pt)
         for mode in AeadMode
-        for size in (40, 16 * 511 + 3, 16 * 700)
+        for pt in (rng.randbytes(40), rng.randbytes(16 * 511 + 3), rng.randbytes(16 * 700))
     ]
     want = [SEAL[mode](key, nonce, ad, pt) for mode, key, nonce, ad, pt in jobs]
 
