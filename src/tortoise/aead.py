@@ -13,10 +13,17 @@ reveals whether two messages were identical.
 Both modes PKCS#7-pad the plaintext and the associated data, carry a
 full-block tag, and verify it in constant time before releasing anything.
 
-Every tweakable call on a message, associated-data or keystream block is
-independent of the others, so each such group, the nr tag block joining
-the associated data, goes to the tweakable cipher in batches of at most
-``_SEGMENT`` blocks, and the checksum and sums are XOR-folded batch by batch.
+Each data dependency is one pass of tweakable calls.  A pass lays its
+blocks end to end, message blocks first, then any tag block, then the
+associated-data blocks, and hands them to the tweakable cipher in even runs
+of at most ``_SEGMENT`` blocks; outputs that feed a sum are XOR-folded run
+by run.  The nr checksum and the associated data are known before any
+block is encrypted, so an nr seal is one pass; an nr open decrypts first,
+because its checksum needs the plaintext, then makes the tag.  In mr the
+message and associated-data sums are one pass, the tag block a second and
+the keystream it seeds a third, when sealing and opening alike.  The blocks
+a seal appends go into the one padded copy of the message it makes, and
+those an mr open appends into the join of its keystream runs.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Callable, Iterable
 
 from .tweakable import (
     TweakableKey,
-    encode_ad_tweak,
+    encode_ad_tweaks,
     encode_mr_stream_tweaks,
     encode_mr_tag_tweak,
     encode_nr_msg_tweak,
@@ -86,15 +93,20 @@ class SealedMessage:
     tag: bytes
 
 
+def _padding(size: int, n: int) -> bytes:
+    """The PKCS#7 padding of ``size`` bytes of data: k bytes of value k, 1 <= k <= ``n``."""
+    if not 1 <= n <= 255:
+        raise ValueError(f"block size must be in [1, 255], got {n}")
+    k = n - size % n
+    return bytes([k]) * k
+
+
 def pkcs7_pad(data: bytes, n: int) -> bytes:
     """Append k bytes of value k so the length is a multiple of ``n``.
 
     Always appends: already-aligned input gains a full block of padding.
     """
-    if not 1 <= n <= 255:
-        raise ValueError(f"block size must be in [1, 255], got {n}")
-    k = n - len(data) % n
-    return data + bytes([k]) * k
+    return data + _padding(len(data), n)
 
 
 def pkcs7_unpad(data: bytes, n: int) -> bytes:
@@ -103,35 +115,39 @@ def pkcs7_unpad(data: bytes, n: int) -> bytes:
         raise ValueError(f"block size must be in [1, 255], got {n}")
     if not data or len(data) % n:
         raise ValueError("padded data must be a positive multiple of the block size")
-    k = data[-1]
-    if not 1 <= k <= n or data[-k:] != bytes([k]) * k:
+    return data[: len(data) - _padding_len(data, len(data), n)]
+
+
+def _padding_len(data: bytes, end: int, n: int) -> int:
+    """Length of the PKCS#7 padding that ends ``data[:end]``, or ValueError if it is not valid."""
+    k = data[end - 1]
+    if not 1 <= k <= n or data[end - k : end] != bytes([k]) * k:
         raise ValueError("bad padding")
-    return data[:-k]
+    return k
 
 
-def _segments(data: bytes, n: int) -> Iterable[tuple[range, bytes]]:
-    """Cut ``data`` into even runs of at most ``_SEGMENT`` blocks: (block indices, bytes).
+def _runs(count: int) -> Iterable[range]:
+    """Cut ``count`` blocks into even runs of at most ``_SEGMENT`` blocks: each run's block indices.
 
     Each run is one batch call, so a long message never holds more than
     one run's tweaks, subkeys and masks at a time.
     """
-    count = len(data) // n
     if count <= _SEGMENT:
-        return [(range(count), data)]
+        return (range(count),)
     step = -(-count // -(-count // _SEGMENT))
-    return ((range(i, min(i + step, count)), data[i * n : (i + step) * n]) for i in range(0, count, step))
+    return (range(i, min(i + step, count)) for i in range(0, count, step))
 
 
 def _fold(data: bytes, n: int) -> int:
-    """XOR of the ``n``-byte blocks of ``data``, as an integer.
+    """XOR of the whole ``n``-byte blocks of ``data``, as an integer.
 
     Folds each run's top half of blocks onto its bottom half until one
     block is left, so the work is linear in the length of ``data``.
     """
     acc = 0
-    for _, run in _segments(data, n):
-        x = int.from_bytes(run, "big")
-        count = len(run) // n
+    for js in _runs(len(data) // n):
+        x = int.from_bytes(data[js.start * n : js.stop * n], "big")
+        count = len(js)
         while count > 1:
             low = count - count // 2
             bits = 8 * n * low
@@ -141,16 +157,35 @@ def _fold(data: bytes, n: int) -> int:
     return acc
 
 
-def _tweak_sum(key: TweakableKey, tweaks: Callable[[range], list[bytes]], data: bytes) -> int:
-    """XOR of the tweakable encryptions of the blocks of ``data``, block j under tweak j.
+def _pass(
+    key: TweakableKey, crypt: Callable, data: bytes, nonce: bytes | None, m: int, tag_tweaks: list[bytes], keep: bool
+) -> tuple[list[bytes], int]:
+    """One tweakable batch per run over the blocks of ``data``, laid end to end.
 
-    ``tweaks`` maps a range of block indices to their tweaks.
+    The first ``m`` blocks are message blocks under the counter tweaks of
+    ``nonce``; one block per tag tweak follows, then the associated-data
+    blocks under AD tweaks from 0.  ``crypt`` is :func:`tweak_encrypt_many`
+    or :func:`tweak_decrypt_many`.  Returns the message blocks' outputs run
+    by run if ``keep`` is set, and the XOR of every other output.
     """
     n = key.cipher.block_len
-    acc = 0
-    for js, run in _segments(data, n):
-        acc ^= _fold(tweak_encrypt_many(key, tweaks(js), run), n)
-    return acc
+    t = m + len(tag_tweaks)
+    kept, acc = [], 0
+    for js in _runs(len(data) // n):
+        lo, hi = js.start, js.stop
+        # Conditional expressions, not min/max calls: this runs once per batch, small ones too.
+        tweaks = encode_nr_msg_tweaks(0, nonce, range(lo, hi if hi < m else m), n) if lo < m else []
+        if hi > m:
+            tweaks += tag_tweaks[lo - m if lo > m else 0 : hi - m]
+            if hi > t:
+                tweaks += encode_ad_tweaks(range(lo - t if lo > t else 0, hi - t), n)
+        out = crypt(key, tweaks, data[lo * n : hi * n])
+        k = ((hi if hi < m else m) - lo) * n if keep and lo < m else 0
+        if k:
+            kept.append(out[:k])
+        if k < len(out):
+            acc ^= _fold(out[k:], n)
+    return kept, acc
 
 
 def compute_auth(key: TweakableKey, ad: bytes) -> bytes:
@@ -160,8 +195,7 @@ def compute_auth(key: TweakableKey, ad: bytes) -> bytes:
     (ad="", pt=x) and (ad=x, pt="") never authenticate the same way.
     """
     n = key.cipher.block_len
-    acc = _tweak_sum(key, lambda js: [encode_ad_tweak(i, n) for i in js], pkcs7_pad(ad, n))
-    return acc.to_bytes(n, "big")
+    return _pass(key, tweak_encrypt_many, pkcs7_pad(ad, n), None, 0, [], False)[1].to_bytes(n, "big")
 
 
 def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, data: bytes, tag: bytes | None = None) -> int:
@@ -187,39 +221,34 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, data: bytes, tag: by
     return n
 
 
-def _nr_tag(key: TweakableKey, nonce: bytes, ad: bytes, plain: bytes) -> bytes:
-    """Tag-tweak of the plaintext checksum, XOR the AD accumulator: one sum, the checksum first."""
+def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes, m: int) -> bytes:
+    """The mr tag of ``data``: ``m`` padded message blocks, then the padded associated data.
+
+    One pass sums both under their tweaks, then the sum is the tag block.
+    """
     n = key.cipher.block_len
-    tag_tweak = encode_nr_msg_tweak(1, nonce, len(plain) // n, n)
-    data = _fold(plain, n).to_bytes(n, "big") + pkcs7_pad(ad, n)
-    acc = _tweak_sum(key, lambda js: [encode_ad_tweak(j - 1, n) if j else tag_tweak for j in js], data)
-    return acc.to_bytes(n, "big")
+    acc = _pass(key, tweak_encrypt_many, data, nonce[: nr_nonce_len(n)], m, [], False)[1]
+    return tweak_encrypt_many(key, [encode_mr_tag_tweak(nonce, n)], acc.to_bytes(n, "big"))
 
 
-def _mr_tag(key: TweakableKey, nonce: bytes, ad: bytes, plain: bytes) -> bytes:
-    n = key.cipher.block_len
-    counter_nonce = nonce[: nr_nonce_len(n)]
-    auth = compute_auth(key, ad)
-    acc = _tweak_sum(key, lambda js: encode_nr_msg_tweaks(0, counter_nonce, js, n), plain)
-    tag = xor_bytes(auth, acc.to_bytes(n, "big"))
-    return tweak_encrypt_many(key, [encode_mr_tag_tweak(nonce, n)], tag)
-
-
-def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with the keystream seeded by ``tag``; its own inverse."""
+def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int) -> list[bytes]:
+    """XOR the first ``m`` blocks of ``data`` with the keystream seeded by ``tag``, run by run; its own inverse."""
     n = key.cipher.block_len
     seed = b"\x00" + nonce
-    return b"".join([
-        xor_bytes(d, tweak_encrypt_many(key, encode_mr_stream_tweaks(tag, js, n), seed * len(js)))
-        for js, d in _segments(data, n)
-    ])
+    return [
+        xor_bytes(
+            data[js.start * n : js.stop * n],
+            tweak_encrypt_many(key, encode_mr_stream_tweaks(tag, js, n), seed * len(js)),
+        )
+        for js in _runs(m)
+    ]
 
 
-def _release(expected: bytes, tag: bytes, plain: bytes, n: int) -> bytes:
-    """Return the unpadded plaintext only if the tag verifies in constant time."""
+def _release(expected: bytes, tag: bytes, data: bytes, end: int, n: int) -> bytes:
+    """Return the unpadded plaintext ``data[:end]`` only if the tag verifies in constant time."""
     if hmac.compare_digest(expected, tag):
         try:
-            return pkcs7_unpad(plain, n)
+            return data[: end - _padding_len(data, end, n)]
         except ValueError:
             pass  # Indistinguishable from a tag mismatch: no padding oracle.
     raise AuthenticationError("authentication failed")
@@ -232,26 +261,33 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     authenticity both degrade if it does.
     """
     n = _check(key, AeadMode.NONCE_RESPECTING, nonce, plaintext)
-    padded = pkcs7_pad(plaintext, n)
-    runs = _segments(padded, n)
-    ct = b"".join([tweak_encrypt_many(key, encode_nr_msg_tweaks(0, nonce, js, n), p) for js, p in runs])
-    return SealedMessage(ct, _nr_tag(key, nonce, ad, padded))
+    m = len(plaintext) // n + 1
+    pad = _padding(len(plaintext), n)
+    # The whole plaintext blocks, then the last padded block: its tail and the padding.
+    checksum = _fold(plaintext, n) ^ int.from_bytes(plaintext[(m - 1) * n :] + pad, "big")
+    data = b"".join([plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)])
+    tag_tweaks = [encode_nr_msg_tweak(1, nonce, m, n)]
+    ct, tag = _pass(key, tweak_encrypt_many, data, nonce, m, tag_tweaks, True)
+    return SealedMessage(b"".join(ct), tag.to_bytes(n, "big"))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
     n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ciphertext, tag)
-    runs = _segments(ciphertext, n)
-    plain = b"".join([tweak_decrypt_many(key, encode_nr_msg_tweaks(0, nonce, js, n), c) for js, c in runs])
-    return _release(_nr_tag(key, nonce, ad, plain), tag, plain, n)
+    m = len(ciphertext) // n
+    plain = b"".join(_pass(key, tweak_decrypt_many, ciphertext, nonce, m, [], True)[0])
+    data = _fold(plain, n).to_bytes(n, "big") + pkcs7_pad(ad, n)
+    expected = _pass(key, tweak_encrypt_many, data, nonce, 0, [encode_nr_msg_tweak(1, nonce, m, n)], False)[1]
+    return _release(expected.to_bytes(n, "big"), tag, plain, len(plain), n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
     n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, plaintext)
-    padded = pkcs7_pad(plaintext, n)
-    tag = _mr_tag(key, nonce, ad, padded)
-    return SealedMessage(_mr_stream(key, nonce, tag, padded), tag)
+    m = len(plaintext) // n + 1
+    data = b"".join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)])
+    tag = _mr_tag(key, nonce, data, m)
+    return SealedMessage(b"".join(_mr_stream(key, nonce, tag, data, m)), tag)
 
 
 def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -262,8 +298,9 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     or leaked on failure.
     """
     n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ciphertext, tag)
-    plain = _mr_stream(key, nonce, tag, ciphertext)
-    return _release(_mr_tag(key, nonce, ad, plain), tag, plain, n)
+    m = len(ciphertext) // n
+    data = b"".join([*_mr_stream(key, nonce, tag, ciphertext, m), ad, _padding(len(ad), n)])
+    return _release(_mr_tag(key, nonce, data, m), tag, data, m * n, n)
 
 
 SEAL = {AeadMode.NONCE_RESPECTING: seal_nr, AeadMode.MISUSE_RESISTANT: seal_mr}

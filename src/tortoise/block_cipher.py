@@ -7,11 +7,11 @@ takes a whole batch of blocks with one key each; without one, batches go
 block by block.  Two specs ship with the package:
 
 * ``AES128`` - the production cipher.  Single blocks go to the
-  ``cryptography`` package.  Batches go to OpenSSL's EVP interface through
-  ``ctypes``, on one context per thread re-keyed for every block, or,
-  where that libcrypto cannot be loaded, block by block to
-  ``cryptography``.  All paths are gated by the repository's known-answer
-  vectors.
+  ``cryptography`` package, imported on first use.  Batches go to
+  OpenSSL's EVP interface through ``ctypes``, on one context per thread
+  re-keyed for every block, or, where that libcrypto cannot be loaded,
+  block by block to ``cryptography``.  All paths are gated by the
+  repository's known-answer vectors.
 * ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
   Its entire codomain can be enumerated on a desktop, which is what the
   brute-force verification harness needs.
@@ -23,8 +23,6 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 __all__ = [
     "CipherSpec",
@@ -94,22 +92,33 @@ def _each_block(single: Callable[[bytes, bytes], bytes], k: int, n: int, keys: b
 
 # --- AES-128 -----------------------------------------------------------
 
-# Stateless, so one instance serves every call.
-_ECB = modes.ECB()
+
+@lru_cache(maxsize=None)
+def _cryptography() -> tuple[Callable, Callable, object]:
+    """``Cipher``, ``algorithms.AES`` and one ECB mode, imported on the first single block.
+
+    Importing ``cryptography`` takes about 10 ms, and with libcrypto loaded
+    no batch needs it.  The ECB mode is stateless, so one serves every call.
+    """
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    return Cipher, algorithms.AES, modes.ECB()
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
     """Encrypt a single 16-byte block with AES-128."""
     _check_len("key", key, 16)
     _check_len("block", block, 16)
-    return Cipher(algorithms.AES(key), _ECB).encryptor().update(block)
+    cipher, aes, ecb = _cryptography()
+    return cipher(aes(key), ecb).encryptor().update(block)
 
 
 def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
     """Decrypt a single 16-byte block with AES-128."""
     _check_len("key", key, 16)
     _check_len("block", block, 16)
-    return Cipher(algorithms.AES(key), _ECB).decryptor().update(block)
+    cipher, aes, ecb = _cryptography()
+    return cipher(aes(key), ecb).decryptor().update(block)
 
 
 # --- AES-128 batches through OpenSSL's EVP interface ------------------
@@ -156,8 +165,11 @@ except (ImportError, OSError, AttributeError):
 class _Context:
     """One thread's EVP context, set up for AES-128-ECB without padding.
 
-    ctypes releases the interpreter lock inside every foreign call, so
-    threads must not share a context.  Each thread's is freed with it.
+    It also keeps what every lane passes besides its key and block: the
+    bound ``EVP_CipherInit_ex`` and ``EVP_CipherUpdate``, one 16-byte
+    output buffer and ``byref`` of the output length.  ctypes releases the
+    interpreter lock inside every foreign call, so threads must not share
+    a context.  Each thread's is freed with it.
     """
 
     ptr = None  # until ``__init__`` has a context to free
@@ -174,6 +186,8 @@ class _Context:
         except BaseException:
             self.close()
             raise
+        self.out, outl = ctypes.create_string_buffer(16), ctypes.c_int()
+        self.lane = (self.ptr, lib.EVP_CipherInit_ex, lib.EVP_CipherUpdate, self.out, outl, ctypes.byref(outl))
 
     def close(self) -> None:
         if self.ptr:
@@ -184,7 +198,8 @@ class _Context:
 
 
 _THREAD = threading.local()
-# Loaded after a batch's last lane, so that no subkey's schedule outlives the call.
+# Loaded after a batch's last lane, so that no subkey's schedule outlives the call;
+# the output buffer is zeroed then too, so that no lane's output does.
 _ZERO_KEY = bytes(16)
 
 
@@ -196,10 +211,7 @@ def _aes128_evp(keys: bytes, blocks: bytes, enc: int) -> bytes:
     context = getattr(_THREAD, "context", None)
     if context is None:
         context = _THREAD.context = _Context(_LIBCRYPTO)
-    ctx, lib = context.ptr, context.lib
-    init, update = lib.EVP_CipherInit_ex, lib.EVP_CipherUpdate
-    out, outl = ctypes.create_string_buffer(16), ctypes.c_int()
-    outl_ref = ctypes.byref(outl)
+    ctx, init, update, out, outl, outl_ref = context.lane
     parts = []
     try:
         for i in range(0, n, 16):
@@ -211,8 +223,10 @@ def _aes128_evp(keys: bytes, blocks: bytes, enc: int) -> bytes:
             parts.append(out.raw)
         if init(ctx, None, None, _ZERO_KEY, None, enc) != 1:
             raise RuntimeError("EVP_CipherInit_ex failed")
+        out.raw = _ZERO_KEY
     except BaseException:
         # The context may hold a subkey or be in an unknown state: drop it.
+        out.raw = _ZERO_KEY
         _THREAD.context = None
         context.close()
         raise

@@ -27,6 +27,8 @@ smaller blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .block_cipher import CipherSpec
 from .xof import shake128
@@ -37,6 +39,7 @@ __all__ = [
     "nr_nonce_len",
     "nr_counter_limit",
     "encode_ad_tweak",
+    "encode_ad_tweaks",
     "encode_nr_msg_tweak",
     "encode_nr_msg_tweaks",
     "encode_mr_tag_tweak",
@@ -53,7 +56,12 @@ _STREAM_COUNTER_LIMIT = 1 << 64
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    return _xor(a, b)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """:func:`xor_bytes` without the length check, for operands built to the same length."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(b), "big")
 
 
 @dataclass(frozen=True)
@@ -71,23 +79,53 @@ class TweakableKey:
             )
 
 
+class _Layout(NamedTuple):
+    """The tweak layouts of one block length: the counter layouts' field widths and every counter limit."""
+
+    nonce_len: int
+    counter_len: int
+    counter_limit: int
+    ad_limit: int
+    stream_limit: int
+
+
+@lru_cache(maxsize=None)
+def _layout(block_len: int) -> _Layout:
+    """Work the layouts of ``block_len`` out once, not on every encoder call."""
+    nonce_len = min(8, block_len - 1)
+    counter_len = block_len - 1 - nonce_len
+    counter_limit = 256**counter_len if counter_len else 16
+    return _Layout(
+        nonce_len, counter_len, counter_limit, 256 ** (block_len - 1), min(_STREAM_COUNTER_LIMIT, 256**block_len)
+    )
+
+
+def _check_counters(name: str, counters: range, limit: int) -> None:
+    """Reject a ``counters`` range with an end outside ``[0, limit)``."""
+    if counters and not (0 <= counters[0] < limit and 0 <= counters[-1] < limit):
+        j = counters[0] if not 0 <= counters[0] < limit else counters[-1]
+        raise ValueError(f"{name} {j} out of range [0, {limit})")
+
+
 def nr_nonce_len(block_len: int) -> int:
     """Nonce width for the counter layouts: 8 bytes at n=16, n-1 below."""
-    return min(8, block_len - 1)
+    return _layout(block_len).nonce_len
 
 
 def nr_counter_limit(block_len: int) -> int:
     """Number of block counters the counter layouts carry: 2^56 at n=16, 16 at n=2."""
-    counter_len = block_len - 1 - nr_nonce_len(block_len)
-    return 256 ** counter_len if counter_len else 16
+    return _layout(block_len).counter_limit
 
 
 def encode_ad_tweak(i: int, block_len: int = 16) -> bytes:
     """Tweak for associated-data block ``i``: 0x20, then the index big-endian."""
-    limit = 256 ** (block_len - 1)
-    if not 0 <= i < limit:
-        raise ValueError(f"ad block index {i} out of range [0, {limit})")
-    return b"\x20" + i.to_bytes(block_len - 1, "big")
+    return encode_ad_tweaks(range(i, i + 1), block_len)[0]
+
+
+def encode_ad_tweaks(indices: range, block_len: int = 16) -> list[bytes]:
+    """:func:`encode_ad_tweak` for each index of an ascending ``indices`` range."""
+    _check_counters("ad block index", indices, _layout(block_len).ad_limit)
+    return [b"\x20" + i.to_bytes(block_len - 1, "big") for i in indices]
 
 
 def encode_nr_msg_tweak(prefix: int, nonce: bytes, j: int, block_len: int = 16) -> bytes:
@@ -105,14 +143,11 @@ def encode_nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: 
     """:func:`encode_nr_msg_tweak` for each counter of an ascending ``counters`` range."""
     if prefix not in (0, 1):
         raise ValueError("prefix must be 0 (message) or 1 (tag)")
-    nlen = nr_nonce_len(block_len)
-    if len(nonce) != nlen:
-        raise ValueError(f"nonce must be {nlen} bytes, got {len(nonce)}")
-    limit = nr_counter_limit(block_len)
-    for j in (counters[0], counters[-1]) if counters else ():
-        if not 0 <= j < limit:
-            raise ValueError(f"block counter {j} out of range [0, {limit})")
-    counter_len = block_len - 1 - nlen
+    layout = _layout(block_len)
+    if len(nonce) != layout.nonce_len:
+        raise ValueError(f"nonce must be {layout.nonce_len} bytes, got {len(nonce)}")
+    _check_counters("block counter", counters, layout.counter_limit)
+    counter_len = layout.counter_len
     if counter_len:
         head = bytes([prefix << 4]) + nonce
         return [head + j.to_bytes(counter_len, "big") for j in counters]
@@ -135,10 +170,7 @@ def encode_mr_stream_tweaks(tag: bytes, counters: range, block_len: int = 16) ->
     """:func:`encode_mr_stream_tweak` for each counter of an ascending ``counters`` range."""
     if len(tag) != block_len:
         raise ValueError(f"tag must be {block_len} bytes, got {len(tag)}")
-    limit = min(_STREAM_COUNTER_LIMIT, 256 ** block_len)
-    for j in (counters[0], counters[-1]) if counters else ():
-        if not 0 <= j < limit:
-            raise ValueError(f"block counter {j} out of range [0, {limit})")
+    _check_counters("block counter", counters, _layout(block_len).stream_limit)
     t = int.from_bytes(tag, "big")
     return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 
@@ -165,10 +197,10 @@ def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) ->
     independent, so the cipher sees them as one batch.
     """
     subkeys, masks = _derive_many(key, tweaks, blocks)
-    return xor_bytes(key.cipher.encrypt_blocks(subkeys, blocks), masks)
+    return _xor(key.cipher.encrypt_blocks(subkeys, blocks), masks)
 
 
 def tweak_decrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """Invert :func:`tweak_encrypt_many` for the same key and tweaks."""
     subkeys, masks = _derive_many(key, tweaks, blocks)
-    return key.cipher.decrypt_blocks(subkeys, xor_bytes(blocks, masks))
+    return key.cipher.decrypt_blocks(subkeys, _xor(blocks, masks))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -345,15 +346,20 @@ def tweak_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mode,calls", [(AeadMode.NONCE_RESPECTING, 2), (AeadMode.MISUSE_RESISTANT, 4)])
-def test_tweakable_calls_per_message(mode, calls, tweak_calls):
-    # nr: the message, then the tag block together with the AD blocks.
-    # mr: the AD, the message sum, the tag block on its own, the keystream.
+@pytest.mark.parametrize(
+    "mode,seal_calls,open_calls", [(AeadMode.NONCE_RESPECTING, 1, 2), (AeadMode.MISUSE_RESISTANT, 3, 3)]
+)
+def test_tweakable_calls_per_message(mode, seal_calls, open_calls, tweak_calls):
+    # One call per data dependency.  nr seal: the checksum and the AD are known before any block is
+    # encrypted, so the message, the tag block and the AD blocks go in one call.  nr open: the
+    # checksum needs the decrypted plaintext, so the tag block and the AD follow in a second call.
+    # mr seal: the AD and message sums in one call, then the tag block they feed, then the keystream
+    # the tag seeds.  mr open: the keystream, then the sums over its output, then the tag block.
     sealed = SEAL[mode](TOY_KEY, b"\x5a", b"ad", b"pt")
-    assert len(tweak_calls) == calls
+    assert len(tweak_calls) == seal_calls
     tweak_calls.clear()
     OPEN[mode](TOY_KEY, b"\x5a", b"ad", sealed.ciphertext, sealed.tag)
-    assert len(tweak_calls) == calls
+    assert len(tweak_calls) == open_calls
 
 
 @pytest.mark.parametrize(
@@ -387,3 +393,28 @@ def test_aes128_length_limit(mode, max_blocks, tweak_calls):
     with pytest.raises(ValueError, match="limit"):
         OPEN[mode](ZERO_KEY, nonce, b"", _HugeMessage(16 * (max_blocks + 1)), bytes(16))
     assert tweak_calls == []
+
+
+@pytest.mark.parametrize(
+    "mode,seal_mib,open_mib", [(AeadMode.NONCE_RESPECTING, 3.01, 2.00), (AeadMode.MISUSE_RESISTANT, 3.00, 2.00)]
+)
+def test_one_mib_peak_memory(mode, seal_mib, open_mib):
+    # Peaks of traced allocations, in MiB, before the pass over message, tag and AD went into one
+    # batch per step, plus 5%.  A seal holds the padded copy (with the tag and AD blocks appended
+    # to it), the run outputs and their join; an open the run outputs and their join, then the
+    # unpadded copy.  A message-sized buffer kept alive beside them would add 1 MiB.
+    nonce, ad, pt = bytes(nonce_length(mode)), bytes(13), bytes(1 << 20)
+    SEAL[mode](ZERO_KEY, nonce, ad, b"")  # this thread's EVP context, outside the measurement
+    tracemalloc.start()
+    try:
+        sealed = SEAL[mode](ZERO_KEY, nonce, ad, pt)
+        seal_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        opened = OPEN[mode](ZERO_KEY, nonce, ad, sealed.ciphertext, sealed.tag)
+        open_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert opened == pt
+    assert seal_peak <= 1.05 * seal_mib * 2**20
+    assert open_peak <= 1.05 * open_mib * 2**20

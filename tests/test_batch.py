@@ -1,9 +1,14 @@
 """The batch block-cipher contract and the batch tweakable calls built on it."""
 
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -19,11 +24,14 @@ from tortoise.block_cipher import (
     aes128_decrypt_block,
     aes128_encrypt_block,
 )
-from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, seal_nr
+from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, pkcs7_pad, seal_nr
 from tortoise.tweakable import (
     TweakableKey,
+    encode_ad_tweak,
+    encode_ad_tweaks,
     encode_mr_stream_tweak,
     encode_mr_stream_tweaks,
+    encode_mr_tag_tweak,
     encode_nr_msg_tweak,
     encode_nr_msg_tweaks,
     tweak_decrypt_many,
@@ -101,6 +109,26 @@ def test_libcrypto_loads_on_linux():
 
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+def test_sealing_and_opening_never_import_cryptography():
+    # Only single blocks and the no-libcrypto fallback need it, and importing it takes about 10 ms.
+    script = (
+        "import sys, tortoise, tortoise.cli\n"
+        "from tortoise import AES128, TweakableKey, open_nr, seal_nr\n"
+        "key = TweakableKey(bytes(16), AES128)\n"
+        "sealed = seal_nr(key, bytes(8), b'ad', b'plaintext')\n"
+        "assert open_nr(key, bytes(8), b'ad', sealed.ciphertext, sealed.tag) == b'plaintext'\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cryptography')))\n"
+    )
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src_dir}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
 def test_small_aes128_batch_makes_no_per_block_call(monkeypatch):
     def refuse(key, block):
         raise AssertionError("per-block call")
@@ -163,6 +191,7 @@ def test_failed_evp_call_raises_and_frees_the_context(name, monkeypatch):
         ct = AES128.encrypt_blocks(keys, blocks)
         assert AES128.decrypt_blocks(keys, ct) == blocks
         assert (lib.made, lib.freed) == (3, 2)
+        assert block_cipher._THREAD.context.out.raw == bytes(16)
         return ct
 
     ct = _on_a_new_thread(run)
@@ -172,6 +201,7 @@ def test_failed_evp_call_raises_and_frees_the_context(name, monkeypatch):
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
 def test_every_batch_ends_on_the_zero_key(monkeypatch):
+    # And on a zeroed output buffer, so that no lane's output outlives its batch either.
     real = block_cipher._LIBCRYPTO.EVP_CipherInit_ex
     keys_seen = []
 
@@ -189,6 +219,7 @@ def test_every_batch_ends_on_the_zero_key(monkeypatch):
                 keys_seen.clear()
                 batch(keys, bytes(16 * lanes))
                 assert keys_seen == [*_split(keys, 16), bytes(16)]
+                assert block_cipher._THREAD.context.out.raw == bytes(16)
 
     _on_a_new_thread(run)
 
@@ -344,6 +375,16 @@ def test_nr_tweak_batch_matches_single(block_len, prefix):
         encode_nr_msg_tweaks(prefix, nonce, range(16 if block_len == 2 else 2**56 - 1, 2**56 + 1), block_len)
 
 
+@pytest.mark.parametrize("block_len", [16, 2])
+def test_ad_tweak_batch_matches_single(block_len):
+    assert encode_ad_tweaks(range(250, 256), block_len) == [encode_ad_tweak(i, block_len) for i in range(250, 256)]
+    assert encode_ad_tweaks(range(0), block_len) == []
+    with pytest.raises(ValueError):
+        encode_ad_tweaks(range(-1, 2), block_len)
+    with pytest.raises(ValueError):
+        encode_ad_tweaks(range(256 ** (block_len - 1) - 1, 256 ** (block_len - 1) + 1), block_len)
+
+
 def test_stream_tweak_batch_matches_single():
     tag = bytes(range(16))
     assert encode_mr_stream_tweaks(tag, range(300)) == [encode_mr_stream_tweak(tag, j) for j in range(300)]
@@ -363,6 +404,60 @@ def test_aead_runs_give_the_same_bytes(mode, monkeypatch):
     monkeypatch.setattr(aead, "_SEGMENT", 3)
     assert SEAL[mode](key, nonce, ad, pt) == whole
     assert OPEN[mode](key, nonce, ad, whole.ciphertext, whole.tag) == pt
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b, strict=True))
+
+
+def _seal_by_hand(mode, key, nonce, ad, pt):
+    """The mode's equations block by block through ``composed_tweakable``, for 16-byte blocks."""
+    def enc(tweak, block):
+        return composed_tweakable.encrypt(key, tweak, block)
+
+    blocks, ad_blocks = _split(pkcs7_pad(pt, 16), 16), _split(pkcs7_pad(ad, 16), 16)
+    auth = reduce(_xor, [enc(encode_ad_tweak(i), b) for i, b in enumerate(ad_blocks)])
+    if mode is AeadMode.NONCE_RESPECTING:
+        ct = b"".join(enc(encode_nr_msg_tweak(0, nonce, j), b) for j, b in enumerate(blocks))
+        return ct, _xor(enc(encode_nr_msg_tweak(1, nonce, len(blocks)), reduce(_xor, blocks)), auth)
+    sums = [enc(encode_nr_msg_tweak(0, nonce[:8], j), b) for j, b in enumerate(blocks)]
+    tag = enc(encode_mr_tag_tweak(nonce), reduce(_xor, sums, auth))
+    stream = [enc(encode_mr_stream_tweak(tag, j), b"\x00" + nonce) for j in range(len(blocks))]
+    return b"".join(map(_xor, blocks, stream)), tag
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 4, 5])
+def test_runs_cut_across_message_tag_and_ad_give_the_same_bytes(segment, monkeypatch):
+    # A pass lays the message, the nr tag block and the AD end to end and cuts them into runs.
+    # Across these sizes each of its boundaries falls on a run edge, one block before one and one
+    # block after one.
+    rng = random.Random(segment)
+    key = TweakableKey(rng.randbytes(16), AES128)
+    cases = [(mode, m, a) for mode in AeadMode for m in range(1, 3 * segment + 3) for a in range(1, segment + 3)]
+    inputs = {}
+    for mode, m, a in cases:
+        nonce, ad, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(16 * a - 1), rng.randbytes(16 * m - 1)
+        sealed = SEAL[mode](key, nonce, ad, pt)
+        assert (sealed.ciphertext, sealed.tag) == _seal_by_hand(mode, key, nonce, ad, pt)
+        inputs[mode, m, a] = nonce, ad, pt, sealed
+    lanes = []
+    real = aead.tweak_encrypt_many
+    monkeypatch.setattr(aead, "tweak_encrypt_many", lambda k, t, b: lanes.append(len(t)) or real(k, t, b))
+    monkeypatch.setattr(aead, "_SEGMENT", segment)
+    seen = set()
+    for (mode, m, a), (nonce, ad, pt, sealed) in inputs.items():
+        lanes.clear()
+        assert SEAL[mode](key, nonce, ad, pt) == sealed
+        # The first pass of a seal holds the message, the nr tag block and the AD.
+        blocks = m + a + (mode is AeadMode.NONCE_RESPECTING)
+        first = lanes[: list(accumulate(lanes)).index(blocks) + 1]
+        assert max(first) <= segment
+        edges = set(accumulate(first[:-1]))
+        ends = [m, m + 1] if mode is AeadMode.NONCE_RESPECTING else [m]
+        seen |= {(mode, i, end - edge) for i, end in enumerate(ends) for edge in edges if abs(end - edge) <= 1}
+        assert OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag) == pt
+    assert seen == {(mode, i, d) for mode in AeadMode for i in range(2 - (mode is AeadMode.MISUSE_RESISTANT))
+                    for d in (-1, 0, 1)}
 
 
 @pytest.mark.parametrize("mode", list(AeadMode))
