@@ -35,16 +35,14 @@ from typing import Callable, Iterable
 
 from .tweakable import (
     TweakableKey,
-    encode_ad_tweaks,
-    encode_mr_stream_tweaks,
+    _ad_tweaks,
+    _layout,
+    _mr_stream_tweaks,
+    _nr_msg_tweaks,
+    _xor,
     encode_mr_tag_tweak,
-    encode_nr_msg_tweak,
-    encode_nr_msg_tweaks,
-    nr_counter_limit,
-    nr_nonce_len,
     tweak_decrypt_many,
     tweak_encrypt_many,
-    xor_bytes,
 )
 
 __all__ = [
@@ -80,9 +78,7 @@ class AeadMode(enum.Enum):
 
 def nonce_length(mode: AeadMode, block_len: int = 16) -> int:
     """Required nonce width: the counter layout's nonce in nr, all bytes after the prefix in mr."""
-    if mode is AeadMode.NONCE_RESPECTING:
-        return nr_nonce_len(block_len)
-    return block_len - 1
+    return _layout(block_len).nonce_len if mode is AeadMode.NONCE_RESPECTING else block_len - 1
 
 
 @dataclass(frozen=True)
@@ -164,9 +160,10 @@ def _pass(
 
     The first ``m`` blocks are message blocks under the counter tweaks of
     ``nonce``; one block per tag tweak follows, then the associated-data
-    blocks under AD tweaks from 0.  ``crypt`` is :func:`tweak_encrypt_many`
-    or :func:`tweak_decrypt_many`.  Returns the message blocks' outputs run
-    by run if ``keep`` is set, and the XOR of every other output.
+    blocks under AD tweaks from 0, each from an unchecked encoder: the
+    caller has bounded them.  ``crypt`` is :func:`tweak_encrypt_many` or
+    :func:`tweak_decrypt_many`.  Returns the message blocks' outputs run by
+    run if ``keep`` is set, and the XOR of every other output.
     """
     n = key.cipher.block_len
     t = m + len(tag_tweaks)
@@ -174,11 +171,11 @@ def _pass(
     for js in _runs(len(data) // n):
         lo, hi = js.start, js.stop
         # Conditional expressions, not min/max calls: this runs once per batch, small ones too.
-        tweaks = encode_nr_msg_tweaks(0, nonce, range(lo, hi if hi < m else m), n) if lo < m else []
+        tweaks = _nr_msg_tweaks(0, nonce, range(lo, hi if hi < m else m), n) if lo < m else []
         if hi > m:
             tweaks += tag_tweaks[lo - m if lo > m else 0 : hi - m]
             if hi > t:
-                tweaks += encode_ad_tweaks(range(lo - t if lo > t else 0, hi - t), n)
+                tweaks += _ad_tweaks(range(lo - t if lo > t else 0, hi - t), n)
         out = crypt(key, tweaks, data[lo * n : hi * n])
         k = ((hi if hi < m else m) - lo) * n if keep and lo < m else 0
         if k:
@@ -195,18 +192,30 @@ def compute_auth(key: TweakableKey, ad: bytes) -> bytes:
     (ad="", pt=x) and (ad=x, pt="") never authenticate the same way.
     """
     n = key.cipher.block_len
+    _check_ad(ad, n, _layout(n).ad_limit)
     return _pass(key, tweak_encrypt_many, pkcs7_pad(ad, n), None, 0, [], False)[1].to_bytes(n, "big")
 
 
-def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, data: bytes, tag: bytes | None = None) -> int:
+def _check_ad(ad: bytes, n: int, limit: int) -> None:
+    """Reject associated data of more padded blocks than the AD tweaks number."""
+    blocks = len(ad) // n + 1
+    if blocks > limit:
+        raise ValueError(f"associated data of {blocks} padded blocks exceeds the limit of {limit}")
+
+
+def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, tag: bytes | None = None) -> int:
     """Check every length before any block work; return the block length.
 
-    ``tag`` is given only when opening.  The counter layout numbers the
-    message blocks, and in nr the tag block takes the next counter too.
+    ``tag`` is given only when opening.  The passes encode their tweaks
+    unchecked, so this bounds them all: the message blocks' counters, in nr
+    the tag block's next one, in mr the keystream's, and the AD blocks.
     """
     n = key.cipher.block_len
-    if len(nonce) != nonce_length(mode, n):
-        raise ValueError(f"nonce must be {nonce_length(mode, n)} bytes, got {len(nonce)}")
+    layout = _layout(n)
+    nr = mode is AeadMode.NONCE_RESPECTING
+    nonce_len = layout.nonce_len if nr else n - 1
+    if len(nonce) != nonce_len:
+        raise ValueError(f"nonce must be {nonce_len} bytes, got {len(nonce)}")
     if tag is None:
         blocks = len(data) // n + 1
     else:
@@ -215,9 +224,10 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, data: bytes, tag: by
         if not data or len(data) % n:
             raise ValueError("ciphertext must be a positive multiple of the block size")
         blocks = len(data) // n
-    limit = nr_counter_limit(n) - (mode is AeadMode.NONCE_RESPECTING)
+    limit = layout.counter_limit - 1 if nr else min(layout.counter_limit, layout.stream_limit)
     if blocks > limit:
         raise ValueError(f"message of {blocks} padded blocks exceeds the {mode.value} limit of {limit}")
+    _check_ad(ad, n, layout.ad_limit)
     return n
 
 
@@ -227,7 +237,7 @@ def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes, m: int) -> bytes:
     One pass sums both under their tweaks, then the sum is the tag block.
     """
     n = key.cipher.block_len
-    acc = _pass(key, tweak_encrypt_many, data, nonce[: nr_nonce_len(n)], m, [], False)[1]
+    acc = _pass(key, tweak_encrypt_many, data, nonce[: _layout(n).nonce_len], m, [], False)[1]
     return tweak_encrypt_many(key, [encode_mr_tag_tweak(nonce, n)], acc.to_bytes(n, "big"))
 
 
@@ -236,10 +246,7 @@ def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int)
     n = key.cipher.block_len
     seed = b"\x00" + nonce
     return [
-        xor_bytes(
-            data[js.start * n : js.stop * n],
-            tweak_encrypt_many(key, encode_mr_stream_tweaks(tag, js, n), seed * len(js)),
-        )
+        _xor(data[js.start * n : js.stop * n], tweak_encrypt_many(key, _mr_stream_tweaks(tag, js, n), seed * len(js)))
         for js in _runs(m)
     ]
 
@@ -260,30 +267,29 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     The caller must never reuse a (key, nonce) pair; confidentiality and
     authenticity both degrade if it does.
     """
-    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, plaintext)
+    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, plaintext)
     m = len(plaintext) // n + 1
     pad = _padding(len(plaintext), n)
     # The whole plaintext blocks, then the last padded block: its tail and the padding.
     checksum = _fold(plaintext, n) ^ int.from_bytes(plaintext[(m - 1) * n :] + pad, "big")
     data = b"".join([plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)])
-    tag_tweaks = [encode_nr_msg_tweak(1, nonce, m, n)]
-    ct, tag = _pass(key, tweak_encrypt_many, data, nonce, m, tag_tweaks, True)
+    ct, tag = _pass(key, tweak_encrypt_many, data, nonce, m, _nr_msg_tweaks(1, nonce, range(m, m + 1), n), True)
     return SealedMessage(b"".join(ct), tag.to_bytes(n, "big"))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
-    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ciphertext, tag)
+    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
     plain = b"".join(_pass(key, tweak_decrypt_many, ciphertext, nonce, m, [], True)[0])
     data = _fold(plain, n).to_bytes(n, "big") + pkcs7_pad(ad, n)
-    expected = _pass(key, tweak_encrypt_many, data, nonce, 0, [encode_nr_msg_tweak(1, nonce, m, n)], False)[1]
+    expected = _pass(key, tweak_encrypt_many, data, nonce, 0, _nr_msg_tweaks(1, nonce, range(m, m + 1), n), False)[1]
     return _release(expected.to_bytes(n, "big"), tag, plain, len(plain), n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
-    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, plaintext)
+    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ad, plaintext)
     m = len(plaintext) // n + 1
     data = b"".join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)])
     tag = _mr_tag(key, nonce, data, m)
@@ -297,7 +303,7 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     plaintext exists internally before verification; it is never returned
     or leaked on failure.
     """
-    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ciphertext, tag)
+    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
     data = b"".join([*_mr_stream(key, nonce, tag, ciphertext, m), ad, _padding(len(ad), n)])
     return _release(_mr_tag(key, nonce, data, m), tag, data, m * n, n)

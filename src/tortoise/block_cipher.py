@@ -125,16 +125,18 @@ def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
 #
 # A ``cryptography`` context costs about 19 us to build, and a batch needs
 # one per block.  One EVP context re-keyed per block costs a few us a lane,
-# most of it two ``ctypes`` calls.  ``hashlib``'s ``_hashlib`` extension
-# already links libcrypto, so loading the extension's own file resolves
-# the EVP symbols through that dependency: no other library is searched
-# for or loaded.  Without it, batches go block by block.
+# most of it two ``ctypes`` calls, made through ``PyDLL`` so that they keep
+# the interpreter lock: releasing it would cost more than these calls.
+# ``hashlib``'s ``_hashlib`` extension already links libcrypto, so loading
+# the extension's own file resolves the EVP symbols through that
+# dependency: no other library is searched for or loaded.  Without it,
+# batches go block by block.
 
 
-def _load_libcrypto() -> ctypes.CDLL:
+def _load_libcrypto() -> ctypes.PyDLL:
     import _hashlib
 
-    lib = ctypes.CDLL(_hashlib.__file__)
+    lib = ctypes.PyDLL(_hashlib.__file__)
     ptr, int_ = ctypes.c_void_p, ctypes.c_int
     for name, restype, argtypes in (
         ("EVP_CIPHER_CTX_new", ptr, []),
@@ -167,14 +169,14 @@ class _Context:
 
     It also keeps what every lane passes besides its key and block: the
     bound ``EVP_CipherInit_ex`` and ``EVP_CipherUpdate``, one 16-byte
-    output buffer and ``byref`` of the output length.  ctypes releases the
-    interpreter lock inside every foreign call, so threads must not share
-    a context.  Each thread's is freed with it.
+    output buffer and ``byref`` of the output length.  A thread switch can
+    fall between one lane's re-key and its update, so threads must not
+    share a context.  Each thread's is freed with it.
     """
 
     ptr = None  # until ``__init__`` has a context to free
 
-    def __init__(self, lib: ctypes.CDLL) -> None:
+    def __init__(self, lib: ctypes.PyDLL) -> None:
         self.lib, self.ptr = lib, ctypes.c_void_p(lib.EVP_CIPHER_CTX_new())
         if not self.ptr:
             raise MemoryError("EVP_CIPHER_CTX_new failed")

@@ -21,7 +21,8 @@ in its high nibble:
 All indices and counters are big-endian.  With 16-byte blocks the counter
 layouts carry an 8-byte nonce and the misuse-resistant tag layout a
 15-byte nonce; see the encoder docstrings for how the fields shrink on
-smaller blocks.
+smaller blocks.  The public encoders check their inputs; ``aead`` bounds
+them once per message and calls the unchecked bodies.
 """
 
 from __future__ import annotations
@@ -36,14 +37,10 @@ from .xof import shake128
 __all__ = [
     "TweakableKey",
     "xor_bytes",
-    "nr_nonce_len",
     "nr_counter_limit",
-    "encode_ad_tweak",
     "encode_ad_tweaks",
-    "encode_nr_msg_tweak",
     "encode_nr_msg_tweaks",
     "encode_mr_tag_tweak",
-    "encode_mr_stream_tweak",
     "encode_mr_stream_tweaks",
     "tweak_encrypt_many",
     "tweak_decrypt_many",
@@ -80,10 +77,9 @@ class TweakableKey:
 
 
 class _Layout(NamedTuple):
-    """The tweak layouts of one block length: the counter layouts' field widths and every counter limit."""
+    """The tweak layouts of one block length: the counter layouts' nonce width and every counter limit."""
 
     nonce_len: int
-    counter_len: int
     counter_limit: int
     ad_limit: int
     stream_limit: int
@@ -95,9 +91,7 @@ def _layout(block_len: int) -> _Layout:
     nonce_len = min(8, block_len - 1)
     counter_len = block_len - 1 - nonce_len
     counter_limit = 256**counter_len if counter_len else 16
-    return _Layout(
-        nonce_len, counter_len, counter_limit, 256 ** (block_len - 1), min(_STREAM_COUNTER_LIMIT, 256**block_len)
-    )
+    return _Layout(nonce_len, counter_limit, 256 ** (block_len - 1), min(_STREAM_COUNTER_LIMIT, 256**block_len))
 
 
 def _check_counters(name: str, counters: range, limit: int) -> None:
@@ -107,47 +101,42 @@ def _check_counters(name: str, counters: range, limit: int) -> None:
         raise ValueError(f"{name} {j} out of range [0, {limit})")
 
 
-def nr_nonce_len(block_len: int) -> int:
-    """Nonce width for the counter layouts: 8 bytes at n=16, n-1 below."""
-    return _layout(block_len).nonce_len
-
-
 def nr_counter_limit(block_len: int) -> int:
     """Number of block counters the counter layouts carry: 2^56 at n=16, 16 at n=2."""
     return _layout(block_len).counter_limit
 
 
-def encode_ad_tweak(i: int, block_len: int = 16) -> bytes:
-    """Tweak for associated-data block ``i``: 0x20, then the index big-endian."""
-    return encode_ad_tweaks(range(i, i + 1), block_len)[0]
-
-
 def encode_ad_tweaks(indices: range, block_len: int = 16) -> list[bytes]:
-    """:func:`encode_ad_tweak` for each index of an ascending ``indices`` range."""
+    """Tweak for each associated-data block of an ascending ``indices`` range: 0x20, then the index, big-endian."""
     _check_counters("ad block index", indices, _layout(block_len).ad_limit)
+    return _ad_tweaks(indices, block_len)
+
+
+def _ad_tweaks(indices: range, block_len: int) -> list[bytes]:
+    """:func:`encode_ad_tweaks` without its check, for indices already bounded."""
     return [b"\x20" + i.to_bytes(block_len - 1, "big") for i in indices]
 
 
-def encode_nr_msg_tweak(prefix: int, nonce: bytes, j: int, block_len: int = 16) -> bytes:
-    """Counter tweak: prefix nibble, nonce, block counter.
+def encode_nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int = 16) -> list[bytes]:
+    """Counter tweak for each counter of an ascending ``counters`` range: prefix nibble, nonce, block counter.
 
     ``prefix`` 0 marks a message block, 1 the tag-derivation block.  The
     counter occupies the bytes left after the nonce (7 bytes at n=16); when
     none remain, as with 2-byte blocks, it moves into the low nibble of
     byte 0 and is limited to 15.
     """
-    return encode_nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0]
-
-
-def encode_nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int = 16) -> list[bytes]:
-    """:func:`encode_nr_msg_tweak` for each counter of an ascending ``counters`` range."""
     if prefix not in (0, 1):
         raise ValueError("prefix must be 0 (message) or 1 (tag)")
     layout = _layout(block_len)
     if len(nonce) != layout.nonce_len:
         raise ValueError(f"nonce must be {layout.nonce_len} bytes, got {len(nonce)}")
     _check_counters("block counter", counters, layout.counter_limit)
-    counter_len = layout.counter_len
+    return _nr_msg_tweaks(prefix, nonce, counters, block_len)
+
+
+def _nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int) -> list[bytes]:
+    """:func:`encode_nr_msg_tweaks` without its checks, for a prefix, nonce and counters already bounded."""
+    counter_len = block_len - 1 - len(nonce)
     if counter_len:
         head = bytes([prefix << 4]) + nonce
         return [head + j.to_bytes(counter_len, "big") for j in counters]
@@ -161,16 +150,16 @@ def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> bytes:
     return b"\x10" + nonce
 
 
-def encode_mr_stream_tweak(tag: bytes, j: int, block_len: int = 16) -> bytes:
-    """Keystream tweak: the tag XOR the block counter as one big-endian block."""
-    return encode_mr_stream_tweaks(tag, range(j, j + 1), block_len)[0]
-
-
 def encode_mr_stream_tweaks(tag: bytes, counters: range, block_len: int = 16) -> list[bytes]:
-    """:func:`encode_mr_stream_tweak` for each counter of an ascending ``counters`` range."""
+    """Keystream tweak for each counter of an ascending ``counters`` range: the tag XOR the counter, big-endian."""
     if len(tag) != block_len:
         raise ValueError(f"tag must be {block_len} bytes, got {len(tag)}")
     _check_counters("block counter", counters, _layout(block_len).stream_limit)
+    return _mr_stream_tweaks(tag, counters, block_len)
+
+
+def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes]:
+    """:func:`encode_mr_stream_tweaks` without its checks, for a tag and counters already bounded."""
     t = int.from_bytes(tag, "big")
     return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 

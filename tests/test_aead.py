@@ -24,8 +24,8 @@ from tortoise.aead import (
 from tortoise.block_cipher import AES128, TOY
 from tortoise.tweakable import (
     TweakableKey,
-    encode_ad_tweak,
-    encode_nr_msg_tweak,
+    encode_ad_tweaks,
+    encode_nr_msg_tweaks,
     xor_bytes,
 )
 
@@ -101,15 +101,15 @@ def test_auth_empty_ad_kat():
 def test_auth_single_block():
     ad = b"header bytes"
     block = pkcs7_pad(ad, 16)
-    assert compute_auth(ZERO_KEY, ad) == composed_tweakable.encrypt(ZERO_KEY, encode_ad_tweak(0), block)
+    assert compute_auth(ZERO_KEY, ad) == composed_tweakable.encrypt(ZERO_KEY, encode_ad_tweaks(range(1))[0], block)
 
 
 def test_auth_order_independent():
     ad = bytes(range(40))
     blocks = [pkcs7_pad(ad, 16)[i : i + 16] for i in range(0, 48, 16)]
     acc = bytes(16)
-    for i, block in reversed(list(enumerate(blocks))):
-        acc = xor_bytes(acc, composed_tweakable.encrypt(ZERO_KEY, encode_ad_tweak(i), block))
+    for tweak, block in reversed(list(zip(encode_ad_tweaks(range(3)), blocks))):
+        acc = xor_bytes(acc, composed_tweakable.encrypt(ZERO_KEY, tweak, block))
     assert compute_auth(ZERO_KEY, ad) == acc
 
 
@@ -142,10 +142,8 @@ def test_nr_block_permutation_preserves_tag():
         permuted = seal_nr(key, nonce, b"", b"".join(blocks[p] for p in perm))
         assert permuted.tag == base.tag
         # each position encrypts the relocated block under that position's tweak
-        for j, p in enumerate(perm):
-            assert permuted.ciphertext[16 * j : 16 * (j + 1)] == composed_tweakable.encrypt(
-                key, encode_nr_msg_tweak(0, nonce, j), blocks[p]
-            )
+        for j, (p, tweak) in enumerate(zip(perm, encode_nr_msg_tweaks(0, nonce, range(3)))):
+            assert permuted.ciphertext[16 * j : 16 * (j + 1)] == composed_tweakable.encrypt(key, tweak, blocks[p])
         # the trailing padding block is untouched
         assert permuted.ciphertext[48:] == base.ciphertext[48:]
 
@@ -366,15 +364,22 @@ def test_tweakable_calls_per_message(mode, seal_calls, open_calls, tweak_calls):
     "mode,max_pt_len", [(AeadMode.NONCE_RESPECTING, 29), (AeadMode.MISUSE_RESISTANT, 31)]
 )
 def test_toy_length_limit(mode, max_pt_len, tweak_calls):
-    # toy counters run 0..15: nr allows 15 padded blocks (its tag takes the 16th), mr 16
-    pt = bytes(range(max_pt_len))
-    sealed = SEAL[mode](TOY_KEY, b"\x5a", b"ad", pt)
-    assert OPEN[mode](TOY_KEY, b"\x5a", b"ad", sealed.ciphertext, sealed.tag) == pt
+    # toy counters run 0..15: nr allows 15 padded blocks (its tag takes the 16th), mr 16;
+    # toy AD indices run 0..255, so the AD allows 256 padded blocks
+    pt, ad = bytes(range(max_pt_len)), bytes(511)
+    sealed = SEAL[mode](TOY_KEY, b"\x5a", ad, pt)
+    assert OPEN[mode](TOY_KEY, b"\x5a", ad, sealed.ciphertext, sealed.tag) == pt
     tweak_calls.clear()
     with pytest.raises(ValueError, match="limit"):
-        SEAL[mode](TOY_KEY, b"\x5a", b"ad", pt + b"!")
+        SEAL[mode](TOY_KEY, b"\x5a", ad, pt + b"!")
     with pytest.raises(ValueError, match="limit"):
-        OPEN[mode](TOY_KEY, b"\x5a", b"ad", sealed.ciphertext + bytes(2), sealed.tag)
+        OPEN[mode](TOY_KEY, b"\x5a", ad, sealed.ciphertext + bytes(2), sealed.tag)
+    with pytest.raises(ValueError, match="limit"):
+        SEAL[mode](TOY_KEY, b"\x5a", ad + b"!", pt)
+    with pytest.raises(ValueError, match="limit"):
+        OPEN[mode](TOY_KEY, b"\x5a", ad + b"!", sealed.ciphertext, sealed.tag)
+    with pytest.raises(ValueError, match="limit"):
+        compute_auth(TOY_KEY, ad + b"!")
     assert tweak_calls == []
 
 

@@ -27,12 +27,9 @@ from tortoise.block_cipher import (
 from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, pkcs7_pad, seal_nr
 from tortoise.tweakable import (
     TweakableKey,
-    encode_ad_tweak,
     encode_ad_tweaks,
-    encode_mr_stream_tweak,
     encode_mr_stream_tweaks,
     encode_mr_tag_tweak,
-    encode_nr_msg_tweak,
     encode_nr_msg_tweaks,
     tweak_decrypt_many,
     tweak_encrypt_many,
@@ -226,7 +223,7 @@ def test_every_batch_ends_on_the_zero_key(monkeypatch):
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
 def test_threads_seal_and_open_the_same_bytes_as_one_thread():
-    # Each thread must have its own context: ctypes releases the GIL inside every EVP call.
+    # Each thread must have its own context: a thread switch can fall between one lane's re-key and its update.
     rng = random.Random(4)
     jobs = [
         (mode, TweakableKey(rng.randbytes(16), AES128), rng.randbytes(nonce_length(mode)), rng.randbytes(13), pt)
@@ -366,7 +363,7 @@ def test_nr_tweak_batch_matches_single(block_len, prefix):
     nonce = bytes(range(1, min(8, block_len - 1) + 1))
     counters = range(3, 15)
     assert encode_nr_msg_tweaks(prefix, nonce, counters, block_len) == [
-        encode_nr_msg_tweak(prefix, nonce, j, block_len) for j in counters
+        encode_nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0] for j in counters
     ]
     assert encode_nr_msg_tweaks(prefix, nonce, range(0), block_len) == []
     with pytest.raises(ValueError):
@@ -377,7 +374,9 @@ def test_nr_tweak_batch_matches_single(block_len, prefix):
 
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_ad_tweak_batch_matches_single(block_len):
-    assert encode_ad_tweaks(range(250, 256), block_len) == [encode_ad_tweak(i, block_len) for i in range(250, 256)]
+    assert encode_ad_tweaks(range(250, 256), block_len) == [
+        encode_ad_tweaks(range(i, i + 1), block_len)[0] for i in range(250, 256)
+    ]
     assert encode_ad_tweaks(range(0), block_len) == []
     with pytest.raises(ValueError):
         encode_ad_tweaks(range(-1, 2), block_len)
@@ -387,7 +386,9 @@ def test_ad_tweak_batch_matches_single(block_len):
 
 def test_stream_tweak_batch_matches_single():
     tag = bytes(range(16))
-    assert encode_mr_stream_tweaks(tag, range(300)) == [encode_mr_stream_tweak(tag, j) for j in range(300)]
+    assert encode_mr_stream_tweaks(tag, range(300)) == [
+        encode_mr_stream_tweaks(tag, range(j, j + 1))[0] for j in range(300)
+    ]
     with pytest.raises(ValueError):
         encode_mr_stream_tweaks(tag, range(2**64 - 1, 2**64 + 1))
     with pytest.raises(ValueError):
@@ -416,13 +417,15 @@ def _seal_by_hand(mode, key, nonce, ad, pt):
         return composed_tweakable.encrypt(key, tweak, block)
 
     blocks, ad_blocks = _split(pkcs7_pad(pt, 16), 16), _split(pkcs7_pad(ad, 16), 16)
-    auth = reduce(_xor, [enc(encode_ad_tweak(i), b) for i, b in enumerate(ad_blocks)])
+    m = len(blocks)
+    auth = reduce(_xor, map(enc, encode_ad_tweaks(range(len(ad_blocks))), ad_blocks))
     if mode is AeadMode.NONCE_RESPECTING:
-        ct = b"".join(enc(encode_nr_msg_tweak(0, nonce, j), b) for j, b in enumerate(blocks))
-        return ct, _xor(enc(encode_nr_msg_tweak(1, nonce, len(blocks)), reduce(_xor, blocks)), auth)
-    sums = [enc(encode_nr_msg_tweak(0, nonce[:8], j), b) for j, b in enumerate(blocks)]
+        ct = b"".join(map(enc, encode_nr_msg_tweaks(0, nonce, range(m)), blocks))
+        [tag_tweak] = encode_nr_msg_tweaks(1, nonce, range(m, m + 1))
+        return ct, _xor(enc(tag_tweak, reduce(_xor, blocks)), auth)
+    sums = list(map(enc, encode_nr_msg_tweaks(0, nonce[:8], range(m)), blocks))
     tag = enc(encode_mr_tag_tweak(nonce), reduce(_xor, sums, auth))
-    stream = [enc(encode_mr_stream_tweak(tag, j), b"\x00" + nonce) for j in range(len(blocks))]
+    stream = [enc(t, b"\x00" + nonce) for t in encode_mr_stream_tweaks(tag, range(m))]
     return b"".join(map(_xor, blocks, stream)), tag
 
 

@@ -13,9 +13,9 @@ from tortoise.block_cipher import AES128
 from tortoise.cli import Envelope, main, pack_envelope
 from tortoise.tweakable import (
     TweakableKey,
-    encode_mr_stream_tweak,
+    encode_mr_stream_tweaks,
     encode_mr_tag_tweak,
-    encode_nr_msg_tweak,
+    encode_nr_msg_tweaks,
     xor_bytes,
 )
 
@@ -30,18 +30,19 @@ def _forge_nr(nonce: bytes, padded: bytes) -> tuple[bytes, bytes]:
     checksum = bytes(16)
     for p in blocks:
         checksum = xor_bytes(checksum, p)
-    ct = b"".join(tweak_encrypt(KEY, encode_nr_msg_tweak(0, nonce, j), p) for j, p in enumerate(blocks))
-    ftag = tweak_encrypt(KEY, encode_nr_msg_tweak(1, nonce, len(blocks)), checksum)
+    m = len(blocks)
+    ct = b"".join(tweak_encrypt(KEY, t, p) for t, p in zip(encode_nr_msg_tweaks(0, nonce, range(m)), blocks))
+    ftag = tweak_encrypt(KEY, encode_nr_msg_tweaks(1, nonce, range(m, m + 1))[0], checksum)
     return ct, xor_bytes(ftag, compute_auth(KEY, AD))
 
 
 def _forge_mr(nonce: bytes, padded: bytes) -> tuple[bytes, bytes]:
     blocks = [padded[i : i + 16] for i in range(0, len(padded), 16)]
     acc = compute_auth(KEY, AD)
-    for j, p in enumerate(blocks):
-        acc = xor_bytes(acc, tweak_encrypt(KEY, encode_nr_msg_tweak(0, nonce[:8], j), p))
+    for t, p in zip(encode_nr_msg_tweaks(0, nonce[:8], range(len(blocks))), blocks):
+        acc = xor_bytes(acc, tweak_encrypt(KEY, t, p))
     tag = tweak_encrypt(KEY, encode_mr_tag_tweak(nonce), acc)
-    stream = (tweak_encrypt(KEY, encode_mr_stream_tweak(tag, j), b"\x00" + nonce) for j in range(len(blocks)))
+    stream = (tweak_encrypt(KEY, t, b"\x00" + nonce) for t in encode_mr_stream_tweaks(tag, range(len(blocks))))
     return b"".join(map(xor_bytes, blocks, stream)), tag
 
 

@@ -6,17 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tortoise import aead, tweakable
+from tortoise.aead import AeadMode, nonce_length
 from tortoise.block_cipher import AES128, TOY, toy_encrypt_block
 from tortoise.tweakable import (
     TweakableKey,
-    encode_ad_tweak,
-    encode_mr_stream_tweak,
+    encode_ad_tweaks,
     encode_mr_stream_tweaks,
     encode_mr_tag_tweak,
-    encode_nr_msg_tweak,
     encode_nr_msg_tweaks,
     nr_counter_limit,
-    nr_nonce_len,
     tweak_decrypt_many,
     tweak_encrypt_many,
     xor_bytes,
@@ -139,6 +137,20 @@ def test_block_length_checked():
 
 # --- tweak encoders: 16-byte layout -------------------------------------
 
+# One tweak each, as one-counter calls of the batch encoders.
+
+def encode_ad_tweak(i, block_len=16):
+    return encode_ad_tweaks(range(i, i + 1), block_len)[0]
+
+
+def encode_nr_msg_tweak(prefix, nonce, j, block_len=16):
+    return encode_nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0]
+
+
+def encode_mr_stream_tweak(tag, j, block_len=16):
+    return encode_mr_stream_tweaks(tag, range(j, j + 1), block_len)[0]
+
+
 def test_ad_tweak_layout():
     assert encode_ad_tweak(0) == bytes.fromhex("20000000000000000000000000000000")
     assert encode_ad_tweak(1) == bytes.fromhex("20000000000000000000000000000001")
@@ -198,13 +210,13 @@ def test_toy_layouts():
 
 
 def test_nonce_widths():
-    assert nr_nonce_len(16) == 8
-    assert nr_nonce_len(2) == 1
+    assert nonce_length(AeadMode.NONCE_RESPECTING, 16) == 8
+    assert nonce_length(AeadMode.NONCE_RESPECTING, 2) == 1
 
 
 @pytest.mark.parametrize("block_len,limit", [(16, 2**56), (2, 16)])
 def test_counter_limit_is_encoder_range(block_len, limit):
-    nonce = bytes(nr_nonce_len(block_len))
+    nonce = bytes(nonce_length(AeadMode.NONCE_RESPECTING, block_len))
     assert nr_counter_limit(block_len) == limit
     encode_nr_msg_tweak(1, nonce, limit - 1, block_len)
     with pytest.raises(ValueError, match=f"out of range \\[0, {limit}\\)"):
