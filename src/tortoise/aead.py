@@ -52,9 +52,6 @@ __all__ = [
     "SEAL",
     "OPEN",
     "nonce_length",
-    "pkcs7_pad",
-    "pkcs7_unpad",
-    "compute_auth",
     "seal_nr",
     "open_nr",
     "seal_mr",
@@ -90,36 +87,12 @@ class SealedMessage:
 
 
 def _padding(size: int, n: int) -> bytes:
-    """The PKCS#7 padding of ``size`` bytes of data: k bytes of value k, 1 <= k <= ``n``."""
-    if not 1 <= n <= 255:
-        raise ValueError(f"block size must be in [1, 255], got {n}")
+    """The PKCS#7 padding of ``size`` bytes of data: k bytes of value k, 1 <= k <= ``n``.
+
+    Always pads: already-aligned data gains a full block.
+    """
     k = n - size % n
     return bytes([k]) * k
-
-
-def pkcs7_pad(data: bytes, n: int) -> bytes:
-    """Append k bytes of value k so the length is a multiple of ``n``.
-
-    Always appends: already-aligned input gains a full block of padding.
-    """
-    return data + _padding(len(data), n)
-
-
-def pkcs7_unpad(data: bytes, n: int) -> bytes:
-    """Strip and validate padding; exact inverse of :func:`pkcs7_pad`."""
-    if not 1 <= n <= 255:
-        raise ValueError(f"block size must be in [1, 255], got {n}")
-    if not data or len(data) % n:
-        raise ValueError("padded data must be a positive multiple of the block size")
-    return data[: len(data) - _padding_len(data, len(data), n)]
-
-
-def _padding_len(data: bytes, end: int, n: int) -> int:
-    """Length of the PKCS#7 padding that ends ``data[:end]``, or ValueError if it is not valid."""
-    k = data[end - 1]
-    if not 1 <= k <= n or data[end - k : end] != bytes([k]) * k:
-        raise ValueError("bad padding")
-    return k
 
 
 def _runs(count: int) -> Iterable[range]:
@@ -154,7 +127,7 @@ def _fold(data: bytes, n: int) -> int:
 
 
 def _pass(
-    key: TweakableKey, crypt: Callable, data: bytes, nonce: bytes | None, m: int, tag_tweaks: list[bytes], keep: bool
+    key: TweakableKey, crypt: Callable, data: bytes, nonce: bytes, m: int, tag_tweaks: list[bytes], keep: bool
 ) -> tuple[list[bytes], int]:
     """One tweakable batch per run over the blocks of ``data``, laid end to end.
 
@@ -185,24 +158,6 @@ def _pass(
     return kept, acc
 
 
-def compute_auth(key: TweakableKey, ad: bytes) -> bytes:
-    """XOR-accumulate the padded associated-data blocks under AD tweaks.
-
-    Empty associated data still contributes one block of padding, so
-    (ad="", pt=x) and (ad=x, pt="") never authenticate the same way.
-    """
-    n = key.cipher.block_len
-    _check_ad(ad, n, _layout(n).ad_limit)
-    return _pass(key, tweak_encrypt_many, pkcs7_pad(ad, n), None, 0, [], False)[1].to_bytes(n, "big")
-
-
-def _check_ad(ad: bytes, n: int, limit: int) -> None:
-    """Reject associated data of more padded blocks than the AD tweaks number."""
-    blocks = len(ad) // n + 1
-    if blocks > limit:
-        raise ValueError(f"associated data of {blocks} padded blocks exceeds the limit of {limit}")
-
-
 def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, tag: bytes | None = None) -> int:
     """Check every length before any block work; return the block length.
 
@@ -227,7 +182,10 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: byt
     limit = layout.counter_limit - 1 if nr else min(layout.counter_limit, layout.stream_limit)
     if blocks > limit:
         raise ValueError(f"message of {blocks} padded blocks exceeds the {mode.value} limit of {limit}")
-    _check_ad(ad, n, layout.ad_limit)
+    # Empty associated data still pads to one block, so (ad="", pt=x) and (ad=x, pt="") differ.
+    blocks = len(ad) // n + 1
+    if blocks > layout.ad_limit:
+        raise ValueError(f"associated data of {blocks} padded blocks exceeds the limit of {layout.ad_limit}")
     return n
 
 
@@ -254,10 +212,10 @@ def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int)
 def _release(expected: bytes, tag: bytes, data: bytes, end: int, n: int) -> bytes:
     """Return the unpadded plaintext ``data[:end]`` only if the tag verifies in constant time."""
     if hmac.compare_digest(expected, tag):
-        try:
-            return data[: end - _padding_len(data, end, n)]
-        except ValueError:
-            pass  # Indistinguishable from a tag mismatch: no padding oracle.
+        k = data[end - 1]
+        # Bad padding raises exactly as a tag mismatch does: no padding oracle.
+        if 1 <= k <= n and data[end - k : end] == bytes([k]) * k:
+            return data[: end - k]
     raise AuthenticationError("authentication failed")
 
 
@@ -282,7 +240,7 @@ def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
     plain = b"".join(_pass(key, tweak_decrypt_many, ciphertext, nonce, m, [], True)[0])
-    data = _fold(plain, n).to_bytes(n, "big") + pkcs7_pad(ad, n)
+    data = b"".join([_fold(plain, n).to_bytes(n, "big"), ad, _padding(len(ad), n)])
     expected = _pass(key, tweak_encrypt_many, data, nonce, 0, _nr_msg_tweaks(1, nonce, range(m, m + 1), n), False)[1]
     return _release(expected.to_bytes(n, "big"), tag, plain, len(plain), n)
 

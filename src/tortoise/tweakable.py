@@ -21,8 +21,8 @@ in its high nibble:
 All indices and counters are big-endian.  With 16-byte blocks the counter
 layouts carry an 8-byte nonce and the misuse-resistant tag layout a
 15-byte nonce; see the encoder docstrings for how the fields shrink on
-smaller blocks.  The public encoders check their inputs; ``aead`` bounds
-them once per message and calls the unchecked bodies.
+smaller blocks.  The encoders do not check their inputs: ``aead`` bounds
+them once per message.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .xof import shake128
 
 __all__ = [
     "TweakableKey",
-    "xor_bytes",
-    "nr_counter_limit",
-    "encode_ad_tweaks",
-    "encode_nr_msg_tweaks",
     "encode_mr_tag_tweak",
-    "encode_mr_stream_tweaks",
     "tweak_encrypt_many",
     "tweak_decrypt_many",
 ]
@@ -50,14 +45,8 @@ __all__ = [
 _STREAM_COUNTER_LIMIT = 1 << 64
 
 
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return _xor(a, b)
-
-
 def _xor(a: bytes, b: bytes) -> bytes:
-    """:func:`xor_bytes` without the length check, for operands built to the same length."""
+    """XOR of two byte strings, for operands built to the same length."""
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(b), "big")
 
 
@@ -87,37 +76,22 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _layout(block_len: int) -> _Layout:
-    """Work the layouts of ``block_len`` out once, not on every encoder call."""
+    """Work the layouts of ``block_len`` out once, not on every encoder call.
+
+    The counter layouts carry 2^56 block counters at n=16 and 16 at n=2.
+    """
     nonce_len = min(8, block_len - 1)
     counter_len = block_len - 1 - nonce_len
     counter_limit = 256**counter_len if counter_len else 16
     return _Layout(nonce_len, counter_limit, 256 ** (block_len - 1), min(_STREAM_COUNTER_LIMIT, 256**block_len))
 
 
-def _check_counters(name: str, counters: range, limit: int) -> None:
-    """Reject a ``counters`` range with an end outside ``[0, limit)``."""
-    if counters and not (0 <= counters[0] < limit and 0 <= counters[-1] < limit):
-        j = counters[0] if not 0 <= counters[0] < limit else counters[-1]
-        raise ValueError(f"{name} {j} out of range [0, {limit})")
-
-
-def nr_counter_limit(block_len: int) -> int:
-    """Number of block counters the counter layouts carry: 2^56 at n=16, 16 at n=2."""
-    return _layout(block_len).counter_limit
-
-
-def encode_ad_tweaks(indices: range, block_len: int = 16) -> list[bytes]:
-    """Tweak for each associated-data block of an ascending ``indices`` range: 0x20, then the index, big-endian."""
-    _check_counters("ad block index", indices, _layout(block_len).ad_limit)
-    return _ad_tweaks(indices, block_len)
-
-
 def _ad_tweaks(indices: range, block_len: int) -> list[bytes]:
-    """:func:`encode_ad_tweaks` without its check, for indices already bounded."""
+    """Tweak for each associated-data block of an ascending ``indices`` range: 0x20, then the index, big-endian."""
     return [b"\x20" + i.to_bytes(block_len - 1, "big") for i in indices]
 
 
-def encode_nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int = 16) -> list[bytes]:
+def _nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int) -> list[bytes]:
     """Counter tweak for each counter of an ascending ``counters`` range: prefix nibble, nonce, block counter.
 
     ``prefix`` 0 marks a message block, 1 the tag-derivation block.  The
@@ -125,17 +99,6 @@ def encode_nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: 
     none remain, as with 2-byte blocks, it moves into the low nibble of
     byte 0 and is limited to 15.
     """
-    if prefix not in (0, 1):
-        raise ValueError("prefix must be 0 (message) or 1 (tag)")
-    layout = _layout(block_len)
-    if len(nonce) != layout.nonce_len:
-        raise ValueError(f"nonce must be {layout.nonce_len} bytes, got {len(nonce)}")
-    _check_counters("block counter", counters, layout.counter_limit)
-    return _nr_msg_tweaks(prefix, nonce, counters, block_len)
-
-
-def _nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int) -> list[bytes]:
-    """:func:`encode_nr_msg_tweaks` without its checks, for a prefix, nonce and counters already bounded."""
     counter_len = block_len - 1 - len(nonce)
     if counter_len:
         head = bytes([prefix << 4]) + nonce
@@ -150,16 +113,8 @@ def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> bytes:
     return b"\x10" + nonce
 
 
-def encode_mr_stream_tweaks(tag: bytes, counters: range, block_len: int = 16) -> list[bytes]:
-    """Keystream tweak for each counter of an ascending ``counters`` range: the tag XOR the counter, big-endian."""
-    if len(tag) != block_len:
-        raise ValueError(f"tag must be {block_len} bytes, got {len(tag)}")
-    _check_counters("block counter", counters, _layout(block_len).stream_limit)
-    return _mr_stream_tweaks(tag, counters, block_len)
-
-
 def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes]:
-    """:func:`encode_mr_stream_tweaks` without its checks, for a tag and counters already bounded."""
+    """Keystream tweak for each counter of an ascending ``counters`` range: the tag XOR the counter, big-endian."""
     t = int.from_bytes(tag, "big")
     return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 

@@ -2,8 +2,10 @@
 
 One hashlib SHAKE128 squeeze of ``master_key || tweak`` gives the subkey
 and then the mask; the block goes through the spec's own block function
-and the mask is XORed on.  Nothing from ``tortoise.tweakable`` is used
-except the key type, so a fault in its batch path cannot agree with this.
+and the mask is XORed on.  The PKCS#7 padding and the associated-data sum
+are written out here too.  Nothing from ``tortoise.tweakable`` or
+``tortoise.aead`` is used except the key type, so a fault in the library's
+batch path, padding or AD tweaks cannot agree with this.
 """
 
 import hashlib
@@ -16,17 +18,33 @@ def _squeeze(key, tweak):
     return out[: spec.key_len], out[spec.key_len :]
 
 
-def _xor(a, b):
+def xor(a, b):
+    """XOR of two byte strings of the same length."""
     return bytes(x ^ y for x, y in zip(a, b, strict=True))
+
+
+def pad(data, n):
+    """PKCS#7: k bytes of value k, 1 <= k <= n, so aligned data gains a whole block."""
+    k = n - len(data) % n
+    return data + bytes([k]) * k
 
 
 def encrypt(key, tweak, block):
     """Encrypt one block of ``key.cipher`` under the permutation ``tweak`` selects."""
     subkey, mask = _squeeze(key, tweak)
-    return _xor(key.cipher.encrypt_block(subkey, block), mask)
+    return xor(key.cipher.encrypt_block(subkey, block), mask)
 
 
 def decrypt(key, tweak, block):
     """Invert :func:`encrypt` for the same key and tweak."""
     subkey, mask = _squeeze(key, tweak)
-    return key.cipher.decrypt_block(subkey, _xor(block, mask))
+    return key.cipher.decrypt_block(subkey, xor(block, mask))
+
+
+def ad_sum(key, ad):
+    """XOR of the padded associated-data blocks, block i encrypted under the tweak 0x20 || i."""
+    n = key.cipher.block_len
+    padded, acc = pad(ad, n), bytes(n)
+    for i in range(len(padded) // n):
+        acc = xor(acc, encrypt(key, b"\x20" + i.to_bytes(n - 1, "big"), padded[i * n : i * n + n]))
+    return acc

@@ -12,22 +12,14 @@ from tortoise.aead import (
     SEAL,
     AeadMode,
     AuthenticationError,
-    compute_auth,
     nonce_length,
     open_mr,
     open_nr,
-    pkcs7_pad,
-    pkcs7_unpad,
     seal_mr,
     seal_nr,
 )
 from tortoise.block_cipher import AES128, TOY
-from tortoise.tweakable import (
-    TweakableKey,
-    encode_ad_tweaks,
-    encode_nr_msg_tweaks,
-    xor_bytes,
-)
+from tortoise.tweakable import TweakableKey, _nr_msg_tweaks
 
 ZERO_KEY = TweakableKey(bytes(16), AES128)
 
@@ -40,77 +32,16 @@ MR_KAT_TAG = bytes.fromhex("51b5e24e0cb461a157fab256d8f5fbc8")
 AUTH_EMPTY_AD = bytes.fromhex("5fba08572a71a90f1bea4153f87527f5")
 
 
-# --- padding -------------------------------------------------------------
-
-def test_pad_empty():
-    assert pkcs7_pad(b"", 16) == bytes([16]) * 16
-
-
-def test_pad_fifteen():
-    data = bytes(range(15))
-    assert pkcs7_pad(data, 16) == data + b"\x01"
-
-
-def test_pad_aligned_adds_full_block():
-    data = bytes(16)
-    assert pkcs7_pad(data, 16) == data + bytes([16]) * 16
-
-
-@given(st.binary(max_size=3 * 16 + 5), st.integers(1, 255))
-def test_pad_unpad_inverse(data, n):
-    padded = pkcs7_pad(data, n)
-    assert len(padded) % n == 0 and len(padded) > len(data)
-    assert pkcs7_unpad(padded, n) == data
-
-
-def test_unpad_rejects_zero_byte():
-    with pytest.raises(ValueError):
-        pkcs7_unpad(bytes(15) + b"\x00", 16)
-
-
-def test_unpad_rejects_overlong_pad():
-    with pytest.raises(ValueError):
-        pkcs7_unpad(bytes([0x11]) * 16, 16)
-
-
-def test_unpad_rejects_inconsistent_tail():
-    with pytest.raises(ValueError):
-        pkcs7_unpad(bytes(14) + b"\x01\x02", 16)
-
-
-def test_unpad_rejects_ragged_length():
-    with pytest.raises(ValueError):
-        pkcs7_unpad(bytes(15), 16)
-    with pytest.raises(ValueError):
-        pkcs7_unpad(b"", 16)
-
-
-def test_pad_block_size_range():
-    with pytest.raises(ValueError):
-        pkcs7_pad(b"x", 0)
-    with pytest.raises(ValueError):
-        pkcs7_pad(b"x", 256)
-
-
-# --- associated-data accumulator -----------------------------------------
+# --- associated-data sum ---------------------------------------------------
+# Seals against the oracle's AD sum over 1 to 7 padded AD blocks: tests/test_batch.py's hand composition.
 
 def test_auth_empty_ad_kat():
-    assert compute_auth(ZERO_KEY, b"") == AUTH_EMPTY_AD
-
-
-def test_auth_single_block():
-    ad = b"header bytes"
-    block = pkcs7_pad(ad, 16)
-    assert compute_auth(ZERO_KEY, ad) == composed_tweakable.encrypt(ZERO_KEY, encode_ad_tweaks(range(1))[0], block)
-
-
-def test_auth_order_independent():
-    ad = bytes(range(40))
-    blocks = [pkcs7_pad(ad, 16)[i : i + 16] for i in range(0, 48, 16)]
-    acc = bytes(16)
-    for tweak, block in reversed(list(zip(encode_ad_tweaks(range(3)), blocks))):
-        acc = xor_bytes(acc, composed_tweakable.encrypt(ZERO_KEY, tweak, block))
-    assert compute_auth(ZERO_KEY, ad) == acc
+    # The AD share of the frozen nr tag.  With an empty message the tag block is one block of
+    # padding under the tag tweak of counter 1; empty AD still contributes one padded block.
+    [tweak] = _nr_msg_tweaks(1, bytes(8), range(1, 2), 16)
+    tag_block = composed_tweakable.encrypt(ZERO_KEY, tweak, bytes([16]) * 16)
+    assert composed_tweakable.ad_sum(ZERO_KEY, b"") == AUTH_EMPTY_AD
+    assert composed_tweakable.xor(tag_block, AUTH_EMPTY_AD) == NR_KAT_TAG
 
 
 # --- nonce-respecting mode ------------------------------------------------
@@ -142,7 +73,7 @@ def test_nr_block_permutation_preserves_tag():
         permuted = seal_nr(key, nonce, b"", b"".join(blocks[p] for p in perm))
         assert permuted.tag == base.tag
         # each position encrypts the relocated block under that position's tweak
-        for j, (p, tweak) in enumerate(zip(perm, encode_nr_msg_tweaks(0, nonce, range(3)))):
+        for j, (p, tweak) in enumerate(zip(perm, _nr_msg_tweaks(0, nonce, range(3), 16))):
             assert permuted.ciphertext[16 * j : 16 * (j + 1)] == composed_tweakable.encrypt(key, tweak, blocks[p])
         # the trailing padding block is untouched
         assert permuted.ciphertext[48:] == base.ciphertext[48:]
@@ -151,7 +82,7 @@ def test_nr_block_permutation_preserves_tag():
 def test_open_nr_rejects_bit_flips_sampled():
     sealed = seal_nr(ZERO_KEY, bytes(8), b"ad", b"attack at dawn")
     for bit in range(0, len(sealed.ciphertext) * 8, 7):
-        bad = xor_bytes(sealed.ciphertext, (1 << bit).to_bytes(len(sealed.ciphertext), "big"))
+        bad = composed_tweakable.xor(sealed.ciphertext, (1 << bit).to_bytes(len(sealed.ciphertext), "big"))
         with pytest.raises(AuthenticationError):
             open_nr(ZERO_KEY, bytes(8), b"ad", bad, sealed.tag)
     with pytest.raises(AuthenticationError):
@@ -174,6 +105,8 @@ def test_nr_argument_errors():
         seal_nr(ZERO_KEY, bytes(15), b"", b"")
     with pytest.raises(ValueError):
         open_nr(ZERO_KEY, bytes(8), b"", bytes(24), bytes(16))
+    with pytest.raises(ValueError):
+        open_nr(ZERO_KEY, bytes(8), b"", b"", bytes(16))
     with pytest.raises(ValueError):
         open_nr(ZERO_KEY, bytes(8), b"", bytes(16), bytes(15))
 
@@ -232,7 +165,7 @@ def test_open_mr_rejects_bit_flips_sampled():
     nonce = bytes(range(15))
     sealed = seal_mr(ZERO_KEY, nonce, b"ad", b"attack at dawn")
     for bit in range(0, 128, 5):
-        bad_tag = xor_bytes(sealed.tag, (1 << bit).to_bytes(16, "big"))
+        bad_tag = composed_tweakable.xor(sealed.tag, (1 << bit).to_bytes(16, "big"))
         with pytest.raises(AuthenticationError):
             open_mr(ZERO_KEY, nonce, b"ad", sealed.ciphertext, bad_tag)
     with pytest.raises(AuthenticationError):
@@ -253,7 +186,7 @@ def test_mr_tag_swap_both_fail():
 
 def test_mr_failure_reveals_nothing():
     sealed = seal_mr(ZERO_KEY, bytes(15), b"", b"super secret plaintext")
-    bad_tag = xor_bytes(sealed.tag, b"\x01" + bytes(15))
+    bad_tag = composed_tweakable.xor(sealed.tag, b"\x01" + bytes(15))
     with pytest.raises(AuthenticationError) as exc_info:
         open_mr(ZERO_KEY, bytes(15), b"", sealed.ciphertext, bad_tag)
     assert b"secret" not in str(exc_info.value).encode()
@@ -265,6 +198,10 @@ def test_mr_argument_errors():
         seal_mr(ZERO_KEY, bytes(8), b"", b"")
     with pytest.raises(ValueError):
         open_mr(ZERO_KEY, bytes(15), b"", b"", bytes(16))
+    with pytest.raises(ValueError):
+        open_mr(ZERO_KEY, bytes(15), b"", bytes(24), bytes(16))
+    with pytest.raises(ValueError):
+        open_mr(ZERO_KEY, bytes(15), b"", bytes(16), bytes(15))
 
 
 @settings(max_examples=60)
@@ -378,8 +315,6 @@ def test_toy_length_limit(mode, max_pt_len, tweak_calls):
         SEAL[mode](TOY_KEY, b"\x5a", ad + b"!", pt)
     with pytest.raises(ValueError, match="limit"):
         OPEN[mode](TOY_KEY, b"\x5a", ad + b"!", sealed.ciphertext, sealed.tag)
-    with pytest.raises(ValueError, match="limit"):
-        compute_auth(TOY_KEY, ad + b"!")
     assert tweak_calls == []
 
 

@@ -1,5 +1,7 @@
+import pytest
+
 import tortoise
-from tortoise import aead
+from tortoise import aead, block_cipher, tweakable
 from tortoise.aead import OPEN, SEAL, AeadMode
 
 PUBLIC = [
@@ -27,6 +29,42 @@ def test_package_exports_exactly_the_public_surface():
     assert tortoise.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(tortoise, name) is not None
+
+
+# Each module's exports, pinned so that no test-only helper becomes public again unnoticed.
+MODULE_EXPORTS = {
+    aead: [
+        "AeadMode",
+        "AuthenticationError",
+        "SealedMessage",
+        "SEAL",
+        "OPEN",
+        "nonce_length",
+        "seal_nr",
+        "open_nr",
+        "seal_mr",
+        "open_mr",
+    ],
+    tweakable: ["TweakableKey", "encode_mr_tag_tweak", "tweak_encrypt_many", "tweak_decrypt_many"],
+    block_cipher: [
+        "CipherSpec",
+        "AES128",
+        "TOY",
+        "CIPHERS",
+        "get_cipher",
+        "aes128_encrypt_block",
+        "aes128_decrypt_block",
+        "toy_encrypt_block",
+        "toy_decrypt_block",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", MODULE_EXPORTS, ids=lambda m: m.__name__)
+def test_module_exports_exactly_its_public_surface(module):
+    assert module.__all__ == MODULE_EXPORTS[module]
+    for name in module.__all__:
+        assert getattr(module, name) is not None
 
 
 def test_mode_tables_hold_the_mode_functions():

@@ -24,13 +24,13 @@ from tortoise.block_cipher import (
     aes128_decrypt_block,
     aes128_encrypt_block,
 )
-from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, pkcs7_pad, seal_nr
+from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, seal_nr
 from tortoise.tweakable import (
     TweakableKey,
-    encode_ad_tweaks,
-    encode_mr_stream_tweaks,
+    _ad_tweaks,
+    _mr_stream_tweaks,
+    _nr_msg_tweaks,
     encode_mr_tag_tweak,
-    encode_nr_msg_tweaks,
     tweak_decrypt_many,
     tweak_encrypt_many,
 )
@@ -84,19 +84,45 @@ def test_aes128_batch_matches_independent_implementation(lanes):
         assert pt[i] == reference_aes.decrypt_block(key, block)
 
 
-@pytest.mark.parametrize("lanes", [0, 1, 3, 511])
-def test_aes128_fallback_without_libcrypto_gives_the_same_bytes(lanes, monkeypatch):
+# Run in a fresh interpreter: the kernels are chosen when block_cipher is imported.
+_WITHOUT_LIBCRYPTO = """
+import dataclasses, random, sys
+sys.modules["_hashlib"] = None  # hashlib falls back to its builtin SHAKE128, and no libcrypto loads
+import reference_aes
+from tortoise import block_cipher, cli
+from tortoise.block_cipher import AES128
+
+assert block_cipher._LIBCRYPTO is None
+assert AES128.encrypt_kernel is None and AES128.decrypt_kernel is None
+calls = []
+counted = dataclasses.replace(
+    AES128,
+    encrypt_block=lambda k, b: calls.append(1) or AES128.encrypt_block(k, b),
+    decrypt_block=lambda k, b: calls.append(1) or AES128.decrypt_block(k, b),
+)
+for lanes in (0, 1, 3, 511):
     rng = random.Random(0xFA + lanes)
     keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
-    ct, pt = AES128.encrypt_blocks(keys, blocks), AES128.decrypt_blocks(keys, blocks)
-    calls = []
-    for name in ("aes128_encrypt_block", "aes128_decrypt_block"):
-        real = getattr(block_cipher, name)
-        monkeypatch.setattr(block_cipher, name, lambda k, b, real=real: calls.append(1) or real(k, b))
-    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", None)
-    assert AES128.encrypt_blocks(keys, blocks) == ct
-    assert AES128.decrypt_blocks(keys, blocks) == pt
-    assert len(calls) == 2 * lanes
+    calls.clear()
+    ct, pt = counted.encrypt_blocks(keys, blocks), counted.decrypt_blocks(keys, blocks)
+    assert len(calls) == 2 * lanes, (lanes, len(calls))
+    assert (AES128.encrypt_blocks(keys, blocks), AES128.decrypt_blocks(keys, blocks)) == (ct, pt)
+    for i in range(0, 16 * lanes, 16):
+        assert ct[i : i + 16] == reference_aes.encrypt_block(keys[i : i + 16], blocks[i : i + 16]), (lanes, i)
+        assert pt[i : i + 16] == reference_aes.decrypt_block(keys[i : i + 16], blocks[i : i + 16]), (lanes, i)
+sys.exit(cli.main(["kat", "verify", sys.argv[1]]))
+"""
+
+
+def test_aes128_without_libcrypto_goes_block_by_block():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_LIBCRYPTO, str(root / "kats" / "aes128.kat")], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "20/20 records passed"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="hashlib links libcrypto dynamically on Linux")
@@ -280,7 +306,7 @@ def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypa
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", NoCalls())
     for enc in (1, 0):
         with pytest.raises(ValueError, match="16-byte key per 16-byte block"):
-            block_cipher._aes128_evp(keys, blocks, enc)
+            block_cipher._aes128_evp(enc, keys, blocks)
 
 
 def test_aes128_batch_fips197_vector():
@@ -362,37 +388,23 @@ def test_tweak_many_checks_shapes():
 def test_nr_tweak_batch_matches_single(block_len, prefix):
     nonce = bytes(range(1, min(8, block_len - 1) + 1))
     counters = range(3, 15)
-    assert encode_nr_msg_tweaks(prefix, nonce, counters, block_len) == [
-        encode_nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0] for j in counters
+    assert _nr_msg_tweaks(prefix, nonce, counters, block_len) == [
+        _nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0] for j in counters
     ]
-    assert encode_nr_msg_tweaks(prefix, nonce, range(0), block_len) == []
-    with pytest.raises(ValueError):
-        encode_nr_msg_tweaks(prefix, nonce, range(-1, 2), block_len)
-    with pytest.raises(ValueError):
-        encode_nr_msg_tweaks(prefix, nonce, range(16 if block_len == 2 else 2**56 - 1, 2**56 + 1), block_len)
+    assert _nr_msg_tweaks(prefix, nonce, range(0), block_len) == []
 
 
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_ad_tweak_batch_matches_single(block_len):
-    assert encode_ad_tweaks(range(250, 256), block_len) == [
-        encode_ad_tweaks(range(i, i + 1), block_len)[0] for i in range(250, 256)
-    ]
-    assert encode_ad_tweaks(range(0), block_len) == []
-    with pytest.raises(ValueError):
-        encode_ad_tweaks(range(-1, 2), block_len)
-    with pytest.raises(ValueError):
-        encode_ad_tweaks(range(256 ** (block_len - 1) - 1, 256 ** (block_len - 1) + 1), block_len)
+    indices = range(250, 256)
+    assert _ad_tweaks(indices, block_len) == [_ad_tweaks(range(i, i + 1), block_len)[0] for i in indices]
+    assert _ad_tweaks(range(0), block_len) == []
 
 
 def test_stream_tweak_batch_matches_single():
     tag = bytes(range(16))
-    assert encode_mr_stream_tweaks(tag, range(300)) == [
-        encode_mr_stream_tweaks(tag, range(j, j + 1))[0] for j in range(300)
-    ]
-    with pytest.raises(ValueError):
-        encode_mr_stream_tweaks(tag, range(2**64 - 1, 2**64 + 1))
-    with pytest.raises(ValueError):
-        encode_mr_stream_tweaks(tag[:15], range(1))
+    counters = range(300)
+    assert _mr_stream_tweaks(tag, counters, 16) == [_mr_stream_tweaks(tag, range(j, j + 1), 16)[0] for j in counters]
 
 
 @pytest.mark.parametrize("mode", list(AeadMode))
@@ -407,26 +419,23 @@ def test_aead_runs_give_the_same_bytes(mode, monkeypatch):
     assert OPEN[mode](key, nonce, ad, whole.ciphertext, whole.tag) == pt
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b, strict=True))
-
-
 def _seal_by_hand(mode, key, nonce, ad, pt):
     """The mode's equations block by block through ``composed_tweakable``, for 16-byte blocks."""
     def enc(tweak, block):
         return composed_tweakable.encrypt(key, tweak, block)
 
-    blocks, ad_blocks = _split(pkcs7_pad(pt, 16), 16), _split(pkcs7_pad(ad, 16), 16)
+    xor = composed_tweakable.xor
+    blocks = _split(composed_tweakable.pad(pt, 16), 16)
     m = len(blocks)
-    auth = reduce(_xor, map(enc, encode_ad_tweaks(range(len(ad_blocks))), ad_blocks))
+    auth = composed_tweakable.ad_sum(key, ad)
     if mode is AeadMode.NONCE_RESPECTING:
-        ct = b"".join(map(enc, encode_nr_msg_tweaks(0, nonce, range(m)), blocks))
-        [tag_tweak] = encode_nr_msg_tweaks(1, nonce, range(m, m + 1))
-        return ct, _xor(enc(tag_tweak, reduce(_xor, blocks)), auth)
-    sums = list(map(enc, encode_nr_msg_tweaks(0, nonce[:8], range(m)), blocks))
-    tag = enc(encode_mr_tag_tweak(nonce), reduce(_xor, sums, auth))
-    stream = [enc(t, b"\x00" + nonce) for t in encode_mr_stream_tweaks(tag, range(m))]
-    return b"".join(map(_xor, blocks, stream)), tag
+        ct = b"".join(map(enc, _nr_msg_tweaks(0, nonce, range(m), 16), blocks))
+        [tag_tweak] = _nr_msg_tweaks(1, nonce, range(m, m + 1), 16)
+        return ct, xor(enc(tag_tweak, reduce(xor, blocks)), auth)
+    sums = list(map(enc, _nr_msg_tweaks(0, nonce[:8], range(m), 16), blocks))
+    tag = enc(encode_mr_tag_tweak(nonce), reduce(xor, sums, auth))
+    stream = [enc(t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(m), 16)]
+    return b"".join(map(xor, blocks, stream)), tag
 
 
 @pytest.mark.parametrize("segment", [1, 2, 3, 4, 5])

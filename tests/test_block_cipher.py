@@ -9,6 +9,7 @@ from tortoise.block_cipher import (
     AES128,
     CIPHERS,
     TOY,
+    CipherSpec,
     aes128_decrypt_block,
     aes128_encrypt_block,
     get_cipher,
@@ -116,3 +117,21 @@ def test_registry_lookup():
     assert get_cipher("toy") is TOY
     with pytest.raises(ValueError):
         get_cipher("des")
+
+
+@pytest.mark.parametrize("block_len", [0, 256])
+def test_block_length_outside_what_pkcs7_pads_is_refused_at_construction(block_len):
+    calls = []
+
+    def block(key, data):
+        calls.append(1)
+        return data
+
+    with pytest.raises(ValueError, match=r"block_len must be in \[1, 255\]"):
+        CipherSpec("wide", block_len, 16, block, block)
+    assert calls == []
+
+
+@pytest.mark.parametrize("block_len", [1, 255])
+def test_block_length_range_is_inclusive(block_len):
+    assert CipherSpec("edge", block_len, 16, toy_encrypt_block, toy_decrypt_block).block_len == block_len

@@ -1,69 +1,76 @@
 """A padding failure after a valid tag must look exactly like a tag mismatch.
 
 Honest seals always pad correctly, so the padding branch of ``open_*`` is
-only reachable with a message forged from the public encoders: it carries
-a valid tag over block-aligned bytes that are not PKCS#7 padded.
+only reachable with a forged message: it carries a valid tag over
+block-aligned bytes that are not PKCS#7 padded.  The forgers build it from
+the library's tweak encoders and the hand-written oracle.
 """
 
 import pytest
 
+from composed_tweakable import ad_sum, pad, xor
 from composed_tweakable import encrypt as tweak_encrypt  # by hand, not through tortoise.tweakable
-from tortoise.aead import OPEN, AeadMode, AuthenticationError, compute_auth, nonce_length, pkcs7_pad
+from tortoise.aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length
 from tortoise.block_cipher import AES128
 from tortoise.cli import Envelope, main, pack_envelope
-from tortoise.tweakable import (
-    TweakableKey,
-    encode_mr_stream_tweaks,
-    encode_mr_tag_tweak,
-    encode_nr_msg_tweaks,
-    xor_bytes,
-)
+from tortoise.tweakable import TweakableKey, _mr_stream_tweaks, _nr_msg_tweaks, encode_mr_tag_tweak
 
 KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 KEY = TweakableKey(bytes.fromhex(KEY_HEX), AES128)
 AD = b"record header"
 BAD_PAD = b"sixteen bytes!!\x00"  # a last byte of 0x00 is never valid padding
+BAD_PADS = [
+    BAD_PAD,
+    bytes([0x11]) * 16,  # a pad length above the block length
+    bytes(14) + b"\x01\x02",  # a last byte of 2 over a tail that does not repeat it
+    bytes(16) + BAD_PAD,  # the bad block after a whole one
+]
 
 
 def _forge_nr(nonce: bytes, padded: bytes) -> tuple[bytes, bytes]:
     blocks = [padded[i : i + 16] for i in range(0, len(padded), 16)]
     checksum = bytes(16)
     for p in blocks:
-        checksum = xor_bytes(checksum, p)
+        checksum = xor(checksum, p)
     m = len(blocks)
-    ct = b"".join(tweak_encrypt(KEY, t, p) for t, p in zip(encode_nr_msg_tweaks(0, nonce, range(m)), blocks))
-    ftag = tweak_encrypt(KEY, encode_nr_msg_tweaks(1, nonce, range(m, m + 1))[0], checksum)
-    return ct, xor_bytes(ftag, compute_auth(KEY, AD))
+    ct = b"".join(tweak_encrypt(KEY, t, p) for t, p in zip(_nr_msg_tweaks(0, nonce, range(m), 16), blocks))
+    ftag = tweak_encrypt(KEY, _nr_msg_tweaks(1, nonce, range(m, m + 1), 16)[0], checksum)
+    return ct, xor(ftag, ad_sum(KEY, AD))
 
 
 def _forge_mr(nonce: bytes, padded: bytes) -> tuple[bytes, bytes]:
     blocks = [padded[i : i + 16] for i in range(0, len(padded), 16)]
-    acc = compute_auth(KEY, AD)
-    for t, p in zip(encode_nr_msg_tweaks(0, nonce[:8], range(len(blocks))), blocks):
-        acc = xor_bytes(acc, tweak_encrypt(KEY, t, p))
+    acc = ad_sum(KEY, AD)
+    for t, p in zip(_nr_msg_tweaks(0, nonce[:8], range(len(blocks)), 16), blocks):
+        acc = xor(acc, tweak_encrypt(KEY, t, p))
     tag = tweak_encrypt(KEY, encode_mr_tag_tweak(nonce), acc)
-    stream = (tweak_encrypt(KEY, t, b"\x00" + nonce) for t in encode_mr_stream_tweaks(tag, range(len(blocks))))
-    return b"".join(map(xor_bytes, blocks, stream)), tag
+    stream = (tweak_encrypt(KEY, t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(len(blocks)), 16))
+    return b"".join(map(xor, blocks, stream)), tag
 
 
 FORGE = {AeadMode.NONCE_RESPECTING: _forge_nr, AeadMode.MISUSE_RESISTANT: _forge_mr}
 
 
 def _flip(tag: bytes) -> bytes:
-    return xor_bytes(tag, b"\x01" + bytes(15))
+    return xor(tag, b"\x01" + bytes(15))
 
 
+# Padding of a whole block (empty), of one byte (15 bytes), of a whole block after an aligned one, and mid-block.
+@pytest.mark.parametrize("pt", [b"", bytes(range(15)), bytes(16), b"well padded"], ids=len)
 @pytest.mark.parametrize("mode", list(AeadMode))
-def test_forger_matches_seal(mode):
+def test_forger_matches_seal(mode, pt):
     nonce = bytes(range(nonce_length(mode)))
-    ct, tag = FORGE[mode](nonce, pkcs7_pad(b"well padded", 16))
-    assert OPEN[mode](KEY, nonce, AD, ct, tag) == b"well padded"
+    ct, tag = FORGE[mode](nonce, pad(pt, 16))
+    sealed = SEAL[mode](KEY, nonce, AD, pt)
+    assert (sealed.ciphertext, sealed.tag) == (ct, tag)
+    assert OPEN[mode](KEY, nonce, AD, ct, tag) == pt
 
 
+@pytest.mark.parametrize("padded", BAD_PADS, ids=["zero", "overlong", "inconsistent", "zero-after-a-block"])
 @pytest.mark.parametrize("mode", list(AeadMode))
-def test_bad_padding_raises_like_bad_tag(mode):
+def test_bad_padding_raises_like_bad_tag(mode, padded):
     nonce = bytes(range(nonce_length(mode)))
-    ct, tag = FORGE[mode](nonce, BAD_PAD)
+    ct, tag = FORGE[mode](nonce, padded)
     with pytest.raises(AuthenticationError) as bad_pad:
         OPEN[mode](KEY, nonce, AD, ct, tag)
     with pytest.raises(AuthenticationError) as bad_tag:

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import composed_tweakable
 from tortoise import aead, tweakable
 from tortoise.aead import AeadMode, nonce_length
 from tortoise.block_cipher import AES128, TOY, toy_encrypt_block
 from tortoise.tweakable import (
     TweakableKey,
-    encode_ad_tweaks,
-    encode_mr_stream_tweaks,
+    _ad_tweaks,
+    _layout,
+    _mr_stream_tweaks,
+    _nr_msg_tweaks,
     encode_mr_tag_tweak,
-    encode_nr_msg_tweaks,
-    nr_counter_limit,
     tweak_decrypt_many,
     tweak_encrypt_many,
-    xor_bytes,
 )
 
 ZERO_KEY = TweakableKey(bytes(16), AES128)
@@ -66,7 +66,7 @@ def test_single_tweak_bit_changes_derivation():
     base = rng.randbytes(16)
     ref = derive_subkey_and_mask(key, base)
     for bit in range(128):
-        flipped = xor_bytes(base, (1 << bit).to_bytes(16, "big"))
+        flipped = composed_tweakable.xor(base, (1 << bit).to_bytes(16, "big"))
         assert derive_subkey_and_mask(key, flipped) != ref
 
 
@@ -137,40 +137,32 @@ def test_block_length_checked():
 
 # --- tweak encoders: 16-byte layout -------------------------------------
 
-# One tweak each, as one-counter calls of the batch encoders.
+# One tweak each, as one-counter calls of the encoders aead uses.  They do not check their
+# inputs: aead bounds them once per message, as tests/test_aead.py's limit tests pin.
 
 def encode_ad_tweak(i, block_len=16):
-    return encode_ad_tweaks(range(i, i + 1), block_len)[0]
+    return _ad_tweaks(range(i, i + 1), block_len)[0]
 
 
 def encode_nr_msg_tweak(prefix, nonce, j, block_len=16):
-    return encode_nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0]
+    return _nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0]
 
 
 def encode_mr_stream_tweak(tag, j, block_len=16):
-    return encode_mr_stream_tweaks(tag, range(j, j + 1), block_len)[0]
+    return _mr_stream_tweaks(tag, range(j, j + 1), block_len)[0]
 
 
 def test_ad_tweak_layout():
     assert encode_ad_tweak(0) == bytes.fromhex("20000000000000000000000000000000")
     assert encode_ad_tweak(1) == bytes.fromhex("20000000000000000000000000000001")
     assert encode_ad_tweak(2**120 - 1) == bytes.fromhex("20ffffffffffffffffffffffffffffff")
-    with pytest.raises(ValueError):
-        encode_ad_tweak(2**120)
-    with pytest.raises(ValueError):
-        encode_ad_tweak(-1)
+    assert _layout(16).ad_limit == 2**120
 
 
 def test_nr_msg_tweak_layout():
     nonce = bytes.fromhex("0102030405060708")
     assert encode_nr_msg_tweak(0, nonce, 2) == bytes.fromhex("00010203040506070800000000000002")
     assert encode_nr_msg_tweak(1, bytes(8), 0) == bytes.fromhex("10000000000000000000000000000000")
-    with pytest.raises(ValueError):
-        encode_nr_msg_tweak(0, nonce, 2**56)
-    with pytest.raises(ValueError):
-        encode_nr_msg_tweak(0, bytes(7), 0)
-    with pytest.raises(ValueError):
-        encode_nr_msg_tweak(2, nonce, 0)
 
 
 def test_mr_tag_tweak_layout():
@@ -184,10 +176,8 @@ def test_mr_stream_tweak_layout():
     tag = bytes(range(16))
     assert encode_mr_stream_tweak(tag, 0) == tag
     assert encode_mr_stream_tweak(bytes(16), 1) == bytes.fromhex("00000000000000000000000000000001")
-    with pytest.raises(ValueError):
-        encode_mr_stream_tweak(tag, 2**64)
-    with pytest.raises(ValueError):
-        encode_mr_stream_tweak(bytes(15), 0)
+    assert encode_mr_stream_tweak(bytes(16), 2**64 - 1) == bytes(8) + b"\xff" * 8
+    assert _layout(16).stream_limit == 2**64
 
 
 @given(st.binary(min_size=16, max_size=16), st.integers(0, 2**64 - 1))
@@ -203,10 +193,7 @@ def test_toy_layouts():
     assert encode_nr_msg_tweak(1, b"\xab", 5, block_len=2) == bytes.fromhex("15ab")
     assert encode_mr_tag_tweak(b"\xcd", block_len=2) == bytes.fromhex("10cd")
     assert encode_mr_stream_tweak(b"\x12\x34", 0x0101, block_len=2) == bytes.fromhex("1335")
-    with pytest.raises(ValueError):
-        encode_nr_msg_tweak(0, b"\xab", 16, block_len=2)
-    with pytest.raises(ValueError):
-        encode_ad_tweak(256, block_len=2)
+    assert _layout(2) == (1, 16, 256, 2**16)
 
 
 def test_nonce_widths():
@@ -214,13 +201,12 @@ def test_nonce_widths():
     assert nonce_length(AeadMode.NONCE_RESPECTING, 2) == 1
 
 
-@pytest.mark.parametrize("block_len,limit", [(16, 2**56), (2, 16)])
-def test_counter_limit_is_encoder_range(block_len, limit):
-    nonce = bytes(nonce_length(AeadMode.NONCE_RESPECTING, block_len))
-    assert nr_counter_limit(block_len) == limit
-    encode_nr_msg_tweak(1, nonce, limit - 1, block_len)
-    with pytest.raises(ValueError, match=f"out of range \\[0, {limit}\\)"):
-        encode_nr_msg_tweak(1, nonce, limit, block_len)
+@pytest.mark.parametrize("block_len,limit,last", [(16, 2**56, "10" + "ab" * 8 + "ff" * 7), (2, 16, "1fab")])
+def test_counter_limit_is_encoder_range(block_len, limit, last):
+    # The last counter below the limit fills the counter field: one more would not fit it.
+    nonce = b"\xab" * nonce_length(AeadMode.NONCE_RESPECTING, block_len)
+    assert _layout(block_len).counter_limit == limit
+    assert encode_nr_msg_tweak(1, nonce, limit - 1, block_len) == bytes.fromhex(last)
 
 
 # --- encoder injectivity and domain separation ---------------------------
@@ -274,14 +260,14 @@ def test_toy_domain_census():
     # Every tweak each layout can produce within the toy limits: nr seals at
     # most 15 padded blocks (its tag takes counter 15 at most), mr 16, and
     # the AD encoder numbers up to 256 blocks.
-    limit = nr_counter_limit(2)
+    limit = _layout(2).counter_limit
     nonces = [bytes([b]) for b in range(256)]
     ad = {encode_ad_tweak(i, 2) for i in range(256)}
-    nr_msg = {t for nonce in nonces for t in encode_nr_msg_tweaks(0, nonce, range(limit - 1), 2)}
+    nr_msg = {t for nonce in nonces for t in _nr_msg_tweaks(0, nonce, range(limit - 1), 2)}
     nr_tag = {encode_nr_msg_tweak(1, nonce, j, 2) for nonce in nonces for j in range(1, limit)}
-    mr_sum = {t for nonce in nonces for t in encode_nr_msg_tweaks(0, nonce, range(limit), 2)}
+    mr_sum = {t for nonce in nonces for t in _nr_msg_tweaks(0, nonce, range(limit), 2)}
     mr_tag = {encode_mr_tag_tweak(nonce, 2) for nonce in nonces}
-    stream = {t for x in range(1 << 16) for t in encode_mr_stream_tweaks(x.to_bytes(2, "big"), range(limit), 2)}
+    stream = {t for x in range(1 << 16) for t in _mr_stream_tweaks(x.to_bytes(2, "big"), range(limit), 2)}
     assert (len(ad), len(nr_msg), len(nr_tag), len(mr_sum), len(mr_tag)) == (256, 15 * 256, 15 * 256, 16 * 256, 256)
     # AD, message and tag tweaks are disjoint, across both modes.
     msg, tag = nr_msg | mr_sum, nr_tag | mr_tag
