@@ -21,8 +21,9 @@ in its high nibble:
 All indices and counters are big-endian.  With 16-byte blocks the counter
 layouts carry an 8-byte nonce and the misuse-resistant tag layout a
 15-byte nonce; see the encoder docstrings for how the fields shrink on
-smaller blocks.  The encoders do not check their inputs: ``aead`` bounds
-them once per message.
+smaller blocks.  The private encoders do not check their inputs: ``aead``
+bounds them once per message.  :func:`encode_mr_tag_tweak`, the one public
+encoder, checks its nonce length.
 """
 
 from __future__ import annotations

@@ -5,10 +5,13 @@ and then the mask; the block goes through the spec's own block function
 and the mask is XORed on.  The PKCS#7 padding and the associated-data sum
 are written out here too.  Nothing from ``tortoise.tweakable`` or
 ``tortoise.aead`` is used except the key type, so a fault in the library's
-batch path, padding or AD tweaks cannot agree with this.
+batch path, padding or AD tweaks cannot agree with this.  :func:`xor_spec`
+gives a cheap block cipher of any block length for tests that sweep it.
 """
 
 import hashlib
+
+from tortoise.block_cipher import CipherSpec
 
 
 def _squeeze(key, tweak):
@@ -48,3 +51,19 @@ def ad_sum(key, ad):
     for i in range(len(padded) // n):
         acc = xor(acc, encrypt(key, b"\x20" + i.to_bytes(n - 1, "big"), padded[i * n : i * n + n]))
     return acc
+
+
+def xor_spec(n):
+    """A one-byte-key spec of block length ``n``: XOR every byte with the key, then rotate left by one byte.
+
+    Weak, but a bijection for every key, which is all the modes ask of a block pair.
+    """
+
+    def encrypt_block(key, block):
+        x = bytes(b ^ key[0] for b in block)
+        return x[1:] + x[:1]
+
+    def decrypt_block(key, block):
+        return bytes(b ^ key[0] for b in block[-1:] + block[:-1])
+
+    return CipherSpec(f"xor{n}", n, 1, encrypt_block, decrypt_block)

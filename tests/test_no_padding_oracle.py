@@ -3,12 +3,13 @@
 Honest seals always pad correctly, so the padding branch of ``open_*`` is
 only reachable with a forged message: it carries a valid tag over
 block-aligned bytes that are not PKCS#7 padded.  The forgers build it from
-the library's tweak encoders and the hand-written oracle.
+the library's tweak encoders and the hand-written oracle, for AES-128 and
+for a cheap cipher at block lengths from 1 to 255.
 """
 
 import pytest
 
-from composed_tweakable import ad_sum, pad, xor
+from composed_tweakable import ad_sum, pad, xor, xor_spec
 from composed_tweakable import encrypt as tweak_encrypt  # by hand, not through tortoise.tweakable
 from tortoise.aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length
 from tortoise.block_cipher import AES128
@@ -22,29 +23,55 @@ BAD_PAD = b"sixteen bytes!!\x00"  # a last byte of 0x00 is never valid padding
 BAD_PADS = [
     BAD_PAD,
     bytes([0x11]) * 16,  # a pad length above the block length
+    bytes([0x11]) * 32,  # the same over enough bytes to repeat it
     bytes(14) + b"\x01\x02",  # a last byte of 2 over a tail that does not repeat it
     bytes(16) + BAD_PAD,  # the bad block after a whole one
 ]
+# Block lengths other than AES's, from the smallest to the largest a spec may have.
+OTHER_BLOCK_LENS = [1, 5, 32, 255]
 
 
-def _forge_nr(nonce: bytes, padded: bytes) -> tuple[bytes, bytes]:
-    blocks = [padded[i : i + 16] for i in range(0, len(padded), 16)]
-    checksum = bytes(16)
+def _bad_pads(n: int) -> dict[str, bytes]:
+    """The faults of ``BAD_PADS`` at block length ``n``, where they exist.
+
+    At n=1 no tail can be inconsistent, and at n=255 no byte is overlong.
+    """
+    zero = bytes(range(1, n)) + b"\x00"
+    pads = {"zero": zero, "zero-after-a-block": bytes(n) + zero}
+    if n < 255:
+        pads["overlong"] = bytes([n + 1]) * n
+        pads["overlong-over-two-blocks"] = bytes([n + 1]) * 2 * n
+    if n > 1:
+        pads["inconsistent"] = bytes(n - 2) + b"\x01\x02"
+    return pads
+
+
+def _other_key(n: int) -> tuple[TweakableKey, bytes]:
+    """A key of the cheap spec of block length ``n``, and the AD it can carry: none at n=1, whose limit is one block."""
+    return TweakableKey(b"\x5a", xor_spec(n)), AD if n > 1 else b""
+
+
+def _forge_nr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tuple[bytes, bytes]:
+    n = key.cipher.block_len
+    blocks = [padded[i : i + n] for i in range(0, len(padded), n)]
+    checksum = bytes(n)
     for p in blocks:
         checksum = xor(checksum, p)
     m = len(blocks)
-    ct = b"".join(tweak_encrypt(KEY, t, p) for t, p in zip(_nr_msg_tweaks(0, nonce, range(m), 16), blocks))
-    ftag = tweak_encrypt(KEY, _nr_msg_tweaks(1, nonce, range(m, m + 1), 16)[0], checksum)
-    return ct, xor(ftag, ad_sum(KEY, AD))
+    ct = b"".join(tweak_encrypt(key, t, p) for t, p in zip(_nr_msg_tweaks(0, nonce, range(m), n), blocks))
+    ftag = tweak_encrypt(key, _nr_msg_tweaks(1, nonce, range(m, m + 1), n)[0], checksum)
+    return ct, xor(ftag, ad_sum(key, ad))
 
 
-def _forge_mr(nonce: bytes, padded: bytes) -> tuple[bytes, bytes]:
-    blocks = [padded[i : i + 16] for i in range(0, len(padded), 16)]
-    acc = ad_sum(KEY, AD)
-    for t, p in zip(_nr_msg_tweaks(0, nonce[:8], range(len(blocks)), 16), blocks):
-        acc = xor(acc, tweak_encrypt(KEY, t, p))
-    tag = tweak_encrypt(KEY, encode_mr_tag_tweak(nonce), acc)
-    stream = (tweak_encrypt(KEY, t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(len(blocks)), 16))
+def _forge_mr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tuple[bytes, bytes]:
+    n = key.cipher.block_len
+    blocks = [padded[i : i + n] for i in range(0, len(padded), n)]
+    acc = ad_sum(key, ad)
+    msg_nonce = nonce[: nonce_length(AeadMode.NONCE_RESPECTING, n)]
+    for t, p in zip(_nr_msg_tweaks(0, msg_nonce, range(len(blocks)), n), blocks):
+        acc = xor(acc, tweak_encrypt(key, t, p))
+    tag = tweak_encrypt(key, encode_mr_tag_tweak(nonce, n), acc)
+    stream = (tweak_encrypt(key, t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(len(blocks)), n))
     return b"".join(map(xor, blocks, stream)), tag
 
 
@@ -52,7 +79,17 @@ FORGE = {AeadMode.NONCE_RESPECTING: _forge_nr, AeadMode.MISUSE_RESISTANT: _forge
 
 
 def _flip(tag: bytes) -> bytes:
-    return xor(tag, b"\x01" + bytes(15))
+    return xor(tag, b"\x01" + bytes(len(tag) - 1))
+
+
+def _assert_open_fails_like_bad_tag(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, padded: bytes) -> None:
+    ct, tag = FORGE[mode](key, nonce, ad, padded)
+    with pytest.raises(AuthenticationError) as bad_pad:
+        OPEN[mode](key, nonce, ad, ct, tag)
+    with pytest.raises(AuthenticationError) as bad_tag:
+        OPEN[mode](key, nonce, ad, ct, _flip(tag))
+    assert bad_pad.value.args == bad_tag.value.args == ("authentication failed",)
+    assert bad_pad.value.__cause__ is None and bad_pad.value.__context__ is None
 
 
 # Padding of a whole block (empty), of one byte (15 bytes), of a whole block after an aligned one, and mid-block.
@@ -60,29 +97,46 @@ def _flip(tag: bytes) -> bytes:
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_forger_matches_seal(mode, pt):
     nonce = bytes(range(nonce_length(mode)))
-    ct, tag = FORGE[mode](nonce, pad(pt, 16))
+    ct, tag = FORGE[mode](KEY, nonce, AD, pad(pt, 16))
     sealed = SEAL[mode](KEY, nonce, AD, pt)
     assert (sealed.ciphertext, sealed.tag) == (ct, tag)
     assert OPEN[mode](KEY, nonce, AD, ct, tag) == pt
 
 
-@pytest.mark.parametrize("padded", BAD_PADS, ids=["zero", "overlong", "inconsistent", "zero-after-a-block"])
+@pytest.mark.parametrize(
+    "padded", BAD_PADS, ids=["zero", "overlong", "overlong-over-two-blocks", "inconsistent", "zero-after-a-block"]
+)
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_bad_padding_raises_like_bad_tag(mode, padded):
-    nonce = bytes(range(nonce_length(mode)))
-    ct, tag = FORGE[mode](nonce, padded)
-    with pytest.raises(AuthenticationError) as bad_pad:
-        OPEN[mode](KEY, nonce, AD, ct, tag)
-    with pytest.raises(AuthenticationError) as bad_tag:
-        OPEN[mode](KEY, nonce, AD, ct, _flip(tag))
-    assert bad_pad.value.args == bad_tag.value.args == ("authentication failed",)
-    assert bad_pad.value.__cause__ is None and bad_pad.value.__context__ is None
+    _assert_open_fails_like_bad_tag(KEY, mode, bytes(range(nonce_length(mode))), AD, padded)
+
+
+@pytest.mark.parametrize("n", OTHER_BLOCK_LENS)
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_forger_matches_seal_any_block_length(mode, n):
+    # The forgers are right at n, so a failure below comes from the padding check, not a bad tag.
+    key, ad = _other_key(n)
+    nonce = bytes(range(nonce_length(mode, n)))
+    for size in sorted({0, 1, n - 1, n, 2 * n + 1}):
+        pt = (bytes(range(1, 256)) * 3)[:size]
+        ct, tag = FORGE[mode](key, nonce, ad, pad(pt, n))
+        sealed = SEAL[mode](key, nonce, ad, pt)
+        assert (sealed.ciphertext, sealed.tag) == (ct, tag)
+        assert OPEN[mode](key, nonce, ad, ct, tag) == pt
+
+
+@pytest.mark.parametrize("n", OTHER_BLOCK_LENS)
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_bad_padding_raises_like_bad_tag_any_block_length(mode, n):
+    key, ad = _other_key(n)
+    for padded in _bad_pads(n).values():
+        _assert_open_fails_like_bad_tag(key, mode, bytes(range(nonce_length(mode, n))), ad, padded)
 
 
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_cli_bad_padding_exits_like_bad_tag(tmp_path, capsys, mode):
     nonce = bytes(range(nonce_length(mode)))
-    ct, tag = FORGE[mode](nonce, BAD_PAD)
+    ct, tag = FORGE[mode](KEY, nonce, AD, BAD_PAD)
     outcomes = []
     for name, t in (("pad", tag), ("tag", _flip(tag))):
         env, out = tmp_path / f"{name}.tort", tmp_path / f"{name}.out"
