@@ -15,15 +15,20 @@ full-block tag, and verify it in constant time before releasing anything.
 
 Each data dependency is one pass of tweakable calls.  A pass lays its
 blocks end to end, message blocks first, then any tag block, then the
-associated-data blocks, and hands them to the tweakable cipher in even runs
-of at most ``_SEGMENT`` blocks; outputs that feed a sum are XOR-folded run
-by run.  The nr checksum and the associated data are known before any
-block is encrypted, so an nr seal is one pass; an nr open decrypts first,
-because its checksum needs the plaintext, then makes the tag.  In mr the
-message and associated-data sums are one pass, the tag block a second and
-the keystream it seeds a third, when sealing and opening alike.  The blocks
-a seal appends go into the one padded copy of the message it makes, and
-those an mr open appends into the join of its keystream runs.
+associated-data blocks.  A pass of up to ``_SEGMENT`` blocks, which covers
+every message up to 32 KiB, is straight-line code: one tweak list built
+from one encoder call per tweak domain, one call to the tweakable core,
+then the message outputs sliced off and the sums folded as integers.  A
+longer pass goes in even runs of at most ``_SEGMENT`` blocks, folded run by
+run.  The core, ``tweakable._encrypt`` or ``_decrypt``, checks nothing:
+``_check`` has bounded every length and tweak on entry.  The nr checksum
+and the associated data are known before any block is encrypted, so an nr
+seal is one pass; an nr open decrypts first, because its checksum needs
+the plaintext, then makes the tag.  In mr the message and associated-data
+sums are one pass, the tag block a second and the keystream it seeds a
+third, when sealing and opening alike.  The blocks a seal appends go into
+the one padded copy of the message it makes, and those an mr open appends
+into the join of its keystream.
 """
 
 from __future__ import annotations
@@ -31,18 +36,19 @@ from __future__ import annotations
 import enum
 import hmac
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .tweakable import (
     TweakableKey,
     _ad_tweaks,
+    _decrypt,
+    _encrypt,
     _layout,
     _mr_stream_tweaks,
     _nr_msg_tweaks,
+    _nr_tag_tweak,
     _xor,
     encode_mr_tag_tweak,
-    tweak_decrypt_many,
-    tweak_encrypt_many,
 )
 
 __all__ = [
@@ -95,67 +101,60 @@ def _padding(size: int, n: int) -> bytes:
     return bytes([k]) * k
 
 
-def _runs(count: int) -> Iterable[range]:
-    """Cut ``count`` blocks into even runs of at most ``_SEGMENT`` blocks: each run's block indices.
-
-    Each run is one batch call, so a long message never holds more than
-    one run's tweaks, subkeys and masks at a time.
-    """
-    if count <= _SEGMENT:
-        return (range(count),)
-    step = -(-count // -(-count // _SEGMENT))
-    return (range(i, min(i + step, count)) for i in range(0, count, step))
-
-
 def _fold(data: bytes, n: int) -> int:
     """XOR of the whole ``n``-byte blocks of ``data``, as an integer.
 
-    Folds each run's top half of blocks onto its bottom half until one
-    block is left, so the work is linear in the length of ``data``.
+    Folds the top half of the blocks onto the bottom half until one block
+    is left, so the work is linear in the length of ``data``.
     """
-    acc = 0
-    for js in _runs(len(data) // n):
-        x = int.from_bytes(data[js.start * n : js.stop * n], "big")
-        count = len(js)
-        while count > 1:
-            low = count - count // 2
-            bits = 8 * n * low
-            x = (x >> bits) ^ (x & ((1 << bits) - 1))
-            count = low
-        acc ^= x
-    return acc
+    count = len(data) // n
+    x = int.from_bytes(data, "big") >> 8 * (len(data) - count * n)
+    while count > 1:
+        low = count - count // 2
+        bits = 8 * n * low
+        x = (x >> bits) ^ (x & ((1 << bits) - 1))
+        count = low
+    return x
 
 
 def _pass(
-    key: TweakableKey, crypt: Callable, data: bytes, nonce: bytes, m: int, tag_tweaks: list[bytes], keep: bool
-) -> tuple[list[bytes], int]:
-    """One tweakable batch per run over the blocks of ``data``, laid end to end.
+    crypt: Callable, key: TweakableKey, data: bytes, nonce: bytes, m: int, tags: list[bytes], keep: bool, sum_from: int
+) -> tuple[bytes, int]:
+    """The tweakable calls over the blocks of ``data``, laid end to end.
 
     The first ``m`` blocks are message blocks under the counter tweaks of
-    ``nonce``; one block per tag tweak follows, then the associated-data
-    blocks under AD tweaks from 0, each from an unchecked encoder: the
-    caller has bounded them.  ``crypt`` is :func:`tweak_encrypt_many` or
-    :func:`tweak_decrypt_many`.  Returns the message blocks' outputs run by
-    run if ``keep`` is set, and the XOR of every other output.
+    ``nonce``; one block per tweak in ``tags`` follows, then the
+    associated-data blocks under AD tweaks from 0, each from an unchecked
+    encoder: the caller has bounded them.  ``crypt`` is the tweakable core,
+    ``_encrypt`` or ``_decrypt``.  Returns the message blocks' outputs if
+    ``keep`` is set, and the XOR of the outputs from block ``sum_from`` on.
+
+    Up to ``_SEGMENT`` blocks are one call.  A longer pass goes in even runs
+    of at most ``_SEGMENT`` blocks, so that it holds one run's tweaks,
+    subkeys and masks at a time, and sums each run's outputs on their own.
     """
     n = key.cipher.block_len
-    t = m + len(tag_tweaks)
+    count, t = len(data) // n, m + len(tags)
+    if count <= _SEGMENT:
+        tweaks = _nr_msg_tweaks(0, nonce, range(m), n) + tags if m else tags
+        out = crypt(key, tweaks + _ad_tweaks(range(count - t), n) if count > t else tweaks, data)
+        return out[: m * n] if keep else b"", _fold(out[sum_from * n :], n)
+    step = -(-count // -(-count // _SEGMENT))
     kept, acc = [], 0
-    for js in _runs(len(data) // n):
-        lo, hi = js.start, js.stop
-        # Conditional expressions, not min/max calls: this runs once per batch, small ones too.
-        tweaks = _nr_msg_tweaks(0, nonce, range(lo, hi if hi < m else m), n) if lo < m else []
-        if hi > m:
-            tweaks += tag_tweaks[lo - m if lo > m else 0 : hi - m]
-            if hi > t:
-                tweaks += _ad_tweaks(range(lo - t if lo > t else 0, hi - t), n)
-        out = crypt(key, tweaks, data[lo * n : hi * n])
-        k = ((hi if hi < m else m) - lo) * n if keep and lo < m else 0
-        if k:
-            kept.append(out[:k])
-        if k < len(out):
-            acc ^= _fold(out[k:], n)
-    return kept, acc
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        # No name holds the run's tweaks, or the last run's would stay alive through the join.
+        out = crypt(
+            key,
+            _nr_msg_tweaks(0, nonce, range(lo, min(hi, m)), n)
+            + tags[max(lo - m, 0) : max(hi - m, 0)]
+            + _ad_tweaks(range(max(lo - t, 0), hi - t), n),
+            data[lo * n : hi * n],
+        )
+        if keep:
+            kept.append(out[: max(min(hi, m) - lo, 0) * n])
+        acc ^= _fold(out[max(sum_from - lo, 0) * n :], n)
+    return b"".join(kept), acc
 
 
 def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, tag: bytes | None = None) -> int:
@@ -195,18 +194,25 @@ def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes, m: int) -> bytes:
     One pass sums both under their tweaks, then the sum is the tag block.
     """
     n = key.cipher.block_len
-    acc = _pass(key, tweak_encrypt_many, data, nonce[: _layout(n).nonce_len], m, [], False)[1]
-    return tweak_encrypt_many(key, [encode_mr_tag_tweak(nonce, n)], acc.to_bytes(n, "big"))
+    acc = _pass(_encrypt, key, data, nonce[: _layout(n).nonce_len], m, [], False, 0)[1]
+    return _encrypt(key, [encode_mr_tag_tweak(nonce, n)], acc.to_bytes(n, "big"))
 
 
-def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int) -> list[bytes]:
-    """XOR the first ``m`` blocks of ``data`` with the keystream seeded by ``tag``, run by run; its own inverse."""
+def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int) -> bytes:
+    """XOR the first ``m`` blocks of ``data`` with the keystream seeded by ``tag``; its own inverse.
+
+    Up to ``_SEGMENT`` blocks are one call; a longer stream goes in even runs, as in :func:`_pass`.
+    """
     n = key.cipher.block_len
     seed = b"\x00" + nonce
-    return [
-        _xor(data[js.start * n : js.stop * n], tweak_encrypt_many(key, _mr_stream_tweaks(tag, js, n), seed * len(js)))
-        for js in _runs(m)
-    ]
+    if m <= _SEGMENT:
+        return _xor(data[: m * n], _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))
+    step = -(-m // -(-m // _SEGMENT))
+    # A generator: the runs of the largest count the limit allows would not fit in memory.
+    runs = (range(lo, min(lo + step, m)) for lo in range(0, m, step))
+    return b"".join(
+        [_xor(data[r.start * n : r.stop * n], _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r))) for r in runs]
+    )
 
 
 def _release(expected: bytes, tag: bytes, data: bytes, end: int, n: int) -> bytes:
@@ -231,17 +237,17 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     # The whole plaintext blocks, then the last padded block: its tail and the padding.
     checksum = _fold(plaintext, n) ^ int.from_bytes(plaintext[(m - 1) * n :] + pad, "big")
     data = b"".join([plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)])
-    ct, tag = _pass(key, tweak_encrypt_many, data, nonce, m, _nr_msg_tweaks(1, nonce, range(m, m + 1), n), True)
-    return SealedMessage(b"".join(ct), tag.to_bytes(n, "big"))
+    ct, tag = _pass(_encrypt, key, data, nonce, m, [_nr_tag_tweak(nonce, m, n)], True, m)
+    return SealedMessage(ct, tag.to_bytes(n, "big"))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
     n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
-    plain = b"".join(_pass(key, tweak_decrypt_many, ciphertext, nonce, m, [], True)[0])
-    data = b"".join([_fold(plain, n).to_bytes(n, "big"), ad, _padding(len(ad), n)])
-    expected = _pass(key, tweak_encrypt_many, data, nonce, 0, _nr_msg_tweaks(1, nonce, range(m, m + 1), n), False)[1]
+    plain, checksum = _pass(_decrypt, key, ciphertext, nonce, m, [], True, 0)
+    data = b"".join([checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)])
+    expected = _pass(_encrypt, key, data, nonce, 0, [_nr_tag_tweak(nonce, m, n)], False, 0)[1]
     return _release(expected.to_bytes(n, "big"), tag, plain, len(plain), n)
 
 
@@ -251,7 +257,7 @@ def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     m = len(plaintext) // n + 1
     data = b"".join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)])
     tag = _mr_tag(key, nonce, data, m)
-    return SealedMessage(b"".join(_mr_stream(key, nonce, tag, data, m)), tag)
+    return SealedMessage(_mr_stream(key, nonce, tag, data, m), tag)
 
 
 def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -263,7 +269,7 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     """
     n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
-    data = b"".join([*_mr_stream(key, nonce, tag, ciphertext, m), ad, _padding(len(ad), n)])
+    data = b"".join([_mr_stream(key, nonce, tag, ciphertext, m), ad, _padding(len(ad), n)])
     return _release(_mr_tag(key, nonce, data, m), tag, data, m * n, n)
 
 

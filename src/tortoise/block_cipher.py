@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 __all__ = [
@@ -72,22 +72,29 @@ class CipherSpec:
 
         The result is laid out like ``blocks``.
         """
-        return self._batch(self.encrypt_block, self.encrypt_kernel, keys, blocks)
+        lanes = self._lanes(keys, blocks)
+        if self.encrypt_kernel:
+            return self.encrypt_kernel(keys, blocks)
+        k, n = self.key_len, self.block_len
+        return b"".join([self.encrypt_block(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(lanes)])
 
     def decrypt_blocks(self, keys: bytes, blocks: bytes) -> bytes:
         """Invert :meth:`encrypt_blocks` for the same keys."""
-        return self._batch(self.decrypt_block, self.decrypt_kernel, keys, blocks)
+        lanes = self._lanes(keys, blocks)
+        if self.decrypt_kernel:
+            return self.decrypt_kernel(keys, blocks)
+        k, n = self.key_len, self.block_len
+        return b"".join([self.decrypt_block(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(lanes)])
 
-    def _batch(self, single: Callable, kernel: Callable | None, keys: bytes, blocks: bytes) -> bytes:
+    def _lanes(self, keys: bytes, blocks: bytes) -> int:
+        """The number of blocks in a batch, once its keys and blocks are checked to match."""
         k, n = self.key_len, self.block_len
         lanes = len(blocks) // n
         if len(blocks) % n or len(keys) != k * lanes:
             raise ValueError(
                 f"need one {k}-byte key per {n}-byte block, got {len(keys)} key bytes and {len(blocks)} block bytes"
             )
-        if kernel is None:
-            return b"".join([single(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(lanes)])
-        return kernel(keys, blocks)
+        return lanes
 
 
 # --- AES-128 -----------------------------------------------------------
@@ -205,39 +212,42 @@ _THREAD = threading.local()
 _ZERO_KEY = bytes(16)
 
 
-def _aes128_evp(enc: int, keys: bytes, blocks: bytes) -> bytes:
-    """AES-128 of each 16-byte block under its own key: ``enc`` 1 encrypts, 0 decrypts."""
-    n = len(blocks)
-    if len(keys) != n or n % 16:
-        raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} key bytes and {n} block bytes")
-    context = getattr(_THREAD, "context", None)
-    if context is None:
-        context = _THREAD.context = _Context(_LIBCRYPTO)
-    ctx, init, update, out, outl, outl_ref = context.lane
-    parts = []
-    try:
-        for i in range(0, n, 16):
-            # The cipher and the padding setting carry over a re-key; enc sets the direction.
-            if init(ctx, None, None, keys[i : i + 16], None, enc) != 1:
+def _aes128_evp(enc: int) -> Callable[[bytes, bytes], bytes]:
+    """The AES-128 kernel of one direction: ``enc`` 1 encrypts, 0 decrypts."""
+
+    def kernel(keys: bytes, blocks: bytes) -> bytes:
+        n = len(blocks)
+        if len(keys) != n or n % 16:
+            raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} key bytes and {n} block bytes")
+        context = getattr(_THREAD, "context", None)
+        if context is None:
+            context = _THREAD.context = _Context(_LIBCRYPTO)
+        ctx, init, update, out, outl, outl_ref = context.lane
+        parts = []
+        try:
+            for i in range(0, n, 16):
+                # The cipher and the padding setting carry over a re-key; enc sets the direction.
+                if init(ctx, None, None, keys[i : i + 16], None, enc) != 1:
+                    raise RuntimeError("EVP_CipherInit_ex failed")
+                if update(ctx, out, outl_ref, blocks[i : i + 16], 16) != 1 or outl.value != 16:
+                    raise RuntimeError("EVP_CipherUpdate failed")
+                parts.append(out.raw)
+            if init(ctx, None, None, _ZERO_KEY, None, enc) != 1:
                 raise RuntimeError("EVP_CipherInit_ex failed")
-            if update(ctx, out, outl_ref, blocks[i : i + 16], 16) != 1 or outl.value != 16:
-                raise RuntimeError("EVP_CipherUpdate failed")
-            parts.append(out.raw)
-        if init(ctx, None, None, _ZERO_KEY, None, enc) != 1:
-            raise RuntimeError("EVP_CipherInit_ex failed")
-        out.raw = _ZERO_KEY
-    except BaseException:
-        # The context may hold a subkey or be in an unknown state: drop it.
-        out.raw = _ZERO_KEY
-        _THREAD.context = None
-        context.close()
-        raise
-    return b"".join(parts)
+            out.raw = _ZERO_KEY
+        except BaseException:
+            # The context may hold a subkey or be in an unknown state: drop it.
+            out.raw = _ZERO_KEY
+            _THREAD.context = None
+            context.close()
+            raise
+        return b"".join(parts)
+
+    return kernel
 
 
-# Without libcrypto, AES128 has no kernel and its batches go block by block.  ``enc`` is
-# bound by position: a keyword-bound partial cost about 0.1 us more per call.
-_AES128_KERNELS = (None, None) if _LIBCRYPTO is None else (partial(_aes128_evp, 1), partial(_aes128_evp, 0))
+# Without libcrypto, AES128 has no kernel and its batches go block by block.
+_AES128_KERNELS = (None, None) if _LIBCRYPTO is None else (_aes128_evp(1), _aes128_evp(0))
 
 
 # --- Toy cipher --------------------------------------------------------

@@ -8,7 +8,9 @@ round structure, and any :class:`~tortoise.block_cipher.CipherSpec` can be
 dropped in unchanged.  :func:`tweak_encrypt_many` and
 :func:`tweak_decrypt_many` are the one entry point: they take many tweaks
 and blocks at once and hand the blocks to the cipher as one batch, and a
-single block is a batch of one.
+single block is a batch of one.  They check their inputs, then call the
+core of their direction, ``_encrypt`` or ``_decrypt``, which ``aead`` calls
+directly: it has bounded every input on entry.
 
 Tweaks are exactly one block wide.  Byte 0 carries a 4-bit domain prefix
 in its high nibble:
@@ -107,6 +109,12 @@ def _nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int) -
     return [bytes([(prefix << 4) | j]) + nonce for j in counters]
 
 
+def _nr_tag_tweak(nonce: bytes, count: int, block_len: int) -> bytes:
+    """The nr tag tweak of a ``count``-block message: its counter tweak of ``count`` under prefix 1."""
+    counter_len = block_len - 1 - len(nonce)
+    return b"\x10" + nonce + count.to_bytes(counter_len, "big") if counter_len else bytes([0x10 | count]) + nonce
+
+
 def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> bytes:
     """Tag tweak for the misuse-resistant mode: 0x10, then a nonce filling the rest."""
     if len(nonce) != block_len - 1:
@@ -120,19 +128,37 @@ def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes
     return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 
 
-def _derive_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> tuple[bytes, bytes]:
+def _derive_many(key: TweakableKey, tweaks: list[bytes]) -> tuple[bytes, bytes]:
     """One SHAKE128 squeeze of ``master_key || tweak`` per tweak: subkey first, mask after.
 
-    Returns the subkeys and the masks, each end to end.  ``blocks`` must
-    hold one block per tweak.
+    Returns the subkeys and the masks, each end to end.
     """
-    mk, kl, n = key.master_key, key.cipher.key_len, key.cipher.block_len
-    if len(blocks) != n * len(tweaks):
-        raise ValueError(f"blocks must be {n} bytes per tweak, got {len(blocks)} for {len(tweaks)}")
-    outs = [shake128(mk + tweak, kl + n) for tweak in tweaks if len(tweak) == n]
-    if len(outs) != len(tweaks):
-        raise ValueError(f"every tweak must be {n} bytes")
-    return b"".join([out[:kl] for out in outs]), b"".join([out[kl:] for out in outs])
+    mk, kl = key.master_key, key.cipher.key_len
+    size = kl + key.cipher.block_len
+    subkeys, masks = [], []
+    for tweak in tweaks:
+        out = shake128(mk + tweak, size)
+        subkeys.append(out[:kl])
+        masks.append(out[kl:])
+    return b"".join(subkeys), b"".join(masks)
+
+
+def _encrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
+    """The encrypting core: the subkeys and masks, one cipher batch, the masks applied.  It checks nothing."""
+    subkeys, masks = _derive_many(key, tweaks)
+    return _xor(key.cipher.encrypt_blocks(subkeys, blocks), masks)
+
+
+def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
+    """The decrypting core, the inverse of :func:`_encrypt`.  It checks nothing."""
+    subkeys, masks = _derive_many(key, tweaks)
+    return key.cipher.decrypt_blocks(subkeys, _xor(blocks, masks))
+
+
+def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> None:
+    n = key.cipher.block_len
+    if len(blocks) != n * len(tweaks) or any(len(tweak) != n for tweak in tweaks):
+        raise ValueError(f"every tweak must be {n} bytes, with one {n}-byte block each; got {len(blocks)} block bytes")
 
 
 def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
@@ -141,11 +167,11 @@ def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) ->
     ``blocks`` and the result are the blocks end to end.  The blocks are
     independent, so the cipher sees them as one batch.
     """
-    subkeys, masks = _derive_many(key, tweaks, blocks)
-    return _xor(key.cipher.encrypt_blocks(subkeys, blocks), masks)
+    _check_batch(key, tweaks, blocks)
+    return _encrypt(key, tweaks, blocks)
 
 
 def tweak_decrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """Invert :func:`tweak_encrypt_many` for the same key and tweaks."""
-    subkeys, masks = _derive_many(key, tweaks, blocks)
-    return key.cipher.decrypt_blocks(subkeys, _xor(blocks, masks))
+    _check_batch(key, tweaks, blocks)
+    return _decrypt(key, tweaks, blocks)

@@ -266,6 +266,45 @@ def test_round_trip_any_block_length(n, data):
             assert OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag) == msg[:size]
 
 
+# --- nonce reuse: what each mode gives up ------------------------------------
+
+def test_nr_nonce_reuse_allows_splicing_forgery():
+    # Two seals under one (key, nonce, AD) share every block tweak, so blocks at the same position
+    # can be swapped between their envelopes.  (a, b, x) and (z, b', y), with y = x ^ b ^ b' and b ^ b'
+    # zero over x's padding bytes, have padded checksums a ^ b ^ x' and z ^ b ^ x', where x' is x padded.
+    # So a's block from the first envelope, b' and y's blocks from the second and the first tag open
+    # to (a, b', y), a message neither seal saw.
+    rng = random.Random(0x5EA1)
+    key, nonce, ad = TweakableKey(rng.randbytes(16), AES128), rng.randbytes(8), rng.randbytes(13)
+    a, b, z, x = rng.randbytes(16), rng.randbytes(16), rng.randbytes(16), rng.randbytes(9)
+    b2 = rng.randbytes(9) + b[9:]  # agrees with b over x's 7 padding bytes
+    y = bytes(p ^ q ^ r for p, q, r in zip(x, b, b2))
+    first, second = seal_nr(key, nonce, ad, a + b + x), seal_nr(key, nonce, ad, z + b2 + y)
+    forged = first.ciphertext[:16] + second.ciphertext[16:]
+    assert open_nr(key, nonce, ad, forged, first.tag) == a + b2 + y
+    assert a + b2 + y not in (a + b + x, z + b2 + y)
+    # The same splice under distinct nonces is rejected.
+    other = seal_nr(key, rng.randbytes(8), ad, z + b2 + y)
+    with pytest.raises(AuthenticationError):
+        open_nr(key, nonce, ad, first.ciphertext[:16] + other.ciphertext[16:], first.tag)
+
+
+def test_mr_nonce_reuse_reveals_only_equality():
+    # Under one (key, nonce, AD), equal inputs seal to equal envelopes, and one flipped bit anywhere
+    # in the plaintext gives a new tag, hence a new keystream: no block of the two envelopes matches.
+    rng = random.Random(0x3A11)
+    key, nonce, ad = TweakableKey(rng.randbytes(16), AES128), rng.randbytes(15), rng.randbytes(13)
+    pt = rng.randbytes(41)
+    sealed = seal_mr(key, nonce, ad, pt)
+    assert seal_mr(key, nonce, ad, pt) == sealed
+    for bit in (0, 7, 8 * 16, 8 * len(pt) - 1):
+        flipped = seal_mr(key, nonce, ad, (int.from_bytes(pt, "big") ^ 1 << bit).to_bytes(len(pt), "big"))
+        assert flipped.tag != sealed.tag
+        assert all(
+            flipped.ciphertext[i : i + 16] != sealed.ciphertext[i : i + 16] for i in range(0, len(pt) + 7, 16)
+        )
+
+
 # --- length limits, checked before any block work ---------------------------
 
 TOY_KEY = TweakableKey(b"\x42\x24", TOY)
@@ -283,16 +322,16 @@ class _HugeMessage:
 
 @pytest.fixture
 def tweak_calls(monkeypatch):
-    """Names of the tweakable-cipher calls the aead module makes from now on."""
+    """Names of the tweakable-core calls the aead module makes from now on."""
     calls = []
-    for name in ("tweak_encrypt_many", "tweak_decrypt_many"):
+    for name in ("_encrypt", "_decrypt"):
         real = getattr(aead, name)
         monkeypatch.setattr(aead, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
     # The counter must see every tweakable call of a round trip, or "no calls" proves nothing.
     for mode in AeadMode:
         sealed = SEAL[mode](TOY_KEY, b"\x5a", b"ad", b"pt")
         OPEN[mode](TOY_KEY, b"\x5a", b"ad", sealed.ciphertext, sealed.tag)
-    assert {"tweak_encrypt_many", "tweak_decrypt_many"} <= set(calls)
+    assert {"_encrypt", "_decrypt"} <= set(calls)
     calls.clear()
     return calls
 

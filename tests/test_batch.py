@@ -1,5 +1,6 @@
 """The batch block-cipher contract and the batch tweakable calls built on it."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -15,7 +16,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import composed_tweakable
 import reference_aes
-from tortoise import aead, block_cipher
+from tortoise import aead, block_cipher, tweakable
 from tortoise.block_cipher import (
     AES128,
     CIPHERS,
@@ -30,6 +31,7 @@ from tortoise.tweakable import (
     _ad_tweaks,
     _mr_stream_tweaks,
     _nr_msg_tweaks,
+    _nr_tag_tweak,
     encode_mr_tag_tweak,
     tweak_decrypt_many,
     tweak_encrypt_many,
@@ -306,7 +308,7 @@ def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypa
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", NoCalls())
     for enc in (1, 0):
         with pytest.raises(ValueError, match="16-byte key per 16-byte block"):
-            block_cipher._aes128_evp(enc, keys, blocks)
+            block_cipher._aes128_evp(enc)(keys, blocks)
 
 
 def test_aes128_batch_fips197_vector():
@@ -321,7 +323,7 @@ def test_aes128_batch_fips197_vector():
 @pytest.mark.parametrize(
     "spec,lanes",
     [(TOY, 0), (TOY, 1), (TOY, 5), (TOY, 300), (AES256, 1), (AES256, 511), (AES256, 512), (AES256, 513)],
-    ids=str,
+    ids=lambda v: v.name if isinstance(v, CipherSpec) else str(v),
 )
 def test_batch_without_kernel_matches_single_block_calls(spec, lanes):
     rng = random.Random(lanes)
@@ -355,7 +357,9 @@ def test_batch_shape_checked(spec):
 
 
 @pytest.mark.parametrize(
-    "spec,lanes", [(AES128, 3), (AES128, 519), (TOY, 3), (TOY, 40), (AES256, 3), (AES256, 519)], ids=str
+    "spec,lanes",
+    [(AES128, 3), (AES128, 519), (TOY, 3), (TOY, 40), (AES256, 3), (AES256, 519)],
+    ids=lambda v: v.name if isinstance(v, CipherSpec) else str(v),
 )
 def test_tweak_many_matches_hand_composition(spec, lanes):
     rng = random.Random(lanes)
@@ -384,6 +388,36 @@ def test_tweak_many_checks_shapes():
     assert tweak_encrypt_many(key, [], b"") == b""
 
 
+@pytest.mark.parametrize("spec", [AES128, TOY, AES256], ids=lambda s: s.name)
+def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypatch):
+    # aead calls the unchecked cores, so every other way in must check first: tweak_*_many before
+    # the first SHAKE squeeze, encrypt_blocks/decrypt_blocks before the first block call or kernel lane.
+    work = []
+    real_shake = tweakable.shake128
+    monkeypatch.setattr(tweakable, "shake128", lambda data, size: work.append("squeeze") or real_shake(data, size))
+
+    def spy(name):
+        fn = getattr(spec, name)
+        return lambda keys, blocks: work.append(name) or fn(keys, blocks)
+
+    names = [f for f in ("encrypt_block", "decrypt_block", "encrypt_kernel", "decrypt_kernel") if getattr(spec, f)]
+    spied = dataclasses.replace(spec, **{name: spy(name) for name in names})
+    key, k, n = TweakableKey(bytes(spec.key_len), spied), spec.key_len, spec.block_len
+    bad_tweaks = [([bytes(n + 1)], bytes(n)), ([bytes(n), bytes(n - 1)], bytes(2 * n)), ([bytes(n)], bytes(2 * n))]
+    for entry in (tweak_encrypt_many, tweak_decrypt_many):
+        for tweaks, blocks in bad_tweaks + [([bytes(n)] * 2, bytes(n))]:
+            with pytest.raises(ValueError):
+                entry(key, tweaks, blocks)
+    for batch in (spied.encrypt_blocks, spied.decrypt_blocks):
+        for keys, blocks in [(bytes(k - 1), bytes(n)), (bytes(k), bytes(2 * n)), (bytes(k), bytes(n + 1))]:
+            with pytest.raises(ValueError):
+                batch(keys, blocks)
+    assert work == []
+    # The spies do see a well-formed batch.
+    tweak_decrypt_many(key, [bytes(n)], bytes(n))
+    assert work[0] == "squeeze" and work[-1] in ("decrypt_block", "decrypt_kernel")
+
+
 @pytest.mark.parametrize("block_len,prefix", [(16, 0), (16, 1), (2, 0), (2, 1)])
 def test_nr_tweak_batch_matches_single(block_len, prefix):
     nonce = bytes(range(1, min(8, block_len - 1) + 1))
@@ -392,6 +426,13 @@ def test_nr_tweak_batch_matches_single(block_len, prefix):
         _nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0] for j in counters
     ]
     assert _nr_msg_tweaks(prefix, nonce, range(0), block_len) == []
+
+
+@pytest.mark.parametrize("block_len", [16, 2])
+def test_nr_tag_tweak_is_the_prefix_one_counter_tweak(block_len):
+    nonce = bytes(range(1, min(8, block_len - 1) + 1))
+    for count in range(1, 16):
+        assert _nr_tag_tweak(nonce, count, block_len) == _nr_msg_tweaks(1, nonce, range(count, count + 1), block_len)[0]
 
 
 @pytest.mark.parametrize("block_len", [16, 2])
@@ -453,8 +494,8 @@ def test_runs_cut_across_message_tag_and_ad_give_the_same_bytes(segment, monkeyp
         assert (sealed.ciphertext, sealed.tag) == _seal_by_hand(mode, key, nonce, ad, pt)
         inputs[mode, m, a] = nonce, ad, pt, sealed
     lanes = []
-    real = aead.tweak_encrypt_many
-    monkeypatch.setattr(aead, "tweak_encrypt_many", lambda k, t, b: lanes.append(len(t)) or real(k, t, b))
+    real = aead._encrypt
+    monkeypatch.setattr(aead, "_encrypt", lambda k, t, b: lanes.append(len(t)) or real(k, t, b))
     monkeypatch.setattr(aead, "_SEGMENT", segment)
     seen = set()
     for (mode, m, a), (nonce, ad, pt, sealed) in inputs.items():

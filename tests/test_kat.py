@@ -129,8 +129,8 @@ def test_differential_check_catches_a_broken_batch_path(monkeypatch):
     # One mask bit flipped in the squeeze that every message, AD and tag block goes through.
     real = tweakable._derive_many
 
-    def broken(key, tweaks, blocks):
-        subkeys, masks = real(key, tweaks, blocks)
+    def broken(key, tweaks):
+        subkeys, masks = real(key, tweaks)
         return subkeys, bytes([masks[0] ^ 1]) + masks[1:]
 
     monkeypatch.setattr(tweakable, "_derive_many", broken)
