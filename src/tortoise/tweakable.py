@@ -135,12 +135,8 @@ def _derive_many(key: TweakableKey, tweaks: list[bytes]) -> tuple[bytes, bytes]:
     """
     mk, kl = key.master_key, key.cipher.key_len
     size = kl + key.cipher.block_len
-    subkeys, masks = [], []
-    for tweak in tweaks:
-        out = shake128(mk + tweak, size)
-        subkeys.append(out[:kl])
-        masks.append(out[kl:])
-    return b"".join(subkeys), b"".join(masks)
+    outs = [shake128(mk + tweak, size) for tweak in tweaks]
+    return b"".join([out[:kl] for out in outs]), b"".join([out[kl:] for out in outs])
 
 
 def _encrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:

@@ -403,9 +403,10 @@ def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypat
     names = [f for f in ("encrypt_block", "decrypt_block", "encrypt_kernel", "decrypt_kernel") if getattr(spec, f)]
     spied = dataclasses.replace(spec, **{name: spy(name) for name in names})
     key, k, n = TweakableKey(bytes(spec.key_len), spied), spec.key_len, spec.block_len
-    bad_tweaks = [([bytes(n + 1)], bytes(n)), ([bytes(n), bytes(n - 1)], bytes(2 * n)), ([bytes(n)], bytes(2 * n))]
+    # Tweaks too wide and too narrow, then one block too many and one too few.
+    bad = [([bytes(n + 1)], bytes(n)), ([bytes(n), bytes(n - 1)], bytes(2 * n)), ([bytes(n)], bytes(2 * n))]
     for entry in (tweak_encrypt_many, tweak_decrypt_many):
-        for tweaks, blocks in bad_tweaks + [([bytes(n)] * 2, bytes(n))]:
+        for tweaks, blocks in bad + [([bytes(n)] * 2, bytes(n))]:
             with pytest.raises(ValueError):
                 entry(key, tweaks, blocks)
     for batch in (spied.encrypt_blocks, spied.decrypt_blocks):
