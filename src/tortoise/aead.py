@@ -161,8 +161,9 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: byt
     """Check every length before any block work; return the block length.
 
     ``tag`` is given only when opening.  The passes encode their tweaks
-    unchecked, so this bounds them all: the message blocks' counters, in nr
-    the tag block's next one, in mr the keystream's, and the AD blocks.
+    unchecked and the tweakable core takes them as they are, so this bounds
+    them all: the message blocks' counters, in nr the tag block's next one,
+    in mr the keystream's, and the AD blocks.
     """
     n = key.cipher.block_len
     layout = _layout(n)

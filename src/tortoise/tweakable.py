@@ -6,11 +6,11 @@ mask is XORed onto the result.  Distinct tweaks therefore select
 independent-looking permutations without touching the underlying cipher's
 round structure, and any :class:`~tortoise.block_cipher.CipherSpec` can be
 dropped in unchanged.  :func:`tweak_encrypt_many` and
-:func:`tweak_decrypt_many` are the one entry point: they take many tweaks
-and blocks at once and hand the blocks to the cipher as one batch, and a
-single block is a batch of one.  They check their inputs, then call the
-core of their direction, ``_encrypt`` or ``_decrypt``, which ``aead`` calls
-directly: it has bounded every input on entry.
+:func:`tweak_decrypt_many` are the one public entry point: they take many
+tweaks and blocks at once and hand the blocks to the cipher as one batch,
+and a single block is a batch of one.  They check their inputs, then call
+the core of their direction, ``_encrypt`` or ``_decrypt``, which ``aead``
+calls directly: it has bounded every input on entry.
 
 Tweaks are exactly one block wide.  Byte 0 carries a 4-bit domain prefix
 in its high nibble:
@@ -140,13 +140,13 @@ def _derive_many(key: TweakableKey, tweaks: list[bytes]) -> tuple[bytes, bytes]:
 
 
 def _encrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
-    """The encrypting core: the subkeys and masks, one cipher batch, the masks applied.  It checks nothing."""
+    """The encrypting core: the subkeys and masks, one cipher batch, the masks applied; no input checks."""
     subkeys, masks = _derive_many(key, tweaks)
     return _xor(key.cipher.encrypt_blocks(subkeys, blocks), masks)
 
 
 def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
-    """The decrypting core, the inverse of :func:`_encrypt`.  It checks nothing."""
+    """The decrypting core, the inverse of :func:`_encrypt`; no input checks either."""
     subkeys, masks = _derive_many(key, tweaks)
     return key.cipher.decrypt_blocks(subkeys, _xor(blocks, masks))
 
