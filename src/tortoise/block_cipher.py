@@ -6,12 +6,12 @@ permutation of single blocks for every key.  A spec may add a kernel that
 takes a whole batch of blocks with one key each; without one, batches go
 block by block.  Two specs ship with the package:
 
-* ``AES128`` - the production cipher.  Single blocks go to the
-  ``cryptography`` package, imported on first use.  Batches go to
-  OpenSSL's EVP interface through ``ctypes``, on one context per thread
-  re-keyed for every block.  Where that libcrypto cannot be loaded, the
-  spec gets no kernel at import and batches go block by block to
-  ``cryptography``.  Both paths are gated by the known-answer vectors.
+* ``AES128`` - the production cipher, gated by the known-answer vectors.
+  Single blocks and batches alike go to OpenSSL's EVP interface through
+  ``ctypes``, on one context per thread re-keyed for every block; a
+  single block is a batch of one.  Where that libcrypto cannot be
+  loaded, the first AES-128 call raises ``RuntimeError``, and a caller
+  can plug in another AES-128 as a ``CipherSpec``.
 * ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
   Its entire codomain can be enumerated on a desktop, which is what the
   brute-force verification harness needs.
@@ -51,8 +51,10 @@ class CipherSpec:
     inverse.  ``block_len`` must be in [1, 255], the block lengths PKCS#7
     can pad to.  ``encrypt_kernel(keys, blocks)`` and ``decrypt_kernel``, if
     given, compute the same over a whole batch at once and take every
-    batch, of any size; a spec without them goes block by block.  Specs are
-    immutable and safe to share across threads.
+    batch, of any size; a spec without them goes block by block.  Wrong
+    lengths raise ``ValueError``; a backend failure raises ``RuntimeError``,
+    as ``AES128`` does without libcrypto or when an EVP call fails.  Specs
+    are immutable and safe to share across threads.
     """
 
     name: str
@@ -97,47 +99,15 @@ class CipherSpec:
         return lanes
 
 
-# --- AES-128 -----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _cryptography() -> tuple[Callable, Callable, object]:
-    """``Cipher``, ``algorithms.AES`` and one ECB mode, imported on the first single block.
-
-    Importing ``cryptography`` takes about 10 ms, and with libcrypto loaded
-    no batch needs it.  The ECB mode is stateless, so one serves every call.
-    """
-    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-    return Cipher, algorithms.AES, modes.ECB()
-
-
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Encrypt a single 16-byte block with AES-128."""
-    _check_len("key", key, 16)
-    _check_len("block", block, 16)
-    cipher, aes, ecb = _cryptography()
-    return cipher(aes(key), ecb).encryptor().update(block)
-
-
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
-    """Decrypt a single 16-byte block with AES-128."""
-    _check_len("key", key, 16)
-    _check_len("block", block, 16)
-    cipher, aes, ecb = _cryptography()
-    return cipher(aes(key), ecb).decryptor().update(block)
-
-
-# --- AES-128 batches through OpenSSL's EVP interface ------------------
+# --- AES-128 through OpenSSL's EVP interface --------------------------
 #
-# A ``cryptography`` context costs about 19 us to build, and a batch needs
-# one per block.  One EVP context re-keyed per block costs a few us a lane,
-# most of it two ``ctypes`` calls, made through ``PyDLL`` so that they keep
-# the interpreter lock: releasing it would cost more than these calls.
+# One EVP context re-keyed per block costs a few us a lane, most of it two
+# ``ctypes`` calls, made through ``PyDLL`` so that they keep the
+# interpreter lock: releasing it would cost more than these calls.
 # ``hashlib``'s ``_hashlib`` extension already links libcrypto, so loading
 # the extension's own file resolves the EVP symbols through that
 # dependency: no other library is searched for or loaded.  Without it,
-# batches go block by block.
+# AES-128 is unavailable, and its first call raises ``RuntimeError``.
 
 
 def _load_libcrypto() -> ctypes.PyDLL:
@@ -211,6 +181,11 @@ _THREAD = threading.local()
 # the output buffer is zeroed then too, so that no lane's output does.
 _ZERO_KEY = bytes(16)
 
+_NO_LIBCRYPTO = (
+    "aes128 needs the libcrypto that hashlib's _hashlib extension links, and it could not be loaded;"
+    " plug in another AES-128 as a CipherSpec"
+)
+
 
 def _aes128_evp(enc: int) -> Callable[[bytes, bytes], bytes]:
     """The AES-128 kernel of one direction: ``enc`` 1 encrypts, 0 decrypts."""
@@ -221,6 +196,8 @@ def _aes128_evp(enc: int) -> Callable[[bytes, bytes], bytes]:
             raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} key bytes and {n} block bytes")
         context = getattr(_THREAD, "context", None)
         if context is None:
+            if _LIBCRYPTO is None:
+                raise RuntimeError(_NO_LIBCRYPTO)
             context = _THREAD.context = _Context(_LIBCRYPTO)
         ctx, init, update, out, outl, outl_ref = context.lane
         parts = []
@@ -246,8 +223,21 @@ def _aes128_evp(enc: int) -> Callable[[bytes, bytes], bytes]:
     return kernel
 
 
-# Without libcrypto, AES128 has no kernel and its batches go block by block.
-_AES128_KERNELS = (None, None) if _LIBCRYPTO is None else (_aes128_evp(1), _aes128_evp(0))
+_aes128_encrypt, _aes128_decrypt = _aes128_evp(1), _aes128_evp(0)
+
+
+def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
+    """Encrypt a single 16-byte block with AES-128: a one-lane EVP batch."""
+    _check_len("key", key, 16)
+    _check_len("block", block, 16)
+    return _aes128_encrypt(key, block)
+
+
+def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
+    """Decrypt a single 16-byte block with AES-128: a one-lane EVP batch."""
+    _check_len("key", key, 16)
+    _check_len("block", block, 16)
+    return _aes128_decrypt(key, block)
 
 
 # --- Toy cipher --------------------------------------------------------
@@ -302,7 +292,7 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
     return s.to_bytes(2, "big")
 
 
-AES128 = CipherSpec("aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block, *_AES128_KERNELS)
+AES128 = CipherSpec("aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block, _aes128_encrypt, _aes128_decrypt)
 TOY = CipherSpec("toy", 2, 2, toy_encrypt_block, toy_decrypt_block)
 
 CIPHERS: dict[str, CipherSpec] = {spec.name: spec for spec in (AES128, TOY)}

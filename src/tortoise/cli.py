@@ -14,7 +14,8 @@ Envelope layout (all integers big-endian)::
 Associated data is bound to the message but not stored; the same bytes
 must be supplied again at decryption.
 
-Exit codes: 0 success, 1 usage/IO/malformed input, 2 authentication
+Exit codes: 0 success, 1 usage/IO/malformed input or a cipher backend
+that cannot run (such as ``aes128`` without libcrypto), 2 authentication
 failure, 3 known-answer verification failure.
 """
 
@@ -282,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuthenticationError:
         _fail("authentication failed")
         return EXIT_AUTH
-    except (ValueError, OSError) as exc:  # EnvelopeError is a ValueError
+    except (ValueError, OSError, RuntimeError) as exc:  # EnvelopeError is a ValueError; a backend raises RuntimeError
         _fail(str(exc))
         return EXIT_USAGE
 

@@ -2,16 +2,43 @@
 
 One hashlib SHAKE128 squeeze of ``master_key || tweak`` gives the subkey
 and then the mask; the block goes through the spec's own block function
-and the mask is XORed on.  The PKCS#7 padding and the associated-data sum
+and the mask is XORed on, except that ``aes128`` blocks go through
+:data:`CRYPTOGRAPHY_AES128`, so that no check against this oracle runs
+the library's EVP kernel.  The PKCS#7 padding and the associated-data sum
 are written out here too.  Nothing from ``tortoise.tweakable`` or
 ``tortoise.aead`` is used except the key type, so a fault in the library's
 batch path, padding or AD tweaks cannot agree with this.  :func:`xor_spec`
-gives a cheap block cipher of any block length for tests that sweep it.
+gives a cheap block cipher of any block length for tests that sweep it,
+and :func:`aes_spec` AES from ``cryptography`` (the ``test`` extra).
 """
 
 import hashlib
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
 from tortoise.block_cipher import CipherSpec
+
+
+def aes_spec(key_len):
+    """AES with ``key_len``-byte keys from ``cryptography``, a plug-in built from its block pair alone."""
+
+    def encrypt_block(key, block):
+        assert len(key) == key_len
+        return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+
+    def decrypt_block(key, block):
+        assert len(key) == key_len
+        return Cipher(algorithms.AES(key), modes.ECB()).decryptor().update(block)
+
+    return CipherSpec(f"aes{8 * key_len}", 16, key_len, encrypt_block, decrypt_block)
+
+
+# AES-128 apart from the library's EVP kernel, which runs both its single blocks and its batches.
+CRYPTOGRAPHY_AES128 = aes_spec(16)
+
+
+def _block_cipher(key):
+    return CRYPTOGRAPHY_AES128 if key.cipher.name == "aes128" else key.cipher
 
 
 def _squeeze(key, tweak):
@@ -35,13 +62,13 @@ def pad(data, n):
 def encrypt(key, tweak, block):
     """Encrypt one block of ``key.cipher`` under the permutation ``tweak`` selects."""
     subkey, mask = _squeeze(key, tweak)
-    return xor(key.cipher.encrypt_block(subkey, block), mask)
+    return xor(_block_cipher(key).encrypt_block(subkey, block), mask)
 
 
 def decrypt(key, tweak, block):
     """Invert :func:`encrypt` for the same key and tweak."""
     subkey, mask = _squeeze(key, tweak)
-    return key.cipher.decrypt_block(subkey, xor(block, mask))
+    return _block_cipher(key).decrypt_block(subkey, xor(block, mask))
 
 
 def ad_sum(key, ad):

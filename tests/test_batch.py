@@ -16,15 +16,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import composed_tweakable
 import reference_aes
+from composed_tweakable import CRYPTOGRAPHY_AES128
 from tortoise import aead, block_cipher, tweakable
-from tortoise.block_cipher import (
-    AES128,
-    CIPHERS,
-    TOY,
-    CipherSpec,
-    aes128_decrypt_block,
-    aes128_encrypt_block,
-)
+from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec
 from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, seal_nr
 from tortoise.tweakable import (
     TweakableKey,
@@ -37,6 +31,7 @@ from tortoise.tweakable import (
     tweak_encrypt_many,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 MAX = aead._SEGMENT
 # Empty and tiny batches, 511-513 lanes (where a table-based kernel once took over), and around the
 # largest batch aead makes.
@@ -47,18 +42,8 @@ def _split(data: bytes, n: int) -> list[bytes]:
     return [data[i : i + n] for i in range(0, len(data), n)]
 
 
-def _aes256_encrypt_block(key: bytes, block: bytes) -> bytes:
-    assert len(key) == 32
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
-
-
-def _aes256_decrypt_block(key: bytes, block: bytes) -> bytes:
-    assert len(key) == 32
-    return Cipher(algorithms.AES(key), modes.ECB()).decryptor().update(block)
-
-
 # A plug-in built from its block pair alone: no batch kernel, and a key twice the block length.
-AES256 = CipherSpec("aes256", 16, 32, _aes256_encrypt_block, _aes256_decrypt_block)
+AES256 = composed_tweakable.aes_spec(32)
 
 
 @pytest.mark.parametrize("lanes", AES_LANES)
@@ -67,8 +52,9 @@ def test_aes128_batch_matches_single_block_calls(lanes):
     keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
     ct = AES128.encrypt_blocks(keys, blocks)
     pairs = list(zip(_split(keys, 16), _split(blocks, 16), _split(ct, 16)))
-    assert [aes128_encrypt_block(k, p) for k, p, _ in pairs] == [c for _, _, c in pairs]
-    assert AES128.decrypt_blocks(keys, blocks) == b"".join(aes128_decrypt_block(k, p) for k, p, _ in pairs)
+    # Single blocks from cryptography: the library's own single blocks run the EVP kernel too.
+    assert [CRYPTOGRAPHY_AES128.encrypt_block(k, p) for k, p, _ in pairs] == [c for _, _, c in pairs]
+    assert AES128.decrypt_blocks(keys, blocks) == b"".join(CRYPTOGRAPHY_AES128.decrypt_block(k, p) for k, p, _ in pairs)
     assert AES128.decrypt_blocks(keys, ct) == blocks
 
 
@@ -86,71 +72,101 @@ def test_aes128_batch_matches_independent_implementation(lanes):
         assert pt[i] == reference_aes.decrypt_block(key, block)
 
 
-# Run in a fresh interpreter: the kernels are chosen when block_cipher is imported.
-_WITHOUT_LIBCRYPTO = """
-import dataclasses, random, sys
-sys.modules["_hashlib"] = None  # hashlib falls back to its builtin SHAKE128, and no libcrypto loads
-import reference_aes
-from tortoise import block_cipher, cli
-from tortoise.block_cipher import AES128
+def _fresh_interpreter(script, *args):
+    """Run ``script`` in a new interpreter with ``src`` and ``tests`` on its path."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}, timeout=120,
+    )
 
+
+# Run in a fresh interpreter: libcrypto is loaded when block_cipher is imported.
+_WITHOUT_LIBCRYPTO = """
+import os, sys
+sys.modules["_hashlib"] = None  # hashlib falls back to its builtin SHAKE128, and no libcrypto loads
+from tortoise import block_cipher, cli
+from tortoise.aead import open_mr, open_nr, seal_mr, seal_nr
+from tortoise.block_cipher import AES128, TOY
+from tortoise.tweakable import TweakableKey
+
+toy_kat, work = sys.argv[1], sys.argv[2]
 assert block_cipher._LIBCRYPTO is None
-assert AES128.encrypt_kernel is None and AES128.decrypt_kernel is None
-calls = []
-counted = dataclasses.replace(
-    AES128,
-    encrypt_block=lambda k, b: calls.append(1) or AES128.encrypt_block(k, b),
-    decrypt_block=lambda k, b: calls.append(1) or AES128.decrypt_block(k, b),
-)
-for lanes in (0, 1, 3, 511):
-    rng = random.Random(0xFA + lanes)
-    keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
-    calls.clear()
-    ct, pt = counted.encrypt_blocks(keys, blocks), counted.decrypt_blocks(keys, blocks)
-    assert len(calls) == 2 * lanes, (lanes, len(calls))
-    assert (AES128.encrypt_blocks(keys, blocks), AES128.decrypt_blocks(keys, blocks)) == (ct, pt)
-    for i in range(0, 16 * lanes, 16):
-        assert ct[i : i + 16] == reference_aes.encrypt_block(keys[i : i + 16], blocks[i : i + 16]), (lanes, i)
-        assert pt[i : i + 16] == reference_aes.decrypt_block(keys[i : i + 16], blocks[i : i + 16]), (lanes, i)
-sys.exit(cli.main(["kat", "verify", sys.argv[1]]))
+key = TweakableKey(bytes(16), AES128)
+for call, args in [
+    (AES128.encrypt_block, (bytes(16), bytes(16))),
+    (AES128.decrypt_block, (bytes(16), bytes(16))),
+    (AES128.encrypt_blocks, (bytes(48), bytes(48))),
+    (AES128.decrypt_blocks, (b"", b"")),
+    (seal_nr, (key, bytes(8), b"ad", b"plaintext")),
+    (open_mr, (key, bytes(15), b"ad", bytes(16), bytes(16))),
+]:
+    try:
+        call(*args)
+    except RuntimeError as exc:
+        assert str(exc) == block_cipher._NO_LIBCRYPTO, exc
+    else:
+        raise AssertionError(f"{call} ran without libcrypto")
+toy = TweakableKey(b"\\x13\\x37", TOY)
+for seal, open_ in ((seal_nr, open_nr), (seal_mr, open_mr)):
+    sealed = seal(toy, b"\\x05", b"ad", b"plaintext")
+    assert open_(toy, b"\\x05", b"ad", sealed.ciphertext, sealed.tag) == b"plaintext"
+assert cli.main(["kat", "verify", toy_kat]) == 0
+plain, out = os.path.join(work, "plain.bin"), os.path.join(work, "sealed.bin")
+with open(plain, "wb") as f:
+    f.write(b"payload")
+rc = cli.main(["encrypt", "--mode", "nr", "--key-hex", "00" * 16, "--nonce-random", "--in", plain, "--out", out])
+assert rc == 1, rc
+assert os.listdir(work) == ["plain.bin"], os.listdir(work)
 """
 
 
-def test_aes128_without_libcrypto_goes_block_by_block():
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_LIBCRYPTO, str(root / "kats" / "aes128.kat")], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])},
-        timeout=120,
-    )
+def test_aes128_without_libcrypto_raises_a_documented_error(tmp_path):
+    proc = _fresh_interpreter(_WITHOUT_LIBCRYPTO, ROOT / "kats" / "toy.kat", tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "20/20 records passed"
+    assert proc.stderr == f"error: {block_cipher._NO_LIBCRYPTO}\n"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="hashlib links libcrypto dynamically on Linux")
 def test_libcrypto_loads_on_linux():
-    # Without it every batch silently takes the per-block path, several times slower.
+    # Without it the built-in aes128 cannot run at all.
     assert block_cipher._LIBCRYPTO is not None
 
 
+_WITHOUT_CRYPTOGRAPHY = """
+import sys
+sys.modules["cryptography"] = None  # importing it, or any module under it, raises ImportError
+from pathlib import Path
+from tortoise import AES128, TweakableKey, cli, open_mr, open_nr, seal_mr, seal_nr
+
+kats, work = Path(sys.argv[1]), Path(sys.argv[2])
+# FIPS-197 Appendix C.1, through the single-block pair and through batches.
+key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+pt, ct = bytes.fromhex("00112233445566778899aabbccddeeff"), bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+assert AES128.encrypt_block(key, pt) == ct and AES128.decrypt_block(key, ct) == pt
+assert AES128.encrypt_blocks(key * 3, pt * 3) == ct * 3 and AES128.decrypt_blocks(key * 3, ct * 3) == pt * 3
+for seal, open_, nonce in ((seal_nr, open_nr, bytes(8)), (seal_mr, open_mr, bytes(15))):
+    sealed = seal(TweakableKey(key, AES128), nonce, b"ad", b"plaintext")
+    assert open_(TweakableKey(key, AES128), nonce, b"ad", sealed.ciphertext, sealed.tag) == b"plaintext"
+plain = work / "plain.bin"
+plain.write_bytes(bytes(range(256)) * 4)
+for mode in ("nr", "mr"):
+    sealed, opened = work / f"sealed.{mode}", work / f"opened.{mode}"
+    args = ["--key-hex", key.hex(), "--ad-hex", "6164"]
+    assert cli.main(["encrypt", "--mode", mode, "--nonce-random", *args, "--in", str(plain), "--out", str(sealed)]) == 0
+    assert cli.main(["decrypt", *args, "--in", str(sealed), "--out", str(opened)]) == 0
+    assert opened.read_bytes() == plain.read_bytes()
+assert cli.main(["kat", "verify", str(kats / "aes128.kat")]) == 0
+assert cli.main(["kat", "verify", str(kats / "toy.kat")]) == 0
+assert cli.main(["kat", "diff"]) == 0
+"""
+
+
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
-def test_sealing_and_opening_never_import_cryptography():
-    # Only single blocks and the no-libcrypto fallback need it, and importing it takes about 10 ms.
-    script = (
-        "import sys, tortoise, tortoise.cli\n"
-        "from tortoise import AES128, TweakableKey, open_nr, seal_nr\n"
-        "key = TweakableKey(bytes(16), AES128)\n"
-        "sealed = seal_nr(key, bytes(8), b'ad', b'plaintext')\n"
-        "assert open_nr(key, bytes(8), b'ad', sealed.ciphertext, sealed.tag) == b'plaintext'\n"
-        "print(sorted(m for m in sys.modules if m.startswith('cryptography')))\n"
-    )
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src_dir}, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+def test_no_tortoise_path_needs_cryptography(tmp_path):
+    # cryptography comes with the test extra only, as an oracle; tortoise itself runs without it.
+    proc = _fresh_interpreter(_WITHOUT_CRYPTOGRAPHY, ROOT / "kats", tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
@@ -220,7 +236,7 @@ def test_failed_evp_call_raises_and_frees_the_context(name, monkeypatch):
         return ct
 
     ct = _on_a_new_thread(run)
-    assert ct == b"".join(aes128_encrypt_block(k, b) for k, b in zip(_split(keys, 16), _split(blocks, 16)))
+    assert ct == b"".join(CRYPTOGRAPHY_AES128.encrypt_block(k, b) for k, b in zip(_split(keys, 16), _split(blocks, 16)))
     assert lib.freed == 3  # with its thread
 
 

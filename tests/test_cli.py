@@ -1,10 +1,11 @@
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tortoise import cli
+from tortoise import block_cipher, cli
 from tortoise.aead import AeadMode
 from tortoise.cli import Envelope, EnvelopeError, main, pack_envelope, parse_envelope
 
@@ -322,6 +323,24 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, co
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     if existing is not None:
         assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_backend_failure_is_reported_with_no_output(tmp_path, monkeypatch, capsys, command):
+    # aes128 without libcrypto, on a thread that has no EVP context yet, raises RuntimeError.
+    src, env, out = tmp_path / "plain.bin", tmp_path / "sealed.bin", tmp_path / "out.bin"
+    src.write_bytes(b"x" * 1000)
+    assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "nr", "--nonce-hex", NR_NONCE,
+                 "--in", str(src), "--out", str(env)]) == 0
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", None)
+    monkeypatch.setattr(block_cipher, "_THREAD", threading.local())
+    argv = {
+        "encrypt": ["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-random", "--in", str(src)],
+        "decrypt": ["decrypt", "--key-hex", KEY_HEX, "--in", str(env)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {block_cipher._NO_LIBCRYPTO}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.bin", "sealed.bin"]
 
 
 def test_longest_output_name_is_written_atomically(tmp_path):
