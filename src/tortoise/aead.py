@@ -45,10 +45,10 @@ from .tweakable import (
     _encrypt,
     _layout,
     _mr_stream_tweaks,
+    _mr_tag_tweak,
     _nr_msg_tweaks,
     _nr_tag_tweak,
     _xor,
-    encode_mr_tag_tweak,
 )
 
 __all__ = [
@@ -136,7 +136,7 @@ def _pass(
     n = key.cipher.block_len
     count, t = len(data) // n, m + len(tags)
     if count <= _SEGMENT:
-        tweaks = _nr_msg_tweaks(0, nonce, range(m), n) + tags if m else tags
+        tweaks = _nr_msg_tweaks(nonce, range(m), n) + tags if m else tags
         out = crypt(key, tweaks + _ad_tweaks(range(count - t), n) if count > t else tweaks, data)
         return out[: m * n] if keep else b"", _fold(out[sum_from * n :], n)
     step = -(-count // -(-count // _SEGMENT))
@@ -146,7 +146,7 @@ def _pass(
         # No name holds the run's tweaks, or the last run's would stay alive through the join.
         out = crypt(
             key,
-            _nr_msg_tweaks(0, nonce, range(lo, min(hi, m)), n)
+            _nr_msg_tweaks(nonce, range(lo, min(hi, m)), n)
             + tags[max(lo - m, 0) : max(hi - m, 0)]
             + _ad_tweaks(range(max(lo - t, 0), hi - t), n),
             data[lo * n : hi * n],
@@ -167,8 +167,7 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: byt
     """
     n = key.cipher.block_len
     layout = _layout(n)
-    nr = mode is AeadMode.NONCE_RESPECTING
-    nonce_len = layout.nonce_len if nr else n - 1
+    nonce_len = nonce_length(mode, n)
     if len(nonce) != nonce_len:
         raise ValueError(f"nonce must be {nonce_len} bytes, got {len(nonce)}")
     if tag is None:
@@ -179,6 +178,7 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: byt
         if not data or len(data) % n:
             raise ValueError("ciphertext must be a positive multiple of the block size")
         blocks = len(data) // n
+    nr = mode is AeadMode.NONCE_RESPECTING
     limit = layout.counter_limit - 1 if nr else min(layout.counter_limit, layout.stream_limit)
     if blocks > limit:
         raise ValueError(f"message of {blocks} padded blocks exceeds the {mode.value} limit of {limit}")
@@ -196,7 +196,7 @@ def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes, m: int) -> bytes:
     """
     n = key.cipher.block_len
     acc = _pass(_encrypt, key, data, nonce[: _layout(n).nonce_len], m, [], False, 0)[1]
-    return _encrypt(key, [encode_mr_tag_tweak(nonce, n)], acc.to_bytes(n, "big"))
+    return _encrypt(key, [_mr_tag_tweak(nonce)], acc.to_bytes(n, "big"))
 
 
 def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int) -> bytes:

@@ -23,29 +23,28 @@ in its high nibble:
 All indices and counters are big-endian.  With 16-byte blocks the counter
 layouts carry an 8-byte nonce and the misuse-resistant tag layout a
 15-byte nonce; see the encoder docstrings for how the fields shrink on
-smaller blocks.  The private encoders do not check their inputs: ``aead``
-bounds them once per message.  :func:`encode_mr_tag_tweak`, the one public
-encoder, checks its nonce length.
+smaller blocks.  Every encoder is private and checks nothing: ``aead``
+bounds its inputs once per message.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .block_cipher import CipherSpec
-from .xof import shake128
 
-__all__ = [
-    "TweakableKey",
-    "encode_mr_tag_tweak",
-    "tweak_encrypt_many",
-    "tweak_decrypt_many",
-]
+__all__ = ["TweakableKey", "tweak_encrypt_many", "tweak_decrypt_many"]
 
 # Counters beyond 2^64 blocks are outside any practical message size.
 _STREAM_COUNTER_LIMIT = 1 << 64
+
+
+def shake128(data: bytes, out_len: int) -> bytes:
+    """``out_len`` bytes of SHAKE128(``data``); a shorter output is a prefix of a longer one."""
+    return hashlib.shake_128(data).digest(out_len)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -94,31 +93,28 @@ def _ad_tweaks(indices: range, block_len: int) -> list[bytes]:
     return [b"\x20" + i.to_bytes(block_len - 1, "big") for i in indices]
 
 
-def _nr_msg_tweaks(prefix: int, nonce: bytes, counters: range, block_len: int) -> list[bytes]:
-    """Counter tweak for each counter of an ascending ``counters`` range: prefix nibble, nonce, block counter.
+def _nr_msg_tweaks(nonce: bytes, counters: range, block_len: int) -> list[bytes]:
+    """Message tweak for each counter of an ascending ``counters`` range: prefix 0, nonce, block counter.
 
-    ``prefix`` 0 marks a message block, 1 the tag-derivation block.  The
-    counter occupies the bytes left after the nonce (7 bytes at n=16); when
-    none remain, as with 2-byte blocks, it moves into the low nibble of
+    The counter occupies the bytes left after the nonce (7 bytes at n=16);
+    when none remain, as with 2-byte blocks, it moves into the low nibble of
     byte 0 and is limited to 15.
     """
     counter_len = block_len - 1 - len(nonce)
     if counter_len:
-        head = bytes([prefix << 4]) + nonce
+        head = b"\x00" + nonce
         return [head + j.to_bytes(counter_len, "big") for j in counters]
-    return [bytes([(prefix << 4) | j]) + nonce for j in counters]
+    return [bytes([j]) + nonce for j in counters]
 
 
 def _nr_tag_tweak(nonce: bytes, count: int, block_len: int) -> bytes:
-    """The nr tag tweak of a ``count``-block message: its counter tweak of ``count`` under prefix 1."""
+    """The nr tag tweak of a ``count``-block message: the message layout with prefix 1 and counter ``count``."""
     counter_len = block_len - 1 - len(nonce)
     return b"\x10" + nonce + count.to_bytes(counter_len, "big") if counter_len else bytes([0x10 | count]) + nonce
 
 
-def encode_mr_tag_tweak(nonce: bytes, block_len: int = 16) -> bytes:
+def _mr_tag_tweak(nonce: bytes) -> bytes:
     """Tag tweak for the misuse-resistant mode: 0x10, then a nonce filling the rest."""
-    if len(nonce) != block_len - 1:
-        raise ValueError(f"nonce must be {block_len - 1} bytes, got {len(nonce)}")
     return b"\x10" + nonce
 
 

@@ -24,8 +24,7 @@ from tortoise.aead import (
 from tortoise.block_cipher import AES128, TOY, aes128_decrypt_block, aes128_encrypt_block
 from tortoise.cli import main
 from tortoise.kat import differential_check, generate_kats, parse_kat_text, serialize_records, verify_kats
-from tortoise.tweakable import TweakableKey, _nr_msg_tweaks
-from tortoise.xof import shake128
+from tortoise.tweakable import TweakableKey, _nr_msg_tweaks, shake128
 
 KATS_DIR = Path(__file__).resolve().parent.parent / "kats"
 
@@ -156,7 +155,7 @@ def test_criterion_6_nr_tag_structure():
             # ciphertext corresponds position-wise to the permuted blocks:
             # position j carries the relocated block under tweak j, and the
             # padding block (position 3) is identical.
-            for j, (p, tweak) in enumerate(zip(perm, _nr_msg_tweaks(0, nonce, range(3), 16))):
+            for j, (p, tweak) in enumerate(zip(perm, _nr_msg_tweaks(nonce, range(3), 16))):
                 if sealed.ciphertext[16 * j : 16 * (j + 1)] != composed_tweakable.encrypt(key, tweak, blocks[p]):
                     ok = False
             if sealed.ciphertext[48:] != base.ciphertext[48:]:

@@ -19,7 +19,7 @@ from tortoise.aead import (
     seal_nr,
 )
 from tortoise.block_cipher import AES128, TOY
-from tortoise.tweakable import TweakableKey, _nr_msg_tweaks
+from tortoise.tweakable import TweakableKey, _nr_msg_tweaks, _nr_tag_tweak
 
 ZERO_KEY = TweakableKey(bytes(16), AES128)
 
@@ -38,8 +38,7 @@ AUTH_EMPTY_AD = bytes.fromhex("5fba08572a71a90f1bea4153f87527f5")
 def test_auth_empty_ad_kat():
     # The AD share of the frozen nr tag.  With an empty message the tag block is one block of
     # padding under the tag tweak of counter 1; empty AD still contributes one padded block.
-    [tweak] = _nr_msg_tweaks(1, bytes(8), range(1, 2), 16)
-    tag_block = composed_tweakable.encrypt(ZERO_KEY, tweak, bytes([16]) * 16)
+    tag_block = composed_tweakable.encrypt(ZERO_KEY, _nr_tag_tweak(bytes(8), 1, 16), bytes([16]) * 16)
     assert composed_tweakable.ad_sum(ZERO_KEY, b"") == AUTH_EMPTY_AD
     assert composed_tweakable.xor(tag_block, AUTH_EMPTY_AD) == NR_KAT_TAG
 
@@ -73,7 +72,7 @@ def test_nr_block_permutation_preserves_tag():
         permuted = seal_nr(key, nonce, b"", b"".join(blocks[p] for p in perm))
         assert permuted.tag == base.tag
         # each position encrypts the relocated block under that position's tweak
-        for j, (p, tweak) in enumerate(zip(perm, _nr_msg_tweaks(0, nonce, range(3), 16))):
+        for j, (p, tweak) in enumerate(zip(perm, _nr_msg_tweaks(nonce, range(3), 16))):
             assert permuted.ciphertext[16 * j : 16 * (j + 1)] == composed_tweakable.encrypt(key, tweak, blocks[p])
         # the trailing padding block is untouched
         assert permuted.ciphertext[48:] == base.ciphertext[48:]
@@ -248,6 +247,19 @@ def test_nonce_length_helper():
     assert nonce_length(AeadMode.MISUSE_RESISTANT) == 15
     assert nonce_length(AeadMode.NONCE_RESPECTING, 2) == 1
     assert nonce_length(AeadMode.MISUSE_RESISTANT, 2) == 1
+
+
+def test_every_entry_takes_its_nonce_width_from_nonce_length():
+    # One byte more or one byte less is refused, naming the width, at every block length a spec may have.
+    for n in range(1, 256):
+        key = TweakableKey(bytes(1), composed_tweakable.xor_spec(n))
+        for mode in AeadMode:
+            width = nonce_length(mode, n)
+            for bad in {width - 1, width + 1} - {-1}:
+                with pytest.raises(ValueError, match=f"nonce must be {width} bytes, got {bad}"):
+                    SEAL[mode](key, bytes(bad), b"", b"")
+                with pytest.raises(ValueError, match=f"nonce must be {width} bytes, got {bad}"):
+                    OPEN[mode](key, bytes(bad), b"", bytes(n), bytes(n))
 
 
 @settings(max_examples=40, deadline=None)

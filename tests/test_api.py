@@ -45,7 +45,7 @@ MODULE_EXPORTS = {
         "seal_mr",
         "open_mr",
     ],
-    tweakable: ["TweakableKey", "encode_mr_tag_tweak", "tweak_encrypt_many", "tweak_decrypt_many"],
+    tweakable: ["TweakableKey", "tweak_encrypt_many", "tweak_decrypt_many"],
     block_cipher: [
         "CipherSpec",
         "AES128",

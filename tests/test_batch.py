@@ -24,9 +24,9 @@ from tortoise.tweakable import (
     TweakableKey,
     _ad_tweaks,
     _mr_stream_tweaks,
+    _mr_tag_tweak,
     _nr_msg_tweaks,
     _nr_tag_tweak,
-    encode_mr_tag_tweak,
     tweak_decrypt_many,
     tweak_encrypt_many,
 )
@@ -435,21 +435,26 @@ def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypat
     assert work[0] == "squeeze" and work[-1] in ("decrypt_block", "decrypt_kernel")
 
 
-@pytest.mark.parametrize("block_len,prefix", [(16, 0), (16, 1), (2, 0), (2, 1)])
-def test_nr_tweak_batch_matches_single(block_len, prefix):
+@pytest.mark.parametrize("block_len", [16, 2])
+def test_nr_tweak_batch_matches_single(block_len):
     nonce = bytes(range(1, min(8, block_len - 1) + 1))
     counters = range(3, 15)
-    assert _nr_msg_tweaks(prefix, nonce, counters, block_len) == [
-        _nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0] for j in counters
+    assert _nr_msg_tweaks(nonce, counters, block_len) == [
+        _nr_msg_tweaks(nonce, range(j, j + 1), block_len)[0] for j in counters
     ]
-    assert _nr_msg_tweaks(prefix, nonce, range(0), block_len) == []
+    assert _nr_msg_tweaks(nonce, range(0), block_len) == []
 
 
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_nr_tag_tweak_is_the_prefix_one_counter_tweak(block_len):
+    # The layout written out by hand: 0x10, nonce, 7-byte count at n=16; 0x10 | count, nonce at n=2.
     nonce = bytes(range(1, min(8, block_len - 1) + 1))
     for count in range(1, 16):
-        assert _nr_tag_tweak(nonce, count, block_len) == _nr_msg_tweaks(1, nonce, range(count, count + 1), block_len)[0]
+        want = bytes.fromhex(f"100102030405060708{count:014x}" if block_len == 16 else f"1{count:x}01")
+        assert _nr_tag_tweak(nonce, count, block_len) == want
+        # The message tweak of the same counter differs only in the prefix nibble.
+        [msg] = _nr_msg_tweaks(nonce, range(count, count + 1), block_len)
+        assert bytes([msg[0] ^ 0x10]) + msg[1:] == want
 
 
 @pytest.mark.parametrize("block_len", [16, 2])
@@ -487,11 +492,10 @@ def _seal_by_hand(mode, key, nonce, ad, pt):
     m = len(blocks)
     auth = composed_tweakable.ad_sum(key, ad)
     if mode is AeadMode.NONCE_RESPECTING:
-        ct = b"".join(map(enc, _nr_msg_tweaks(0, nonce, range(m), 16), blocks))
-        [tag_tweak] = _nr_msg_tweaks(1, nonce, range(m, m + 1), 16)
-        return ct, xor(enc(tag_tweak, reduce(xor, blocks)), auth)
-    sums = list(map(enc, _nr_msg_tweaks(0, nonce[:8], range(m), 16), blocks))
-    tag = enc(encode_mr_tag_tweak(nonce), reduce(xor, sums, auth))
+        ct = b"".join(map(enc, _nr_msg_tweaks(nonce, range(m), 16), blocks))
+        return ct, xor(enc(_nr_tag_tweak(nonce, m, 16), reduce(xor, blocks)), auth)
+    sums = list(map(enc, _nr_msg_tweaks(nonce[:8], range(m), 16), blocks))
+    tag = enc(_mr_tag_tweak(nonce), reduce(xor, sums, auth))
     stream = [enc(t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(m), 16)]
     return b"".join(map(xor, blocks, stream)), tag
 

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 from hypothesis import given
@@ -105,7 +106,8 @@ def test_toy_round_trip(key, block):
 
 @pytest.mark.parametrize("spec", CIPHERS.values(), ids=lambda s: s.name)
 def test_registered_specs_round_trip(spec):
-    rng = random.Random(hash(spec.name) & 0xFFFF)
+    # A stable function of the name, unlike hash(), which is salted per process: a failure replays.
+    rng = random.Random(zlib.crc32(spec.name.encode()))
     for _ in range(10_000):
         key = rng.randbytes(spec.key_len)
         block = rng.randbytes(spec.block_len)

@@ -14,7 +14,7 @@ from composed_tweakable import encrypt as tweak_encrypt  # by hand, not through 
 from tortoise.aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length
 from tortoise.block_cipher import AES128
 from tortoise.cli import Envelope, main, pack_envelope
-from tortoise.tweakable import TweakableKey, _mr_stream_tweaks, _nr_msg_tweaks, encode_mr_tag_tweak
+from tortoise.tweakable import TweakableKey, _mr_stream_tweaks, _mr_tag_tweak, _nr_msg_tweaks, _nr_tag_tweak
 
 KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 KEY = TweakableKey(bytes.fromhex(KEY_HEX), AES128)
@@ -58,8 +58,8 @@ def _forge_nr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tupl
     for p in blocks:
         checksum = xor(checksum, p)
     m = len(blocks)
-    ct = b"".join(tweak_encrypt(key, t, p) for t, p in zip(_nr_msg_tweaks(0, nonce, range(m), n), blocks))
-    ftag = tweak_encrypt(key, _nr_msg_tweaks(1, nonce, range(m, m + 1), n)[0], checksum)
+    ct = b"".join(tweak_encrypt(key, t, p) for t, p in zip(_nr_msg_tweaks(nonce, range(m), n), blocks))
+    ftag = tweak_encrypt(key, _nr_tag_tweak(nonce, m, n), checksum)
     return ct, xor(ftag, ad_sum(key, ad))
 
 
@@ -68,9 +68,9 @@ def _forge_mr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tupl
     blocks = [padded[i : i + n] for i in range(0, len(padded), n)]
     acc = ad_sum(key, ad)
     msg_nonce = nonce[: nonce_length(AeadMode.NONCE_RESPECTING, n)]
-    for t, p in zip(_nr_msg_tweaks(0, msg_nonce, range(len(blocks)), n), blocks):
+    for t, p in zip(_nr_msg_tweaks(msg_nonce, range(len(blocks)), n), blocks):
         acc = xor(acc, tweak_encrypt(key, t, p))
-    tag = tweak_encrypt(key, encode_mr_tag_tweak(nonce, n), acc)
+    tag = tweak_encrypt(key, _mr_tag_tweak(nonce), acc)
     stream = (tweak_encrypt(key, t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(len(blocks)), n))
     return b"".join(map(xor, blocks, stream)), tag
 

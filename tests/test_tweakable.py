@@ -14,8 +14,10 @@ from tortoise.tweakable import (
     _ad_tweaks,
     _layout,
     _mr_stream_tweaks,
+    _mr_tag_tweak,
     _nr_msg_tweaks,
-    encode_mr_tag_tweak,
+    _nr_tag_tweak,
+    shake128,
     tweak_decrypt_many,
     tweak_encrypt_many,
 )
@@ -31,6 +33,40 @@ ZERO_MASK = bytes.fromhex("0733bd34525b281e4b6488d4291c0fdb")
 # AES-128 instantiation with all-zero key, tweak, and block, frozen from
 # the composed AES + SHAKE oracles.
 ZERO_TE = bytes.fromhex("5755e227131a8a8039687a3558225c4f")
+
+# SHAKE128 of the empty message: the NIST FIPS-202 example vector, verified
+# against an independent implementation before freezing.
+EMPTY_16 = bytes.fromhex("7f9c2ba4e88f827d616045507605853e")
+EMPTY_32 = bytes.fromhex("7f9c2ba4e88f827d616045507605853ed73b8093f6efbc88eb1a6eacfa66ef26")
+
+# SHAKE128 of 000102...1f, frozen from a cross-implementation check.
+SEQ32_32 = bytes.fromhex("066a361dc675f856cecdc02b25218a10cec0cecf79859ec0fec3d409e5847a92")
+
+
+# --- the SHAKE128 squeeze -------------------------------------------------
+
+def test_empty_input_vectors():
+    assert shake128(b"", 16) == EMPTY_16
+    assert shake128(b"", 32) == EMPTY_32
+
+
+def test_sequential_input_vector():
+    assert shake128(bytes(range(32)), 32) == SEQ32_32
+
+
+def test_deterministic():
+    data = b"determinism check"
+    assert shake128(data, 64) == shake128(data, 64)
+
+
+@given(st.binary(max_size=200), st.integers(1, 64), st.integers(1, 64))
+def test_prefix_property(data, m, extra):
+    assert shake128(data, m) == shake128(data, m + extra)[:m]
+
+
+@given(st.binary(max_size=100), st.integers(1, 300))
+def test_output_length(data, out_len):
+    assert len(shake128(data, out_len)) == out_len
 
 
 # --- subkey/mask derivation ---------------------------------------------
@@ -145,7 +181,10 @@ def encode_ad_tweak(i, block_len=16):
 
 
 def encode_nr_msg_tweak(prefix, nonce, j, block_len=16):
-    return _nr_msg_tweaks(prefix, nonce, range(j, j + 1), block_len)[0]
+    # Prefix 0 is the message tweak of counter j, prefix 1 the tag tweak of a j-block message.
+    if prefix:
+        return _nr_tag_tweak(nonce, j, block_len)
+    return _nr_msg_tweaks(nonce, range(j, j + 1), block_len)[0]
 
 
 def encode_mr_stream_tweak(tag, j, block_len=16):
@@ -166,10 +205,8 @@ def test_nr_msg_tweak_layout():
 
 
 def test_mr_tag_tweak_layout():
-    assert encode_mr_tag_tweak(bytes(15)) == bytes.fromhex("10000000000000000000000000000000")
-    assert encode_mr_tag_tweak(b"\xff" * 15) == bytes.fromhex("10ffffffffffffffffffffffffffffff")
-    with pytest.raises(ValueError):
-        encode_mr_tag_tweak(bytes(14))
+    assert _mr_tag_tweak(bytes(15)) == bytes.fromhex("10000000000000000000000000000000")
+    assert _mr_tag_tweak(b"\xff" * 15) == bytes.fromhex("10ffffffffffffffffffffffffffffff")
 
 
 def test_mr_stream_tweak_layout():
@@ -191,7 +228,7 @@ def test_toy_layouts():
     assert encode_ad_tweak(3, block_len=2) == bytes.fromhex("2003")
     assert encode_nr_msg_tweak(0, b"\xab", 5, block_len=2) == bytes.fromhex("05ab")
     assert encode_nr_msg_tweak(1, b"\xab", 5, block_len=2) == bytes.fromhex("15ab")
-    assert encode_mr_tag_tweak(b"\xcd", block_len=2) == bytes.fromhex("10cd")
+    assert _mr_tag_tweak(b"\xcd") == bytes.fromhex("10cd")
     assert encode_mr_stream_tweak(b"\x12\x34", 0x0101, block_len=2) == bytes.fromhex("1335")
     assert _layout(2) == (1, 16, 256, 2**16)
 
@@ -221,7 +258,7 @@ def test_counter_limit_is_encoder_range(block_len, limit, last):
 def test_domains_never_collide(i, prefix, nonce, j, mr_nonce):
     ad = encode_ad_tweak(i)
     msg = encode_nr_msg_tweak(prefix, nonce, j)
-    tag = encode_mr_tag_tweak(mr_nonce)
+    tag = _mr_tag_tweak(mr_nonce)
     assert ad[0] == 0x20
     assert msg[0] >> 4 in (0, 1)
     assert tag[0] == 0x10
@@ -234,7 +271,7 @@ def test_domains_never_collide(i, prefix, nonce, j, mr_nonce):
 def test_aes128_nr_tag_tweaks_are_mr_tag_tweaks(nonce, j):
     # Both tag layouts start with nibble 0001: the nr tag tweak of (nonce, block count j)
     # is the mr tag tweak of the nonce followed by j in 7 bytes.
-    assert encode_nr_msg_tweak(1, nonce, j) == encode_mr_tag_tweak(nonce + j.to_bytes(7, "big"))
+    assert encode_nr_msg_tweak(1, nonce, j) == _mr_tag_tweak(nonce + j.to_bytes(7, "big"))
 
 
 def test_aes128_nr_and_mr_tags_share_a_permutation(monkeypatch):
@@ -265,10 +302,10 @@ def test_toy_domain_census():
     limit = _layout(2).counter_limit
     nonces = [bytes([b]) for b in range(256)]
     ad = {encode_ad_tweak(i, 2) for i in range(256)}
-    nr_msg = {t for nonce in nonces for t in _nr_msg_tweaks(0, nonce, range(limit - 1), 2)}
+    nr_msg = {t for nonce in nonces for t in _nr_msg_tweaks(nonce, range(limit - 1), 2)}
     nr_tag = {encode_nr_msg_tweak(1, nonce, j, 2) for nonce in nonces for j in range(1, limit)}
-    mr_sum = {t for nonce in nonces for t in _nr_msg_tweaks(0, nonce, range(limit), 2)}
-    mr_tag = {encode_mr_tag_tweak(nonce, 2) for nonce in nonces}
+    mr_sum = {t for nonce in nonces for t in _nr_msg_tweaks(nonce, range(limit), 2)}
+    mr_tag = {_mr_tag_tweak(nonce) for nonce in nonces}
     stream = {t for x in range(1 << 16) for t in _mr_stream_tweaks(x.to_bytes(2, "big"), range(limit), 2)}
     assert (len(ad), len(nr_msg), len(nr_tag), len(mr_sum), len(mr_tag)) == (256, 15 * 256, 15 * 256, 16 * 256, 256)
     # AD, message and tag tweaks are disjoint, across both modes.
