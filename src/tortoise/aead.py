@@ -154,6 +154,7 @@ def _pass(
         if keep:
             kept.append(out[: max(min(hi, m) - lo, 0) * n])
         acc ^= _fold(out[max(sum_from - lo, 0) * n :], n)
+    del out  # else the last run's output would stay alive through the join too
     return b"".join(kept), acc
 
 

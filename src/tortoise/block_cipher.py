@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+def _bytes(data: bytes) -> bytes:
+    """``data``, any bytes-like object, as ``bytes``: the EVP calls take no other buffer."""
+    return data if type(data) is bytes else memoryview(data).tobytes()
+
+
 def _check_len(name: str, value: bytes, expected: int) -> None:
     if len(value) != expected:
         raise ValueError(f"{name} must be {expected} bytes, got {len(value)}")
@@ -51,10 +56,13 @@ class CipherSpec:
     inverse.  ``block_len`` must be in [1, 255], the block lengths PKCS#7
     can pad to.  ``encrypt_kernel(keys, blocks)`` and ``decrypt_kernel``, if
     given, compute the same over a whole batch at once and take every
-    batch, of any size; a spec without them goes block by block.  Wrong
-    lengths raise ``ValueError``; a backend failure raises ``RuntimeError``,
-    as ``AES128`` does without libcrypto or when an EVP call fails.  Specs
-    are immutable and safe to share across threads.
+    batch, of any size: ``blocks`` end to end and ``keys`` a list with one
+    entry per block, whose first ``key_len`` bytes are that block's key, so
+    that the tweakable layer hands each lane its SHAKE128 output as it is.
+    A spec without them goes block by block.  Wrong lengths raise
+    ``ValueError``; a backend failure raises ``RuntimeError``, as ``AES128``
+    does without libcrypto or when an EVP call fails.  Specs are immutable
+    and safe to share across threads.
     """
 
     name: str
@@ -62,8 +70,8 @@ class CipherSpec:
     key_len: int
     encrypt_block: Callable[[bytes, bytes], bytes]
     decrypt_block: Callable[[bytes, bytes], bytes]
-    encrypt_kernel: Callable[[bytes, bytes], bytes] | None = None
-    decrypt_kernel: Callable[[bytes, bytes], bytes] | None = None
+    encrypt_kernel: Callable[[list[bytes], bytes], bytes] | None = None
+    decrypt_kernel: Callable[[list[bytes], bytes], bytes] | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.block_len <= 255:
@@ -74,29 +82,35 @@ class CipherSpec:
 
         The result is laid out like ``blocks``.
         """
-        lanes = self._lanes(keys, blocks)
-        if self.encrypt_kernel:
-            return self.encrypt_kernel(keys, blocks)
-        k, n = self.key_len, self.block_len
-        return b"".join([self.encrypt_block(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(lanes)])
+        return self._encrypt_lanes(*self._split(keys, blocks))
 
     def decrypt_blocks(self, keys: bytes, blocks: bytes) -> bytes:
         """Invert :meth:`encrypt_blocks` for the same keys."""
-        lanes = self._lanes(keys, blocks)
-        if self.decrypt_kernel:
-            return self.decrypt_kernel(keys, blocks)
-        k, n = self.key_len, self.block_len
-        return b"".join([self.decrypt_block(keys[i * k : i * k + k], blocks[i * n : i * n + n]) for i in range(lanes)])
+        return self._decrypt_lanes(*self._split(keys, blocks))
 
-    def _lanes(self, keys: bytes, blocks: bytes) -> int:
-        """The number of blocks in a batch, once its keys and blocks are checked to match."""
+    def _split(self, keys: bytes, blocks: bytes) -> tuple[list[bytes], bytes]:
+        """A batch's keys one entry per block, once they are checked to match its blocks; both as ``bytes``."""
+        keys, blocks = _bytes(keys), _bytes(blocks)
         k, n = self.key_len, self.block_len
-        lanes = len(blocks) // n
-        if len(blocks) % n or len(keys) != k * lanes:
+        if len(blocks) % n or len(keys) != k * (len(blocks) // n):
             raise ValueError(
                 f"need one {k}-byte key per {n}-byte block, got {len(keys)} key bytes and {len(blocks)} block bytes"
             )
-        return lanes
+        return [keys[i : i + k] for i in range(0, len(keys), k)], blocks
+
+    def _encrypt_lanes(self, keys: list[bytes], blocks: bytes) -> bytes:
+        """The encrypting dispatch, unchecked: ``keys`` one entry per block, each holding its key in front."""
+        if self.encrypt_kernel:
+            return self.encrypt_kernel(keys, blocks)
+        k, n = self.key_len, self.block_len
+        return b"".join([self.encrypt_block(key[:k], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
+
+    def _decrypt_lanes(self, keys: list[bytes], blocks: bytes) -> bytes:
+        """The decrypting dispatch, the inverse of :meth:`_encrypt_lanes`."""
+        if self.decrypt_kernel:
+            return self.decrypt_kernel(keys, blocks)
+        k, n = self.key_len, self.block_len
+        return b"".join([self.decrypt_block(key[:k], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
 
 
 # --- AES-128 through OpenSSL's EVP interface --------------------------
@@ -187,13 +201,20 @@ _NO_LIBCRYPTO = (
 )
 
 
-def _aes128_evp(enc: int) -> Callable[[bytes, bytes], bytes]:
-    """The AES-128 kernel of one direction: ``enc`` 1 encrypts, 0 decrypts."""
+def _aes128_evp(enc: int) -> Callable[[list[bytes], bytes], bytes]:
+    """The AES-128 kernel of one direction: ``enc`` 1 encrypts, 0 decrypts.
 
-    def kernel(keys: bytes, blocks: bytes) -> bytes:
+    Each entry of ``keys`` goes to ``EVP_CipherInit_ex`` as it is, and EVP
+    keys AES with its first 16 bytes; every entry must be ``bytes``.
+    """
+
+    def kernel(keys: list[bytes], blocks: bytes) -> bytes:
         n = len(blocks)
-        if len(keys) != n or n % 16:
-            raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} key bytes and {n} block bytes")
+        if len(keys) != n >> 4 or n & 15:
+            raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} keys for {n} block bytes")
+        for key in keys:
+            if len(key) < 16:  # EVP reads 16 bytes of each entry, so it would read past this one's end
+                raise ValueError(f"need one 16-byte key per 16-byte block, got a key entry of {len(key)} bytes")
         context = getattr(_THREAD, "context", None)
         if context is None:
             if _LIBCRYPTO is None:
@@ -202,9 +223,9 @@ def _aes128_evp(enc: int) -> Callable[[bytes, bytes], bytes]:
         ctx, init, update, out, outl, outl_ref = context.lane
         parts = []
         try:
-            for i in range(0, n, 16):
+            for key, i in zip(keys, range(0, n, 16)):
                 # The cipher and the padding setting carry over a re-key; enc sets the direction.
-                if init(ctx, None, None, keys[i : i + 16], None, enc) != 1:
+                if init(ctx, None, None, key, None, enc) != 1:
                     raise RuntimeError("EVP_CipherInit_ex failed")
                 if update(ctx, out, outl_ref, blocks[i : i + 16], 16) != 1 or outl.value != 16:
                     raise RuntimeError("EVP_CipherUpdate failed")
@@ -228,16 +249,18 @@ _aes128_encrypt, _aes128_decrypt = _aes128_evp(1), _aes128_evp(0)
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
     """Encrypt a single 16-byte block with AES-128: a one-lane EVP batch."""
+    key, block = _bytes(key), _bytes(block)
     _check_len("key", key, 16)
     _check_len("block", block, 16)
-    return _aes128_encrypt(key, block)
+    return _aes128_encrypt([key], block)
 
 
 def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
     """Decrypt a single 16-byte block with AES-128: a one-lane EVP batch."""
+    key, block = _bytes(key), _bytes(block)
     _check_len("key", key, 16)
     _check_len("block", block, 16)
-    return _aes128_decrypt(key, block)
+    return _aes128_decrypt([key], block)
 
 
 # --- Toy cipher --------------------------------------------------------

@@ -5,7 +5,9 @@ subkey plus an n-byte mask; a block is encrypted under the subkey and the
 mask is XORed onto the result.  Distinct tweaks therefore select
 independent-looking permutations without touching the underlying cipher's
 round structure, and any :class:`~tortoise.block_cipher.CipherSpec` can be
-dropped in unchanged.  :func:`tweak_encrypt_many` and
+dropped in unchanged.  Each squeeze output goes to the cipher whole, as its
+lane's key entry: the cipher reads the subkey from its first ``key_len``
+bytes, so no subkey is cut out and joined.  :func:`tweak_encrypt_many` and
 :func:`tweak_decrypt_many` are the one public entry point: they take many
 tweaks and blocks at once and hand the blocks to the cipher as one batch,
 and a single block is a batch of one.  They check their inputs, then call
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .block_cipher import CipherSpec
+from .block_cipher import CipherSpec, _bytes
 
 __all__ = ["TweakableKey", "tweak_encrypt_many", "tweak_decrypt_many"]
 
@@ -124,27 +126,28 @@ def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes
     return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 
 
-def _derive_many(key: TweakableKey, tweaks: list[bytes]) -> tuple[bytes, bytes]:
-    """One SHAKE128 squeeze of ``master_key || tweak`` per tweak: subkey first, mask after.
+def _squeeze(key: TweakableKey, tweaks: list[bytes]) -> tuple[list[bytes], bytes]:
+    """One SHAKE128 squeeze of ``master_key || tweak`` per tweak, and the masks end to end.
 
-    Returns the subkeys and the masks, each end to end.
+    Each output keys its lane as it is: the cipher reads the subkey from its
+    first ``key_len`` bytes, and its last ``block_len`` bytes are the mask.
     """
     mk, kl = key.master_key, key.cipher.key_len
     size = kl + key.cipher.block_len
     outs = [shake128(mk + tweak, size) for tweak in tweaks]
-    return b"".join([out[:kl] for out in outs]), b"".join([out[kl:] for out in outs])
+    return outs, b"".join([out[kl:] for out in outs])
 
 
 def _encrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
-    """The encrypting core: the subkeys and masks, one cipher batch, the masks applied; no input checks."""
-    subkeys, masks = _derive_many(key, tweaks)
-    return _xor(key.cipher.encrypt_blocks(subkeys, blocks), masks)
+    """The encrypting core: the squeezes, one cipher batch keyed by them, the masks applied; no input checks."""
+    outs, masks = _squeeze(key, tweaks)
+    return _xor(key.cipher._encrypt_lanes(outs, blocks), masks)
 
 
 def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """The decrypting core, the inverse of :func:`_encrypt`; no input checks either."""
-    subkeys, masks = _derive_many(key, tweaks)
-    return key.cipher.decrypt_blocks(subkeys, _xor(blocks, masks))
+    outs, masks = _squeeze(key, tweaks)
+    return key.cipher._decrypt_lanes(outs, _xor(blocks, masks))
 
 
 def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> None:
@@ -156,14 +159,16 @@ def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> None:
 def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """Encrypt ``blocks``, one block per tweak, each under the permutation its tweak selects.
 
-    ``blocks`` and the result are the blocks end to end.  The blocks are
-    independent, so the cipher sees them as one batch.
+    ``blocks``, any bytes-like object, and the result are the blocks end to
+    end.  The blocks are independent, so the cipher sees them as one batch.
     """
+    blocks = _bytes(blocks)
     _check_batch(key, tweaks, blocks)
     return _encrypt(key, tweaks, blocks)
 
 
 def tweak_decrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """Invert :func:`tweak_encrypt_many` for the same key and tweaks."""
+    blocks = _bytes(blocks)
     _check_batch(key, tweaks, blocks)
     return _decrypt(key, tweaks, blocks)

@@ -315,8 +315,21 @@ def test_short_evp_output_raises(monkeypatch):
     _on_a_new_thread(run)
 
 
-@pytest.mark.parametrize("keys,blocks", [(bytes(15), bytes(16)), (bytes(32), bytes(48)), (bytes(17), bytes(17))])
+@pytest.mark.parametrize(
+    "keys,blocks",
+    [
+        ([bytes(15)], bytes(16)),
+        ([bytes(32), bytes(15), bytes(16)], bytes(48)),
+        ([bytes(16)] * 2, bytes(48)),
+        ([bytes(16)] * 4, bytes(48)),
+        ([bytes(16)], b""),
+        ([bytes(17)], bytes(17)),
+    ],
+    ids=["15-byte entry", "15-byte entry among longer", "one entry too few", "one entry too many",
+         "entry without a block", "partial block"],
+)
 def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypatch):
+    # EVP reads 16 bytes of each entry, so a short entry must never reach it.
     class NoCalls:
         def __getattr__(self, name):
             raise AssertionError(f"{name} reached")
@@ -325,6 +338,42 @@ def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypa
     for enc in (1, 0):
         with pytest.raises(ValueError, match="16-byte key per 16-byte block"):
             block_cipher._aes128_evp(enc)(keys, blocks)
+
+
+def test_evp_kernel_keys_each_lane_with_the_first_16_bytes_of_its_entry():
+    # The tweakable core hands the kernel whole 32-byte squeeze outputs: subkey, then mask.
+    rng = random.Random(32)
+    entries, blocks = [rng.randbytes(32) for _ in range(5)], rng.randbytes(80)
+    want = [CRYPTOGRAPHY_AES128.encrypt_block(e[:16], b) for e, b in zip(entries, _split(blocks, 16))]
+    assert AES128.encrypt_kernel(entries, blocks) == b"".join(want)
+    assert AES128.decrypt_kernel(entries, b"".join(want)) == blocks
+
+
+@pytest.mark.parametrize("spec", [AES128, TOY], ids=lambda s: s.name)
+@pytest.mark.parametrize("kind", [bytearray, memoryview], ids=lambda t: t.__name__)
+def test_public_entries_take_bytes_like_input(spec, kind):
+    # ctypes takes no bytearray or memoryview as a pointer: the public entries convert, the cores need not.
+    AES128.encrypt_blocks(b"", b"")  # sets this thread's EVP context up
+    context = block_cipher._THREAD.context
+    rng = random.Random(7)
+    k, n = spec.key_len, spec.block_len
+    keys, blocks = rng.randbytes(3 * k), rng.randbytes(3 * n)
+    key, tweaks = TweakableKey(keys[:k], spec), _split(rng.randbytes(3 * n), n)
+    single = {AES128: (block_cipher.aes128_encrypt_block, block_cipher.aes128_decrypt_block),
+              TOY: (block_cipher.toy_encrypt_block, block_cipher.toy_decrypt_block)}[spec]
+    calls = [
+        *((fn, keys[:k], blocks[:n]) for fn in single),
+        (spec.encrypt_blocks, keys, blocks),
+        (spec.decrypt_blocks, keys, blocks),
+        (lambda t, b: tweak_encrypt_many(key, t, b), tweaks, blocks),
+        (lambda t, b: tweak_decrypt_many(key, t, b), tweaks, blocks),
+    ]
+    for fn, a, b in calls:
+        want = fn(a, b)
+        assert fn(kind(a) if isinstance(a, bytes) else [kind(t) for t in a], kind(b)) == want
+    assert block_cipher._THREAD.context is context and context.ptr
+    with pytest.raises(TypeError):
+        spec.encrypt_blocks(k, n)  # an int is refused, not read as a length of zero bytes
 
 
 def test_aes128_batch_fips197_vector():

@@ -127,13 +127,13 @@ def test_differential_check_clean():
 
 def test_differential_check_catches_a_broken_batch_path(monkeypatch):
     # One mask bit flipped in the squeeze that every message, AD and tag block goes through.
-    real = tweakable._derive_many
+    real = tweakable._squeeze
 
     def broken(key, tweaks):
-        subkeys, masks = real(key, tweaks)
-        return subkeys, bytes([masks[0] ^ 1]) + masks[1:]
+        outs, masks = real(key, tweaks)
+        return outs, bytes([masks[0] ^ 1]) + masks[1:]
 
-    monkeypatch.setattr(tweakable, "_derive_many", broken)
+    monkeypatch.setattr(tweakable, "_squeeze", broken)
     oracle = differential_check(100).results[0]
     assert oracle.name.endswith("vs composed oracle (100 trials)")
     assert not oracle.ok and oracle.detail

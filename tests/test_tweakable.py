@@ -72,8 +72,11 @@ def test_output_length(data, out_len):
 # --- subkey/mask derivation ---------------------------------------------
 
 def derive_subkey_and_mask(key, tweak):
-    """The one SHAKE128 squeeze, for a batch of one."""
-    return tweakable._derive_many(key, [tweak])
+    """The one SHAKE128 squeeze of a batch of one, split into the subkey the cipher reads and the mask."""
+    (out,), mask = tweakable._squeeze(key, [tweak])
+    kl = key.cipher.key_len
+    assert out[kl:] == mask
+    return out[:kl], mask
 
 
 def test_derive_zero_kat():
