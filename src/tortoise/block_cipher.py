@@ -133,14 +133,14 @@ def _load_libcrypto() -> ctypes.PyDLL:
         ("EVP_CIPHER_CTX_new", ptr, []),
         ("EVP_CIPHER_CTX_free", None, [ptr]),
         ("EVP_aes_128_ecb", ptr, []),
-        ("EVP_CIPHER_CTX_set_padding", int_, [ptr, int_]),
-        # (ctx, cipher, engine, key, iv, enc) and (ctx, out, outl, in, inl) run
-        # once per lane, and declared argtypes made a lane about 20% slower.
+        # (ctx, cipher, engine, key, iv) and (ctx, out, in, inl) run once per
+        # lane, and declared argtypes made a lane about 20% slower.
         # Undeclared, ctypes passes each argument as it is, so every pointer
-        # must be a ``c_void_p``, ``bytes``, a ctypes buffer, ``byref`` or
-        # None, and every Python int is taken as a C int.
-        ("EVP_CipherInit_ex", int_, None),
-        ("EVP_CipherUpdate", int_, None),
+        # must be a ``c_void_p``, ``bytes``, ``byref`` or None, and every
+        # Python int is taken as a C int.
+        ("EVP_EncryptInit_ex", int_, None),
+        ("EVP_DecryptInit_ex", int_, None),
+        ("EVP_Cipher", int_, None),
     ):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
@@ -156,13 +156,13 @@ except (ImportError, OSError, AttributeError):
 
 
 class _Context:
-    """One thread's EVP context, set up for AES-128-ECB without padding.
+    """One thread's EVP context, set up for AES-128-ECB.
 
     It also keeps what every lane passes besides its key and block: the
-    bound ``EVP_CipherInit_ex`` and ``EVP_CipherUpdate``, one 16-byte
-    output buffer and ``byref`` of the output length.  A thread switch can
-    fall between one lane's re-key and its update, so threads must not
-    share a context.  Each thread's is freed with it.
+    bound re-key of each direction, ``EVP_DecryptInit_ex`` and
+    ``EVP_EncryptInit_ex`` in that order, and ``EVP_Cipher``.  A thread
+    switch can fall between one lane's re-key and its block, so threads
+    must not share a context.  Each thread's is freed with it.
     """
 
     ptr = None  # until ``__init__`` has a context to free
@@ -172,15 +172,12 @@ class _Context:
         if not self.ptr:
             raise MemoryError("EVP_CIPHER_CTX_new failed")
         try:
-            if lib.EVP_CipherInit_ex(self.ptr, ctypes.c_void_p(lib.EVP_aes_128_ecb()), None, None, None, 1) != 1:
-                raise RuntimeError("EVP_CipherInit_ex failed")
-            if lib.EVP_CIPHER_CTX_set_padding(self.ptr, 0) != 1:
-                raise RuntimeError("EVP_CIPHER_CTX_set_padding failed")
+            if lib.EVP_EncryptInit_ex(self.ptr, ctypes.c_void_p(lib.EVP_aes_128_ecb()), None, None, None) != 1:
+                raise RuntimeError("EVP_EncryptInit_ex failed")
         except BaseException:
             self.close()
             raise
-        self.out, outl = ctypes.create_string_buffer(16), ctypes.c_int()
-        self.lane = (self.ptr, lib.EVP_CipherInit_ex, lib.EVP_CipherUpdate, self.out, outl, ctypes.byref(outl))
+        self.lane = (self.ptr, (lib.EVP_DecryptInit_ex, lib.EVP_EncryptInit_ex), lib.EVP_Cipher)
 
     def close(self) -> None:
         if self.ptr:
@@ -191,8 +188,8 @@ class _Context:
 
 
 _THREAD = threading.local()
-# Loaded after a batch's last lane, so that no subkey's schedule outlives the call;
-# the output buffer is zeroed then too, so that no lane's output does.
+_OFFSETS = range(0, 1 << 62, 16)  # each lane's offset in its batch, made once: zip stops at the last key
+# Loaded after a batch's last lane, so that no subkey's schedule outlives the call.
 _ZERO_KEY = bytes(16)
 
 _NO_LIBCRYPTO = (
@@ -204,9 +201,11 @@ _NO_LIBCRYPTO = (
 def _aes128_evp(enc: int) -> Callable[[list[bytes], bytes], bytes]:
     """The AES-128 kernel of one direction: ``enc`` 1 encrypts, 0 decrypts.
 
-    Each entry of ``keys`` goes to ``EVP_CipherInit_ex`` as it is, and EVP
-    keys AES with its first 16 bytes; every entry must be ``bytes``.
+    EVP keys each lane with the first 16 bytes of its ``keys`` entry, which must be ``bytes``.  Each
+    lane is encrypted in place in the call's own copy of ``blocks``, so the caller's are never written.
     """
+    init_failed = ("EVP_DecryptInit_ex failed", "EVP_EncryptInit_ex failed")[enc]
+    view_of, byref = ctypes.c_char.from_buffer, ctypes.byref
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
         n = len(blocks)
@@ -220,26 +219,27 @@ def _aes128_evp(enc: int) -> Callable[[list[bytes], bytes], bytes]:
             if _LIBCRYPTO is None:
                 raise RuntimeError(_NO_LIBCRYPTO)
             context = _THREAD.context = _Context(_LIBCRYPTO)
-        ctx, init, update, out, outl, outl_ref = context.lane
-        parts = []
+        ctx, inits, cipher = context.lane
+        init, buf = inits[enc], bytearray(blocks)
         try:
-            for key, i in zip(keys, range(0, n, 16)):
-                # The cipher and the padding setting carry over a re-key; enc sets the direction.
-                if init(ctx, None, None, key, None, enc) != 1:
-                    raise RuntimeError("EVP_CipherInit_ex failed")
-                if update(ctx, out, outl_ref, blocks[i : i + 16], 16) != 1 or outl.value != 16:
-                    raise RuntimeError("EVP_CipherUpdate failed")
-                parts.append(out.raw)
-            if init(ctx, None, None, _ZERO_KEY, None, enc) != 1:
-                raise RuntimeError("EVP_CipherInit_ex failed")
-            out.raw = _ZERO_KEY
+            view = view_of(buf) if n else None  # byref offsets it to each lane; from_buffer refuses b""
+            for key, i in zip(keys, _OFFSETS):
+                # The cipher carries over a re-key, the init called sets the direction, and EVP_Cipher never pads.
+                if init(ctx, None, None, key, None) != 1:
+                    raise RuntimeError(init_failed)
+                at = byref(view, i)
+                # EVP_Cipher returns 16, the bytes written, on OpenSSL 3's provider path but 1 on 1.1.1
+                # (its man page warns of this), and a failure as 0 or -1: so any result under 1 fails.
+                if cipher(ctx, at, at, 16) < 1:
+                    raise RuntimeError("EVP_Cipher failed")
+            if init(ctx, None, None, _ZERO_KEY, None) != 1:
+                raise RuntimeError(init_failed)
         except BaseException:
             # The context may hold a subkey or be in an unknown state: drop it.
-            out.raw = _ZERO_KEY
             _THREAD.context = None
             context.close()
             raise
-        return b"".join(parts)
+        return bytes(buf)
 
     return kernel
 

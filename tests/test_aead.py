@@ -407,9 +407,10 @@ def test_aes128_length_limit(mode, max_blocks, tweak_calls):
 )
 def test_one_mib_peak_memory(mode, seal_mib, open_mib):
     # Peaks of traced allocations, in MiB, before the pass over message, tag and AD went into one
-    # batch per step, plus 5%.  A seal holds the padded copy (with the tag and AD blocks appended
+    # batch per step, plus 1%.  A seal holds the padded copy (with the tag and AD blocks appended
     # to it), the run outputs and their join; an open the run outputs and their join, then the
-    # unpadded copy.  A message-sized buffer kept alive beside them would add 1 MiB.
+    # unpadded copy.  A message-sized buffer kept alive beside them would add 1 MiB, and one 32 KiB
+    # run output kept through the join 0.03 MiB, which the 1% slack already refuses.
     nonce, ad, pt = bytes(nonce_length(mode)), bytes(13), bytes(1 << 20)
     SEAL[mode](ZERO_KEY, nonce, ad, b"")  # this thread's EVP context, outside the measurement
     tracemalloc.start()
@@ -423,5 +424,5 @@ def test_one_mib_peak_memory(mode, seal_mib, open_mib):
     finally:
         tracemalloc.stop()
     assert opened == pt
-    assert seal_peak <= 1.05 * seal_mib * 2**20
-    assert open_peak <= 1.05 * open_mib * 2**20
+    assert seal_peak <= 1.01 * seal_mib * 2**20
+    assert open_peak <= 1.01 * open_mib * 2**20

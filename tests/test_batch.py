@@ -19,7 +19,7 @@ import reference_aes
 from composed_tweakable import CRYPTOGRAPHY_AES128
 from tortoise import aead, block_cipher, tweakable
 from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec
-from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, seal_nr
+from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, open_nr, seal_nr
 from tortoise.tweakable import (
     TweakableKey,
     _ad_tweaks,
@@ -205,62 +205,86 @@ def _on_a_new_thread(fn):
         return pool.submit(fn).result(timeout=60)
 
 
+# Each direction's batch and a mode call that starts with a batch of that direction.
+_ZERO = TweakableKey(bytes(16), AES128)
+_DIRECTIONS = {
+    "encrypt": (AES128.encrypt_blocks, lambda: seal_nr(_ZERO, bytes(8), b"", bytes(40))),
+    "decrypt": (AES128.decrypt_blocks, lambda: open_nr(_ZERO, bytes(8), b"", bytes(48), bytes(16))),
+}
+
+
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
-@pytest.mark.parametrize("name", ["EVP_CipherInit_ex", "EVP_CIPHER_CTX_set_padding", "EVP_CipherUpdate"])
-def test_failed_evp_call_raises_and_frees_the_context(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name,code,direction",
+    [
+        # The context is set up with EVP_EncryptInit_ex, so its failure reaches both directions.
+        ("EVP_EncryptInit_ex", 0, "encrypt"),
+        ("EVP_EncryptInit_ex", 0, "decrypt"),
+        ("EVP_DecryptInit_ex", 0, "decrypt"),
+        # EVP_Cipher fails with 0 on OpenSSL 1.1.1 and with -1 on OpenSSL 3's provider path.
+        *(("EVP_Cipher", code, direction) for code in (0, -1) for direction in ("encrypt", "decrypt")),
+    ],
+)
+def test_failed_evp_call_raises_and_frees_the_context(name, code, direction, monkeypatch):
     real = getattr(block_cipher._LIBCRYPTO, name)
     failures = []
 
     def fail_twice(*args):
         if len(failures) < 2:
             failures.append(name)
-            return 0
+            return code
         return real(*args)
 
     lib = _Lib(block_cipher._LIBCRYPTO, name, fail_twice)
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
     keys, blocks = random.Random(5).randbytes(48), random.Random(6).randbytes(48)
+    batch, mode_call = _DIRECTIONS[direction]
 
     def run():
         with pytest.raises(RuntimeError, match=name):
-            AES128.encrypt_blocks(keys, blocks)
-        assert (lib.made, lib.freed) == (1, 1)
+            batch(keys, blocks)
+        assert (lib.made, lib.freed) == (1, 1) and getattr(block_cipher._THREAD, "context", None) is None
         with pytest.raises(RuntimeError, match=name):
-            seal_nr(TweakableKey(bytes(16), AES128), bytes(8), b"", bytes(40))
-        assert (lib.made, lib.freed) == (2, 2)
+            mode_call()
+        assert (lib.made, lib.freed) == (2, 2) and getattr(block_cipher._THREAD, "context", None) is None
         # The next batch on this thread gets a fresh context, and it stays open for the batch after.
-        ct = AES128.encrypt_blocks(keys, blocks)
-        assert AES128.decrypt_blocks(keys, ct) == blocks
-        assert (lib.made, lib.freed) == (3, 2)
-        assert block_cipher._THREAD.context.out.raw == bytes(16)
-        return ct
+        out = batch(keys, blocks)
+        assert AES128.encrypt_blocks(keys, AES128.decrypt_blocks(keys, out)) == out
+        assert (lib.made, lib.freed) == (3, 2) and block_cipher._THREAD.context.ptr
+        return out
 
-    ct = _on_a_new_thread(run)
-    assert ct == b"".join(CRYPTOGRAPHY_AES128.encrypt_block(k, b) for k, b in zip(_split(keys, 16), _split(blocks, 16)))
+    out = _on_a_new_thread(run)
+    single = {"encrypt": CRYPTOGRAPHY_AES128.encrypt_block, "decrypt": CRYPTOGRAPHY_AES128.decrypt_block}[direction]
+    assert out == b"".join(single(k, b) for k, b in zip(_split(keys, 16), _split(blocks, 16)))
     assert lib.freed == 3  # with its thread
 
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
 def test_every_batch_ends_on_the_zero_key(monkeypatch):
-    # And on a zeroed output buffer, so that no lane's output outlives its batch either.
-    real = block_cipher._LIBCRYPTO.EVP_CipherInit_ex
+    # Each lane re-keys with its direction's init, and the last re-key of every batch loads the zero key.
     keys_seen = []
 
-    def spy(ctx, cipher, engine, key, iv, enc):
-        keys_seen.append(key)
-        return real(ctx, cipher, engine, key, iv, enc)
+    def spy(name):
+        real = getattr(block_cipher._LIBCRYPTO, name)
 
-    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", _Lib(block_cipher._LIBCRYPTO, "EVP_CipherInit_ex", spy))
+        def init(ctx, cipher, engine, key, iv):
+            keys_seen.append((name, key))
+            return real(ctx, cipher, engine, key, iv)
+
+        return init
+
+    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_EncryptInit_ex", spy("EVP_EncryptInit_ex"))
+    lib.EVP_DecryptInit_ex = spy("EVP_DecryptInit_ex")
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
 
     def run():
         AES128.encrypt_blocks(b"", b"")  # sets the thread's context up
         for lanes in (0, 1, 3, 600):
             keys = random.Random(lanes).randbytes(16 * lanes)
-            for batch in (AES128.encrypt_blocks, AES128.decrypt_blocks):
+            for direction, name in (("encrypt", "EVP_EncryptInit_ex"), ("decrypt", "EVP_DecryptInit_ex")):
                 keys_seen.clear()
-                batch(keys, bytes(16 * lanes))
-                assert keys_seen == [*_split(keys, 16), bytes(16)]
-                assert block_cipher._THREAD.context.out.raw == bytes(16)
+                _DIRECTIONS[direction][0](keys, bytes(16 * lanes))
+                assert keys_seen == [(name, key) for key in [*_split(keys, 16), bytes(16)]]
 
     _on_a_new_thread(run)
 
@@ -297,22 +321,55 @@ def test_threads_seal_and_open_the_same_bytes_as_one_thread():
 
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
-def test_short_evp_output_raises(monkeypatch):
-    real = block_cipher._LIBCRYPTO.EVP_CipherUpdate
+@pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+def test_short_evp_output_raises(direction, monkeypatch):
+    # On OpenSSL 3's provider path EVP_Cipher returns the bytes it wrote: a lane whose block was
+    # written but that reports 0 bytes must not be returned.
+    real = block_cipher._LIBCRYPTO.EVP_Cipher
 
-    def short(ctx, out, outl, inp, inl):
-        real(ctx, out, outl, inp, inl)
-        return real(ctx, out, outl, inp, 0)  # succeeds, but sets outl to 0
+    def short(ctx, out, inp, inl):
+        assert real(ctx, out, inp, inl) == 16
+        return 0
 
-    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_CipherUpdate", short)
+    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_Cipher", short)
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
 
     def run():
-        with pytest.raises(RuntimeError, match="EVP_CipherUpdate"):
-            AES128.decrypt_blocks(bytes(16), bytes(16))
+        with pytest.raises(RuntimeError, match="EVP_Cipher"):
+            _DIRECTIONS[direction][0](bytes(16), bytes(16))
         assert (lib.made, lib.freed) == (1, 1)
 
     _on_a_new_thread(run)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
+def test_in_place_lanes_write_only_the_kernels_own_buffer(kind):
+    # The kernel encrypts each lane in place in a copy of the batch: the caller's blocks stay as they were.
+    rng = random.Random(11)
+    key = TweakableKey(rng.randbytes(16), AES128)
+    lanes = 5
+    keys, blocks, tweaks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes), _split(rng.randbytes(16 * lanes), 16)
+    calls = [
+        (AES128.encrypt_blocks, keys),
+        (AES128.decrypt_blocks, keys),
+        (AES128.encrypt_kernel, _split(keys, 16)),
+        (AES128.decrypt_kernel, _split(keys, 16)),
+        (lambda t, b: tweak_encrypt_many(key, t, b), tweaks),
+        (lambda t, b: tweak_decrypt_many(key, t, b), tweaks),
+    ]
+    for fn, first in calls:
+        want = fn(first, blocks)
+        held = bytearray(blocks)
+        arg = held if kind is bytearray else kind(held)  # a bytes copy, or the buffer itself or a view of it
+        got = fn(first, arg)
+        assert got == want and type(got) is bytes
+        assert bytes(arg) == blocks
+    # Batches of different lengths, one after another on one thread, share no buffer: the first
+    # result still holds every lane after the second batch ran.
+    first = AES128.encrypt_blocks(keys, blocks)
+    second = AES128.encrypt_blocks(keys[16:32], blocks[16:32])
+    assert first == b"".join(map(CRYPTOGRAPHY_AES128.encrypt_block, _split(keys, 16), _split(blocks, 16)))
+    assert second == first[16:32]
 
 
 @pytest.mark.parametrize(
