@@ -38,6 +38,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Callable
 
+from .block_cipher import _LANES
 from .tweakable import (
     TweakableKey,
     _ad_tweaks,
@@ -65,9 +66,9 @@ __all__ = [
 ]
 
 
-# Blocks per batch call: 32 KiB of a 16-byte-block message.  This bounds
-# the tweaks, subkeys and masks held at once.
-_SEGMENT = 2048
+# Blocks per batch call: 32 KiB of a 16-byte-block message, one AES-128
+# arena.  This bounds the tweaks, subkeys and masks held at once.
+_SEGMENT = _LANES
 
 
 class AuthenticationError(Exception):

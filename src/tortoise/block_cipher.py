@@ -136,8 +136,8 @@ def _load_libcrypto() -> ctypes.PyDLL:
         # (ctx, cipher, engine, key, iv) and (ctx, out, in, inl) run once per
         # lane, and declared argtypes made a lane about 20% slower.
         # Undeclared, ctypes passes each argument as it is, so every pointer
-        # must be a ``c_void_p``, ``bytes``, ``byref`` or None, and every
-        # Python int is taken as a C int.
+        # must be a ``c_void_p`` or its ``from_param``, ``bytes``, ``byref``
+        # or None, and every Python int is taken as a C int.
         ("EVP_EncryptInit_ex", int_, None),
         ("EVP_DecryptInit_ex", int_, None),
         ("EVP_Cipher", int_, None),
@@ -156,13 +156,15 @@ except (ImportError, OSError, AttributeError):
 
 
 class _Context:
-    """One thread's EVP context, set up for AES-128-ECB.
+    """One thread's EVP context, set up for AES-128-ECB, and its lane arena.
 
-    It also keeps what every lane passes besides its key and block: the
-    bound re-key of each direction, ``EVP_DecryptInit_ex`` and
-    ``EVP_EncryptInit_ex`` in that order, and ``EVP_Cipher``.  A thread
-    switch can fall between one lane's re-key and its block, so threads
-    must not share a context.  Each thread's is freed with it.
+    ``lane`` holds what every lane passes besides its key, built once: the
+    context as a ready pointer argument, the bound re-key of each direction
+    (``EVP_DecryptInit_ex``, then ``EVP_EncryptInit_ex``), ``EVP_Cipher``, a
+    view of the 32 KiB arena and a pointer to each of its ``_LANES`` lanes.
+    A thread switch can fall between one lane's re-key and its block, so
+    threads must not share a context.  Each thread's is freed with it, and
+    :meth:`close` drops ``lane``, so no pointer to a freed context is left.
     """
 
     ptr = None  # until ``__init__`` has a context to free
@@ -177,9 +179,16 @@ class _Context:
         except BaseException:
             self.close()
             raise
-        self.lane = (self.ptr, (lib.EVP_DecryptInit_ex, lib.EVP_EncryptInit_ex), lib.EVP_Cipher)
+        self.arena = bytearray(_ARENA)
+        view = ctypes.c_char.from_buffer(self.arena)
+        # ctypes would turn a ``c_void_p`` into a new argument object on every call; this one goes as it is.
+        ctx = ctypes.c_void_p.from_param(self.ptr.value)
+        lanes = tuple(ctypes.byref(view, i) for i in range(0, _ARENA, 16))
+        inits = (lib.EVP_DecryptInit_ex, lib.EVP_EncryptInit_ex)
+        self.lane = (ctx, inits, lib.EVP_Cipher, memoryview(self.arena), lanes)
 
     def close(self) -> None:
+        self.lane = None
         if self.ptr:
             self.lib.EVP_CIPHER_CTX_free(self.ptr)  # also cleanses the key schedule
             self.ptr = None
@@ -188,7 +197,9 @@ class _Context:
 
 
 _THREAD = threading.local()
-_OFFSETS = range(0, 1 << 62, 16)  # each lane's offset in its batch, made once: zip stops at the last key
+_LANES = 2048  # 16-byte lanes in a thread's arena: aead's run size
+_ARENA = 16 * _LANES
+_ZEROS = memoryview(bytes(_ARENA))  # what a batch writes over the span of the arena it used
 # Loaded after a batch's last lane, so that no subkey's schedule outlives the call.
 _ZERO_KEY = bytes(16)
 
@@ -201,11 +212,12 @@ _NO_LIBCRYPTO = (
 def _aes128_evp(enc: int) -> Callable[[list[bytes], bytes], bytes]:
     """The AES-128 kernel of one direction: ``enc`` 1 encrypts, 0 decrypts.
 
-    EVP keys each lane with the first 16 bytes of its ``keys`` entry, which must be ``bytes``.  Each
-    lane is encrypted in place in the call's own copy of ``blocks``, so the caller's are never written.
+    EVP keys each lane with the first 16 bytes of its ``keys`` entry, which must be ``bytes``.  The
+    blocks go through the thread's arena in chunks of up to ``_LANES``, each encrypted there in place
+    with the context's pre-built arguments, copied out as ``bytes`` and zeroed; the caller's blocks are
+    never written.  On a failure the arena is zeroed, and the context dropped and freed.
     """
     init_failed = ("EVP_DecryptInit_ex failed", "EVP_EncryptInit_ex failed")[enc]
-    view_of, byref = ctypes.c_char.from_buffer, ctypes.byref
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
         n = len(blocks)
@@ -219,27 +231,33 @@ def _aes128_evp(enc: int) -> Callable[[list[bytes], bytes], bytes]:
             if _LIBCRYPTO is None:
                 raise RuntimeError(_NO_LIBCRYPTO)
             context = _THREAD.context = _Context(_LIBCRYPTO)
-        ctx, inits, cipher = context.lane
-        init, buf = inits[enc], bytearray(blocks)
+        ctx, inits, cipher, arena, lanes = context.lane
+        init, rest, parts = inits[enc], iter(keys), []
         try:
-            view = view_of(buf) if n else None  # byref offsets it to each lane; from_buffer refuses b""
-            for key, i in zip(keys, _OFFSETS):
-                # The cipher carries over a re-key, the init called sets the direction, and EVP_Cipher never pads.
-                if init(ctx, None, None, key, None) != 1:
-                    raise RuntimeError(init_failed)
-                at = byref(view, i)
-                # EVP_Cipher returns 16, the bytes written, on OpenSSL 3's provider path but 1 on 1.1.1
-                # (its man page warns of this), and a failure as 0 or -1: so any result under 1 fails.
-                if cipher(ctx, at, at, 16) < 1:
-                    raise RuntimeError("EVP_Cipher failed")
+            for start in range(0, n, _ARENA):
+                chunk = blocks[start : start + _ARENA]
+                m = len(chunk)
+                arena[:m] = chunk
+                # ``lanes`` goes first, so that zip takes no key from ``rest`` when a full chunk ends.
+                for at, key in zip(lanes, rest):
+                    # The cipher carries over a re-key, the init called sets the direction, and EVP_Cipher never pads.
+                    if init(ctx, None, None, key, None) != 1:
+                        raise RuntimeError(init_failed)
+                    # EVP_Cipher returns 16, the bytes written, on OpenSSL 3's provider path but 1 on 1.1.1
+                    # (its man page warns of this), and a failure as 0 or -1: so any result under 1 fails.
+                    if cipher(ctx, at, at, 16) < 1:
+                        raise RuntimeError("EVP_Cipher failed")
+                parts.append(arena[:m].tobytes())
+                arena[:m] = _ZEROS[:m]
             if init(ctx, None, None, _ZERO_KEY, None) != 1:
                 raise RuntimeError(init_failed)
         except BaseException:
-            # The context may hold a subkey or be in an unknown state: drop it.
+            # The context may hold a subkey or be in an unknown state, and the arena lanes of this batch: drop both.
             _THREAD.context = None
+            arena[:] = _ZEROS
             context.close()
             raise
-        return bytes(buf)
+        return b"".join(parts)  # one part is returned as it is
 
     return kernel
 

@@ -1,5 +1,6 @@
 """The batch block-cipher contract and the batch tweakable calls built on it."""
 
+import ctypes
 import dataclasses
 import hashlib
 import os
@@ -33,9 +34,10 @@ from tortoise.tweakable import (
 
 ROOT = Path(__file__).resolve().parent.parent
 MAX = aead._SEGMENT
-# Empty and tiny batches, 511-513 lanes (where a table-based kernel once took over), and around the
-# largest batch aead makes.
-AES_LANES = [0, 1, 2, 3, 511, 512, 513, MAX - 1, MAX, MAX + 1]
+# Empty and tiny batches, 511-513 lanes (where a table-based kernel once took over), around the
+# largest batch aead makes, which fills the EVP kernel's arena, and one that goes through the arena
+# in three chunks.
+AES_LANES = [0, 1, 2, 3, 511, 512, 513, MAX - 1, MAX, MAX + 1, 2 * MAX + 1]
 
 
 def _split(data: bytes, n: int) -> list[bytes]:
@@ -338,6 +340,75 @@ def test_short_evp_output_raises(direction, monkeypatch):
         with pytest.raises(RuntimeError, match="EVP_Cipher"):
             _DIRECTIONS[direction][0](bytes(16), bytes(16))
         assert (lib.made, lib.freed) == (1, 1)
+
+    _on_a_new_thread(run)
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+@pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+def test_arena_holds_only_zero_bytes_between_batches(direction, monkeypatch):
+    # Each batch zeroes the span of the thread's arena it used; a failed one zeroes the arena and
+    # drops it with the context.
+    real = block_cipher._LIBCRYPTO.EVP_Cipher
+    calls, seen = [], []
+
+    def fail_on_the_third_lane_of_a_five_lane_batch(ctx, out, inp, inl):
+        calls.append(ctx)
+        if len(calls) == 3:
+            seen.append(any(block_cipher._THREAD.context.arena))  # this batch's lanes are in the arena
+            return 0
+        return real(ctx, out, inp, inl)
+
+    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_Cipher", fail_on_the_third_lane_of_a_five_lane_batch)
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
+    batch = _DIRECTIONS[direction][0]
+    rng = random.Random(12)
+    zeros = bytes(16 * MAX)
+
+    def run():
+        keys, blocks = rng.randbytes(80), rng.randbytes(80)
+        AES128.encrypt_blocks(b"", b"")  # sets the thread's context up, with no EVP_Cipher call
+        context = block_cipher._THREAD.context
+        arena = context.arena
+        assert len(arena) == 16 * block_cipher._LANES == len(zeros)
+        with pytest.raises(RuntimeError, match="EVP_Cipher"):
+            batch(keys, blocks)
+        assert seen == [True] and arena == zeros
+        assert block_cipher._THREAD.context is None and context.lane is None and (lib.made, lib.freed) == (1, 1)
+        # The next context's arena is zeroed after each batch of each size, in both directions.
+        for lanes in (1, 5, MAX, 2 * MAX + 1):
+            keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
+            for each in (AES128.encrypt_blocks, AES128.decrypt_blocks):
+                assert each(keys, blocks) != bytes(16 * lanes)
+                assert block_cipher._THREAD.context.arena == zeros
+        assert lib.made == 2
+
+    _on_a_new_thread(run)
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+def test_batches_after_a_threads_first_build_no_lane_pointers(monkeypatch):
+    # A thread's first batch builds its context's view of the arena and one pointer per lane; no
+    # later batch builds either, whatever its size or direction.
+    made = []
+    byref, from_buffer = ctypes.byref, ctypes.c_char.from_buffer
+    monkeypatch.setattr(ctypes, "byref", lambda *args: made.append("byref") or byref(*args))
+    monkeypatch.setattr(ctypes.c_char, "from_buffer", lambda *args: made.append("from_buffer") or from_buffer(*args))
+    rng = random.Random(13)
+    key = TweakableKey(rng.randbytes(16), AES128)
+
+    def run():
+        AES128.encrypt_blocks(bytes(16), bytes(16))
+        assert sorted(set(made)) == ["byref", "from_buffer"] and len(made) == block_cipher._LANES + 1
+        made.clear()
+        for lanes in (0, 1, 5, MAX, 2 * MAX + 1):
+            keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
+            AES128.decrypt_blocks(keys, AES128.encrypt_blocks(keys, blocks))
+        for mode in AeadMode:
+            nonce, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(100)
+            sealed = SEAL[mode](key, nonce, b"ad", pt)
+            assert OPEN[mode](key, nonce, b"ad", sealed.ciphertext, sealed.tag) == pt
+        assert made == []
 
     _on_a_new_thread(run)
 

@@ -298,6 +298,29 @@ def test_aes128_nr_and_mr_tags_share_a_permutation(monkeypatch):
     assert seen.count(tag_tweak) == 1
 
 
+def test_aes128_mr_tag_starting_0x10_puts_its_keystream_on_mr_tag_tweaks():
+    # The keystream tweak tag XOR j has no domain nibble.  A tag whose first byte is 0x10, one in
+    # 256, makes every keystream tweak of its message the mr tag tweak of the nonce tag[1:] XOR j,
+    # and mr takes any 15-byte nonce: keystream block j is the tweakable cipher of the seed
+    # 0x00 || nonce under the tag tweak that an mr seal under that nonce uses for its tag.  The two
+    # uses meet only if that seal's pre-tag sum equals the seed.  A search of 256 messages finds
+    # such a tag with probability 1 - (255/256)^256, about 63%; this seed finds one at try 127.
+    rng = random.Random(16)
+    key, m = TweakableKey(rng.randbytes(16), AES128), 5
+    for tries in range(1, 257):
+        nonce, pt = rng.randbytes(15), rng.randbytes(16 * m - 1)  # pads to m blocks with one 0x01 byte
+        sealed = aead.seal_mr(key, nonce, b"", pt)
+        if sealed.tag[0] == 0x10:
+            break
+    assert (tries, sealed.tag[0]) == (127, 0x10)
+    keystream = composed_tweakable.xor(sealed.ciphertext, pt + b"\x01")
+    seed, rest = b"\x00" + nonce, int.from_bytes(sealed.tag[1:], "big")
+    for j, tweak in enumerate(_mr_stream_tweaks(sealed.tag, range(m), 16)):
+        tag_tweak = _mr_tag_tweak((rest ^ j).to_bytes(15, "big"))
+        assert tweak == tag_tweak
+        assert keystream[16 * j : 16 * j + 16] == tweak_encrypt(key, tag_tweak, seed)
+
+
 def test_toy_domain_census():
     # Every tweak each layout can produce within the toy limits: nr seals at
     # most 15 padded blocks (its tag takes counter 15 at most), mr 16, and
