@@ -1,20 +1,20 @@
 """Block-cipher contract and the two built-in instantiations.
 
 Everything above this layer is generic over :class:`CipherSpec`: a fixed
-block length, a fixed key length, and an encrypt/decrypt pair that is a
-permutation of single blocks for every key.  A spec may add a kernel that
-takes a whole batch of blocks with one key each; without one, batches go
-block by block.  Two specs ship with the package:
+block length, a fixed key length, and an encrypt/decrypt pair that takes
+a whole batch of blocks with one key each and is a permutation of every
+block for every key.  :meth:`CipherSpec.from_blocks` builds that pair
+from single-block functions.  Two specs ship with the package:
 
 * ``AES128`` - the production cipher, gated by the known-answer vectors.
-  Single blocks and batches alike go to OpenSSL's EVP interface through
-  ``ctypes``, on one context per thread re-keyed for every block; a
-  single block is a batch of one.  Where that libcrypto cannot be
-  loaded, the first AES-128 call raises ``RuntimeError``, and a caller
+  Every batch goes to OpenSSL's EVP interface through ``ctypes``, on one
+  context per thread re-keyed for every block; a single block is a batch
+  of one, ``AES128.encrypt([key], block)``.  Where that libcrypto cannot
+  be loaded, the first AES-128 call raises ``RuntimeError``, and a caller
   can plug in another AES-128 as a ``CipherSpec``.
-* ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
-  Its entire codomain can be enumerated on a desktop, which is what the
-  brute-force verification harness needs.
+* ``TOY`` - a deliberately weak 16-bit substitution-permutation network,
+  built from its block pair.  Its entire codomain can be enumerated on a
+  desktop, which is what the brute-force verification harness needs.
 """
 
 from __future__ import annotations
@@ -30,16 +30,12 @@ __all__ = [
     "TOY",
     "CIPHERS",
     "get_cipher",
-    "aes128_encrypt_block",
-    "aes128_decrypt_block",
     "toy_encrypt_block",
     "toy_decrypt_block",
 ]
 
-
-def _bytes(data: bytes) -> bytes:
-    """``data``, any bytes-like object, as ``bytes``: the EVP calls take no other buffer."""
-    return data if type(data) is bytes else memoryview(data).tobytes()
+_Block = Callable[[bytes, bytes], bytes]
+_Batch = Callable[[list[bytes], bytes], bytes]
 
 
 def _check_len(name: str, value: bytes, expected: int) -> None:
@@ -49,17 +45,15 @@ def _check_len(name: str, value: bytes, expected: int) -> None:
 
 @dataclass(frozen=True)
 class CipherSpec:
-    """A pluggable single-block cipher.
+    """A pluggable block cipher: two functions over a batch of blocks.
 
-    ``encrypt_block(key, block)`` must be a bijection on ``block_len``-byte
-    strings for every ``key_len``-byte key, and ``decrypt_block`` its exact
-    inverse.  ``block_len`` must be in [1, 255], the block lengths PKCS#7
-    can pad to.  ``encrypt_kernel(keys, blocks)`` and ``decrypt_kernel``, if
-    given, compute the same over a whole batch at once and take every
-    batch, of any size: ``blocks`` end to end and ``keys`` a list with one
-    entry per block, whose first ``key_len`` bytes are that block's key, so
-    that the tweakable layer hands each lane its SHAKE128 output as it is.
-    A spec without them goes block by block.  Wrong lengths raise
+    ``encrypt(keys, blocks)`` takes ``blocks`` end to end and ``keys`` a
+    list with one entry per block, whose first ``key_len`` bytes are that
+    block's key, so that the tweakable layer hands each lane its SHAKE128
+    output as it is; the result is laid out like ``blocks``.  For every
+    ``key_len``-byte key it must be a bijection on ``block_len``-byte
+    blocks, and ``decrypt`` its exact inverse.  ``block_len`` must be in
+    [1, 255], the block lengths PKCS#7 can pad to.  Wrong lengths raise
     ``ValueError``; a backend failure raises ``RuntimeError``, as ``AES128``
     does without libcrypto or when an EVP call fails.  Specs are immutable
     and safe to share across threads.
@@ -68,49 +62,36 @@ class CipherSpec:
     name: str
     block_len: int
     key_len: int
-    encrypt_block: Callable[[bytes, bytes], bytes]
-    decrypt_block: Callable[[bytes, bytes], bytes]
-    encrypt_kernel: Callable[[list[bytes], bytes], bytes] | None = None
-    decrypt_kernel: Callable[[list[bytes], bytes], bytes] | None = None
+    encrypt: _Batch
+    decrypt: _Batch
 
     def __post_init__(self) -> None:
         if not 1 <= self.block_len <= 255:
             raise ValueError(f"block_len must be in [1, 255], got {self.block_len}")
 
-    def encrypt_blocks(self, keys: bytes, blocks: bytes) -> bytes:
-        """Encrypt a batch: ``blocks`` end to end, ``keys`` one per block in the same order.
+    @classmethod
+    def from_blocks(
+        cls, name: str, block_len: int, key_len: int, encrypt_block: _Block, decrypt_block: _Block
+    ) -> CipherSpec:
+        """A spec whose batch pair calls ``encrypt_block(key, block)`` or ``decrypt_block`` lane by lane.
 
-        The result is laid out like ``blocks``.
+        Each batch checks that there is one key entry per block, then hands
+        each block function the first ``key_len`` bytes of its entry; the
+        block functions check the exact lengths they need.
         """
-        return self._encrypt_lanes(*self._split(keys, blocks))
 
-    def decrypt_blocks(self, keys: bytes, blocks: bytes) -> bytes:
-        """Invert :meth:`encrypt_blocks` for the same keys."""
-        return self._decrypt_lanes(*self._split(keys, blocks))
+        def lanes(block_fn: _Block) -> _Batch:
+            def batch(keys: list[bytes], blocks: bytes) -> bytes:
+                if len(keys) * block_len != len(blocks):
+                    raise ValueError(
+                        f"need one key per {block_len}-byte block, got {len(keys)} for {len(blocks)} bytes"
+                    )
+                n = block_len
+                return b"".join([block_fn(key[:key_len], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
 
-    def _split(self, keys: bytes, blocks: bytes) -> tuple[list[bytes], bytes]:
-        """A batch's keys one entry per block, once they are checked to match its blocks; both as ``bytes``."""
-        keys, blocks = _bytes(keys), _bytes(blocks)
-        k, n = self.key_len, self.block_len
-        if len(blocks) % n or len(keys) != k * (len(blocks) // n):
-            raise ValueError(
-                f"need one {k}-byte key per {n}-byte block, got {len(keys)} key bytes and {len(blocks)} block bytes"
-            )
-        return [keys[i : i + k] for i in range(0, len(keys), k)], blocks
+            return batch
 
-    def _encrypt_lanes(self, keys: list[bytes], blocks: bytes) -> bytes:
-        """The encrypting dispatch, unchecked: ``keys`` one entry per block, each holding its key in front."""
-        if self.encrypt_kernel:
-            return self.encrypt_kernel(keys, blocks)
-        k, n = self.key_len, self.block_len
-        return b"".join([self.encrypt_block(key[:k], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
-
-    def _decrypt_lanes(self, keys: list[bytes], blocks: bytes) -> bytes:
-        """The decrypting dispatch, the inverse of :meth:`_encrypt_lanes`."""
-        if self.decrypt_kernel:
-            return self.decrypt_kernel(keys, blocks)
-        k, n = self.key_len, self.block_len
-        return b"".join([self.decrypt_block(key[:k], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
+        return cls(name, block_len, key_len, lanes(encrypt_block), lanes(decrypt_block))
 
 
 # --- AES-128 through OpenSSL's EVP interface --------------------------
@@ -209,21 +190,26 @@ _NO_LIBCRYPTO = (
 )
 
 
-def _aes128_evp(enc: int) -> Callable[[list[bytes], bytes], bytes]:
-    """The AES-128 kernel of one direction: ``enc`` 1 encrypts, 0 decrypts.
+def _aes128_evp(enc: int) -> _Batch:
+    """The AES-128 batch of one direction: ``enc`` 1 encrypts, 0 decrypts.
 
-    EVP keys each lane with the first 16 bytes of its ``keys`` entry, which must be ``bytes``.  The
-    blocks go through the thread's arena in chunks of up to ``_LANES``, each encrypted there in place
-    with the context's pre-built arguments, copied out as ``bytes`` and zeroed; the caller's blocks are
-    never written.  On a failure the arena is zeroed, and the context dropped and freed.
+    EVP keys each lane with the first 16 bytes of its ``keys`` entry, which must be ``bytes``: ctypes
+    would pass a ``str`` as a wide-character buffer and refuse other buffers mid-batch.  ``blocks``
+    may be any bytes-like object.  They go through the thread's arena in chunks of up to ``_LANES``,
+    each encrypted there in place with the context's pre-built arguments, copied out as ``bytes`` and
+    zeroed; the caller's blocks are never written.  On a failure the arena is zeroed, and the context dropped and freed.
     """
     init_failed = ("EVP_DecryptInit_ex failed", "EVP_EncryptInit_ex failed")[enc]
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
+        if type(blocks) is not bytes:  # a str or a list of ints is refused here, not in the arena mid-batch
+            blocks = memoryview(blocks).tobytes()
         n = len(blocks)
         if len(keys) != n >> 4 or n & 15:
             raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} keys for {n} block bytes")
         for key in keys:
+            if type(key) is not bytes:
+                raise TypeError(f"each key entry must be bytes, got {type(key).__name__}")
             if len(key) < 16:  # EVP reads 16 bytes of each entry, so it would read past this one's end
                 raise ValueError(f"need one 16-byte key per 16-byte block, got a key entry of {len(key)} bytes")
         context = getattr(_THREAD, "context", None)
@@ -260,25 +246,6 @@ def _aes128_evp(enc: int) -> Callable[[list[bytes], bytes], bytes]:
         return b"".join(parts)  # one part is returned as it is
 
     return kernel
-
-
-_aes128_encrypt, _aes128_decrypt = _aes128_evp(1), _aes128_evp(0)
-
-
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Encrypt a single 16-byte block with AES-128: a one-lane EVP batch."""
-    key, block = _bytes(key), _bytes(block)
-    _check_len("key", key, 16)
-    _check_len("block", block, 16)
-    return _aes128_encrypt([key], block)
-
-
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
-    """Decrypt a single 16-byte block with AES-128: a one-lane EVP batch."""
-    key, block = _bytes(key), _bytes(block)
-    _check_len("key", key, 16)
-    _check_len("block", block, 16)
-    return _aes128_decrypt([key], block)
 
 
 # --- Toy cipher --------------------------------------------------------
@@ -333,8 +300,8 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
     return s.to_bytes(2, "big")
 
 
-AES128 = CipherSpec("aes128", 16, 16, aes128_encrypt_block, aes128_decrypt_block, _aes128_encrypt, _aes128_decrypt)
-TOY = CipherSpec("toy", 2, 2, toy_encrypt_block, toy_decrypt_block)
+AES128 = CipherSpec("aes128", 16, 16, _aes128_evp(1), _aes128_evp(0))
+TOY = CipherSpec.from_blocks("toy", 2, 2, toy_encrypt_block, toy_decrypt_block)
 
 CIPHERS: dict[str, CipherSpec] = {spec.name: spec for spec in (AES128, TOY)}
 

@@ -5,9 +5,10 @@ subkey plus an n-byte mask; a block is encrypted under the subkey and the
 mask is XORed onto the result.  Distinct tweaks therefore select
 independent-looking permutations without touching the underlying cipher's
 round structure, and any :class:`~tortoise.block_cipher.CipherSpec` can be
-dropped in unchanged.  Each squeeze output goes to the cipher whole, as its
-lane's key entry: the cipher reads the subkey from its first ``key_len``
-bytes, so no subkey is cut out and joined.  :func:`tweak_encrypt_many` and
+dropped in unchanged.  Each squeeze output goes whole to the spec's
+``encrypt`` or ``decrypt``, as its lane's key entry: the cipher reads the
+subkey from its first ``key_len`` bytes, so no subkey is cut out and
+joined.  :func:`tweak_encrypt_many` and
 :func:`tweak_decrypt_many` are the one public entry point: they take many
 tweaks and blocks at once and hand the blocks to the cipher as one batch,
 and a single block is a batch of one.  They check their inputs, then call
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .block_cipher import CipherSpec, _bytes
+from .block_cipher import CipherSpec
 
 __all__ = ["TweakableKey", "tweak_encrypt_many", "tweak_decrypt_many"]
 
@@ -47,6 +48,11 @@ _STREAM_COUNTER_LIMIT = 1 << 64
 def shake128(data: bytes, out_len: int) -> bytes:
     """``out_len`` bytes of SHAKE128(``data``); a shorter output is a prefix of a longer one."""
     return hashlib.shake_128(data).digest(out_len)
+
+
+def _bytes(data: bytes) -> bytes:
+    """``data``, any bytes-like object, as ``bytes``: its length counts bytes, and every cipher gets ``bytes``."""
+    return data if type(data) is bytes else memoryview(data).tobytes()
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -141,13 +147,13 @@ def _squeeze(key: TweakableKey, tweaks: list[bytes]) -> tuple[list[bytes], bytes
 def _encrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """The encrypting core: the squeezes, one cipher batch keyed by them, the masks applied; no input checks."""
     outs, masks = _squeeze(key, tweaks)
-    return _xor(key.cipher._encrypt_lanes(outs, blocks), masks)
+    return _xor(key.cipher.encrypt(outs, blocks), masks)
 
 
 def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """The decrypting core, the inverse of :func:`_encrypt`; no input checks either."""
     outs, masks = _squeeze(key, tweaks)
-    return key.cipher._decrypt_lanes(outs, _xor(blocks, masks))
+    return key.cipher.decrypt(outs, _xor(blocks, masks))
 
 
 def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> None:

@@ -1,11 +1,11 @@
 """The tweakable cipher written out by hand, used only as a cross-check oracle.
 
 One hashlib SHAKE128 squeeze of ``master_key || tweak`` gives the subkey
-and then the mask; the block goes through the spec's own block function
-and the mask is XORed on, except that ``aes128`` blocks go through
-:data:`CRYPTOGRAPHY_AES128`, so that no check against this oracle runs
-the library's EVP kernel.  The PKCS#7 padding and the associated-data sum
-are written out here too.  Nothing from ``tortoise.tweakable`` or
+and then the mask; the block goes through a one-lane call of the spec's
+``encrypt`` or ``decrypt`` under the subkey alone, and the mask is XORed
+on, except that ``aes128`` blocks go through :data:`CRYPTOGRAPHY_AES128`,
+so that no check against this oracle runs the library's EVP kernel.  The
+PKCS#7 padding and the associated-data sum are written out here too.  Nothing from ``tortoise.tweakable`` or
 ``tortoise.aead`` is used except the key type, so a fault in the library's
 batch path, padding or AD tweaks cannot agree with this.  :func:`xor_spec`
 gives a cheap block cipher of any block length for tests that sweep it,
@@ -19,21 +19,31 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from tortoise.block_cipher import CipherSpec
 
 
+def aes_encrypt_block(key, block):
+    """One AES block from ``cryptography``, of the key length ``algorithms.AES`` takes from ``key``."""
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+
+
+def aes_decrypt_block(key, block):
+    """The inverse of :func:`aes_encrypt_block`."""
+    return Cipher(algorithms.AES(key), modes.ECB()).decryptor().update(block)
+
+
 def aes_spec(key_len):
-    """AES with ``key_len``-byte keys from ``cryptography``, a plug-in built from its block pair alone."""
+    """AES with ``key_len``-byte keys from ``cryptography``, a plug-in built from its block pair with ``from_blocks``."""
 
     def encrypt_block(key, block):
         assert len(key) == key_len
-        return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+        return aes_encrypt_block(key, block)
 
     def decrypt_block(key, block):
         assert len(key) == key_len
-        return Cipher(algorithms.AES(key), modes.ECB()).decryptor().update(block)
+        return aes_decrypt_block(key, block)
 
-    return CipherSpec(f"aes{8 * key_len}", 16, key_len, encrypt_block, decrypt_block)
+    return CipherSpec.from_blocks(f"aes{8 * key_len}", 16, key_len, encrypt_block, decrypt_block)
 
 
-# AES-128 apart from the library's EVP kernel, which runs both its single blocks and its batches.
+# AES-128 apart from the library's EVP kernel, which runs every AES128 batch, a single block included.
 CRYPTOGRAPHY_AES128 = aes_spec(16)
 
 
@@ -62,13 +72,13 @@ def pad(data, n):
 def encrypt(key, tweak, block):
     """Encrypt one block of ``key.cipher`` under the permutation ``tweak`` selects."""
     subkey, mask = _squeeze(key, tweak)
-    return xor(_block_cipher(key).encrypt_block(subkey, block), mask)
+    return xor(_block_cipher(key).encrypt([subkey], block), mask)
 
 
 def decrypt(key, tweak, block):
     """Invert :func:`encrypt` for the same key and tweak."""
     subkey, mask = _squeeze(key, tweak)
-    return _block_cipher(key).decrypt_block(subkey, xor(block, mask))
+    return _block_cipher(key).decrypt([subkey], xor(block, mask))
 
 
 def ad_sum(key, ad):
@@ -93,4 +103,4 @@ def xor_spec(n):
     def decrypt_block(key, block):
         return bytes(b ^ key[0] for b in block[-1:] + block[:-1])
 
-    return CipherSpec(f"xor{n}", n, 1, encrypt_block, decrypt_block)
+    return CipherSpec.from_blocks(f"xor{n}", n, 1, encrypt_block, decrypt_block)

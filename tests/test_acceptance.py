@@ -21,7 +21,7 @@ from tortoise.aead import (
     seal_mr,
     seal_nr,
 )
-from tortoise.block_cipher import AES128, TOY, aes128_decrypt_block, aes128_encrypt_block
+from tortoise.block_cipher import AES128, TOY
 from tortoise.cli import main
 from tortoise.kat import differential_check, generate_kats, parse_kat_text, serialize_records, verify_kats
 from tortoise.tweakable import TweakableKey, _nr_msg_tweaks, shake128
@@ -50,8 +50,14 @@ def test_criterion_1_aes128_kat():
     key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     pt = bytes.fromhex("00112233445566778899aabbccddeeff")
     ct = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-    ok = aes128_encrypt_block(key, pt) == ct and aes128_decrypt_block(key, ct) == pt
-    _report(1, "AES-128 standard vector, both directions", ok, t0, 1.0)
+    zero_ct = bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e")
+    ok = True
+    for lanes in (1, 3):  # a single block is a one-lane batch
+        ok = ok and AES128.encrypt([key] * lanes, pt * lanes) == ct * lanes
+        ok = ok and AES128.decrypt([key] * lanes, ct * lanes) == pt * lanes
+        ok = ok and AES128.encrypt([bytes(16)] * lanes, bytes(16 * lanes)) == zero_ct * lanes
+        ok = ok and AES128.decrypt([bytes(16)] * lanes, zero_ct * lanes) == bytes(16 * lanes)
+    _report(1, "AES-128 standard and all-zero vectors, both directions, one lane and three", ok, t0, 1.0)
 
 
 def test_criterion_2_shake128_kat_and_prefix_property():

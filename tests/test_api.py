@@ -52,8 +52,6 @@ MODULE_EXPORTS = {
         "TOY",
         "CIPHERS",
         "get_cipher",
-        "aes128_encrypt_block",
-        "aes128_decrypt_block",
         "toy_encrypt_block",
         "toy_decrypt_block",
     ],

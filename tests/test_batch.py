@@ -17,9 +17,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import composed_tweakable
 import reference_aes
-from composed_tweakable import CRYPTOGRAPHY_AES128
+from composed_tweakable import aes_decrypt_block, aes_encrypt_block
 from tortoise import aead, block_cipher, tweakable
-from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec
+from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec, toy_decrypt_block, toy_encrypt_block
 from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, open_nr, seal_nr
 from tortoise.tweakable import (
     TweakableKey,
@@ -44,32 +44,34 @@ def _split(data: bytes, n: int) -> list[bytes]:
     return [data[i : i + n] for i in range(0, len(data), n)]
 
 
-# A plug-in built from its block pair alone: no batch kernel, and a key twice the block length.
+# A plug-in built with from_blocks from its block pair, with a key twice the block length.
 AES256 = composed_tweakable.aes_spec(32)
+# The single-block pair each from_blocks spec here is built from.
+BLOCK_PAIRS = {"toy": (toy_encrypt_block, toy_decrypt_block), "aes256": (aes_encrypt_block, aes_decrypt_block)}
 
 
 @pytest.mark.parametrize("lanes", AES_LANES)
 def test_aes128_batch_matches_single_block_calls(lanes):
     rng = random.Random(lanes)
-    keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
-    ct = AES128.encrypt_blocks(keys, blocks)
-    pairs = list(zip(_split(keys, 16), _split(blocks, 16), _split(ct, 16)))
-    # Single blocks from cryptography: the library's own single blocks run the EVP kernel too.
-    assert [CRYPTOGRAPHY_AES128.encrypt_block(k, p) for k, p, _ in pairs] == [c for _, _, c in pairs]
-    assert AES128.decrypt_blocks(keys, blocks) == b"".join(CRYPTOGRAPHY_AES128.decrypt_block(k, p) for k, p, _ in pairs)
-    assert AES128.decrypt_blocks(keys, ct) == blocks
+    keys, blocks = _split(rng.randbytes(16 * lanes), 16), rng.randbytes(16 * lanes)
+    ct = AES128.encrypt(keys, blocks)
+    pairs = list(zip(keys, _split(blocks, 16), _split(ct, 16)))
+    # Single blocks from cryptography: a one-lane AES128 batch runs the EVP kernel too.
+    assert [aes_encrypt_block(k, p) for k, p, _ in pairs] == [c for _, _, c in pairs]
+    assert AES128.decrypt(keys, blocks) == b"".join(aes_decrypt_block(k, p) for k, p, _ in pairs)
+    assert AES128.decrypt(keys, ct) == blocks
 
 
 @pytest.mark.parametrize("lanes", AES_LANES)
 def test_aes128_batch_matches_independent_implementation(lanes):
     rng = random.Random(0xB0 + lanes)
-    keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
+    keys, blocks = _split(rng.randbytes(16 * lanes), 16), rng.randbytes(16 * lanes)
     # Every lane is checked at the small sizes; a spread sample at the large ones.
     picks = range(lanes) if lanes <= 513 else sorted(rng.sample(range(lanes), 40) + [0, lanes - 1])
-    ct = _split(AES128.encrypt_blocks(keys, blocks), 16)
-    pt = _split(AES128.decrypt_blocks(keys, blocks), 16)
+    ct = _split(AES128.encrypt(keys, blocks), 16)
+    pt = _split(AES128.decrypt(keys, blocks), 16)
     for i in picks:
-        key, block = keys[16 * i : 16 * i + 16], blocks[16 * i : 16 * i + 16]
+        key, block = keys[i], blocks[16 * i : 16 * i + 16]
         assert ct[i] == reference_aes.encrypt_block(key, block)
         assert pt[i] == reference_aes.decrypt_block(key, block)
 
@@ -95,10 +97,10 @@ toy_kat, work = sys.argv[1], sys.argv[2]
 assert block_cipher._LIBCRYPTO is None
 key = TweakableKey(bytes(16), AES128)
 for call, args in [
-    (AES128.encrypt_block, (bytes(16), bytes(16))),
-    (AES128.decrypt_block, (bytes(16), bytes(16))),
-    (AES128.encrypt_blocks, (bytes(48), bytes(48))),
-    (AES128.decrypt_blocks, (b"", b"")),
+    (AES128.encrypt, ([bytes(16)], bytes(16))),
+    (AES128.decrypt, ([bytes(16)], bytes(16))),
+    (AES128.encrypt, ([bytes(16)] * 3, bytes(48))),
+    (AES128.decrypt, ([], b"")),
     (seal_nr, (key, bytes(8), b"ad", b"plaintext")),
     (open_mr, (key, bytes(15), b"ad", bytes(16), bytes(16))),
 ]:
@@ -142,11 +144,11 @@ from pathlib import Path
 from tortoise import AES128, TweakableKey, cli, open_mr, open_nr, seal_mr, seal_nr
 
 kats, work = Path(sys.argv[1]), Path(sys.argv[2])
-# FIPS-197 Appendix C.1, through the single-block pair and through batches.
+# FIPS-197 Appendix C.1, through a one-lane batch and a three-lane one.
 key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 pt, ct = bytes.fromhex("00112233445566778899aabbccddeeff"), bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-assert AES128.encrypt_block(key, pt) == ct and AES128.decrypt_block(key, ct) == pt
-assert AES128.encrypt_blocks(key * 3, pt * 3) == ct * 3 and AES128.decrypt_blocks(key * 3, ct * 3) == pt * 3
+assert AES128.encrypt([key], pt) == ct and AES128.decrypt([key], ct) == pt
+assert AES128.encrypt([key] * 3, pt * 3) == ct * 3 and AES128.decrypt([key] * 3, ct * 3) == pt * 3
 for seal, open_, nonce in ((seal_nr, open_nr, bytes(8)), (seal_mr, open_mr, bytes(15))):
     sealed = seal(TweakableKey(key, AES128), nonce, b"ad", b"plaintext")
     assert open_(TweakableKey(key, AES128), nonce, b"ad", sealed.ciphertext, sealed.tag) == b"plaintext"
@@ -169,17 +171,6 @@ def test_no_tortoise_path_needs_cryptography(tmp_path):
     # cryptography comes with the test extra only, as an oracle; tortoise itself runs without it.
     proc = _fresh_interpreter(_WITHOUT_CRYPTOGRAPHY, ROOT / "kats", tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
-def test_small_aes128_batch_makes_no_per_block_call(monkeypatch):
-    def refuse(key, block):
-        raise AssertionError("per-block call")
-
-    monkeypatch.setattr(block_cipher, "aes128_encrypt_block", refuse)
-    monkeypatch.setattr(block_cipher, "aes128_decrypt_block", refuse)
-    keys, blocks = random.Random(3).randbytes(48), random.Random(4).randbytes(48)
-    assert AES128.decrypt_blocks(keys, AES128.encrypt_blocks(keys, blocks)) == blocks
 
 
 class _Lib:
@@ -210,8 +201,8 @@ def _on_a_new_thread(fn):
 # Each direction's batch and a mode call that starts with a batch of that direction.
 _ZERO = TweakableKey(bytes(16), AES128)
 _DIRECTIONS = {
-    "encrypt": (AES128.encrypt_blocks, lambda: seal_nr(_ZERO, bytes(8), b"", bytes(40))),
-    "decrypt": (AES128.decrypt_blocks, lambda: open_nr(_ZERO, bytes(8), b"", bytes(48), bytes(16))),
+    "encrypt": (AES128.encrypt, lambda: seal_nr(_ZERO, bytes(8), b"", bytes(40))),
+    "decrypt": (AES128.decrypt, lambda: open_nr(_ZERO, bytes(8), b"", bytes(48), bytes(16))),
 }
 
 
@@ -239,7 +230,7 @@ def test_failed_evp_call_raises_and_frees_the_context(name, code, direction, mon
 
     lib = _Lib(block_cipher._LIBCRYPTO, name, fail_twice)
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
-    keys, blocks = random.Random(5).randbytes(48), random.Random(6).randbytes(48)
+    keys, blocks = _split(random.Random(5).randbytes(48), 16), random.Random(6).randbytes(48)
     batch, mode_call = _DIRECTIONS[direction]
 
     def run():
@@ -251,13 +242,13 @@ def test_failed_evp_call_raises_and_frees_the_context(name, code, direction, mon
         assert (lib.made, lib.freed) == (2, 2) and getattr(block_cipher._THREAD, "context", None) is None
         # The next batch on this thread gets a fresh context, and it stays open for the batch after.
         out = batch(keys, blocks)
-        assert AES128.encrypt_blocks(keys, AES128.decrypt_blocks(keys, out)) == out
+        assert AES128.encrypt(keys, AES128.decrypt(keys, out)) == out
         assert (lib.made, lib.freed) == (3, 2) and block_cipher._THREAD.context.ptr
         return out
 
     out = _on_a_new_thread(run)
-    single = {"encrypt": CRYPTOGRAPHY_AES128.encrypt_block, "decrypt": CRYPTOGRAPHY_AES128.decrypt_block}[direction]
-    assert out == b"".join(single(k, b) for k, b in zip(_split(keys, 16), _split(blocks, 16)))
+    single = {"encrypt": aes_encrypt_block, "decrypt": aes_decrypt_block}[direction]
+    assert out == b"".join(map(single, keys, _split(blocks, 16)))
     assert lib.freed == 3  # with its thread
 
 
@@ -280,13 +271,13 @@ def test_every_batch_ends_on_the_zero_key(monkeypatch):
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
 
     def run():
-        AES128.encrypt_blocks(b"", b"")  # sets the thread's context up
+        AES128.encrypt([], b"")  # sets the thread's context up
         for lanes in (0, 1, 3, 600):
-            keys = random.Random(lanes).randbytes(16 * lanes)
+            keys = _split(random.Random(lanes).randbytes(16 * lanes), 16)
             for direction, name in (("encrypt", "EVP_EncryptInit_ex"), ("decrypt", "EVP_DecryptInit_ex")):
                 keys_seen.clear()
                 _DIRECTIONS[direction][0](keys, bytes(16 * lanes))
-                assert keys_seen == [(name, key) for key in [*_split(keys, 16), bytes(16)]]
+                assert keys_seen == [(name, key) for key in [*keys, bytes(16)]]
 
     _on_a_new_thread(run)
 
@@ -338,7 +329,7 @@ def test_short_evp_output_raises(direction, monkeypatch):
 
     def run():
         with pytest.raises(RuntimeError, match="EVP_Cipher"):
-            _DIRECTIONS[direction][0](bytes(16), bytes(16))
+            _DIRECTIONS[direction][0]([bytes(16)], bytes(16))
         assert (lib.made, lib.freed) == (1, 1)
 
     _on_a_new_thread(run)
@@ -366,8 +357,8 @@ def test_arena_holds_only_zero_bytes_between_batches(direction, monkeypatch):
     zeros = bytes(16 * MAX)
 
     def run():
-        keys, blocks = rng.randbytes(80), rng.randbytes(80)
-        AES128.encrypt_blocks(b"", b"")  # sets the thread's context up, with no EVP_Cipher call
+        keys, blocks = _split(rng.randbytes(80), 16), rng.randbytes(80)
+        AES128.encrypt([], b"")  # sets the thread's context up, with no EVP_Cipher call
         context = block_cipher._THREAD.context
         arena = context.arena
         assert len(arena) == 16 * block_cipher._LANES == len(zeros)
@@ -377,8 +368,8 @@ def test_arena_holds_only_zero_bytes_between_batches(direction, monkeypatch):
         assert block_cipher._THREAD.context is None and context.lane is None and (lib.made, lib.freed) == (1, 1)
         # The next context's arena is zeroed after each batch of each size, in both directions.
         for lanes in (1, 5, MAX, 2 * MAX + 1):
-            keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
-            for each in (AES128.encrypt_blocks, AES128.decrypt_blocks):
+            keys, blocks = _split(rng.randbytes(16 * lanes), 16), rng.randbytes(16 * lanes)
+            for each in (AES128.encrypt, AES128.decrypt):
                 assert each(keys, blocks) != bytes(16 * lanes)
                 assert block_cipher._THREAD.context.arena == zeros
         assert lib.made == 2
@@ -398,12 +389,12 @@ def test_batches_after_a_threads_first_build_no_lane_pointers(monkeypatch):
     key = TweakableKey(rng.randbytes(16), AES128)
 
     def run():
-        AES128.encrypt_blocks(bytes(16), bytes(16))
+        AES128.encrypt([bytes(16)], bytes(16))
         assert sorted(set(made)) == ["byref", "from_buffer"] and len(made) == block_cipher._LANES + 1
         made.clear()
         for lanes in (0, 1, 5, MAX, 2 * MAX + 1):
-            keys, blocks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes)
-            AES128.decrypt_blocks(keys, AES128.encrypt_blocks(keys, blocks))
+            keys, blocks = _split(rng.randbytes(16 * lanes), 16), rng.randbytes(16 * lanes)
+            AES128.decrypt(keys, AES128.encrypt(keys, blocks))
         for mode in AeadMode:
             nonce, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(100)
             sealed = SEAL[mode](key, nonce, b"ad", pt)
@@ -419,12 +410,11 @@ def test_in_place_lanes_write_only_the_kernels_own_buffer(kind):
     rng = random.Random(11)
     key = TweakableKey(rng.randbytes(16), AES128)
     lanes = 5
-    keys, blocks, tweaks = rng.randbytes(16 * lanes), rng.randbytes(16 * lanes), _split(rng.randbytes(16 * lanes), 16)
+    keys, blocks = _split(rng.randbytes(16 * lanes), 16), rng.randbytes(16 * lanes)
+    tweaks = _split(rng.randbytes(16 * lanes), 16)
     calls = [
-        (AES128.encrypt_blocks, keys),
-        (AES128.decrypt_blocks, keys),
-        (AES128.encrypt_kernel, _split(keys, 16)),
-        (AES128.decrypt_kernel, _split(keys, 16)),
+        (AES128.encrypt, keys),
+        (AES128.decrypt, keys),
         (lambda t, b: tweak_encrypt_many(key, t, b), tweaks),
         (lambda t, b: tweak_decrypt_many(key, t, b), tweaks),
     ]
@@ -437,9 +427,9 @@ def test_in_place_lanes_write_only_the_kernels_own_buffer(kind):
         assert bytes(arg) == blocks
     # Batches of different lengths, one after another on one thread, share no buffer: the first
     # result still holds every lane after the second batch ran.
-    first = AES128.encrypt_blocks(keys, blocks)
-    second = AES128.encrypt_blocks(keys[16:32], blocks[16:32])
-    assert first == b"".join(map(CRYPTOGRAPHY_AES128.encrypt_block, _split(keys, 16), _split(blocks, 16)))
+    first = AES128.encrypt(keys, blocks)
+    second = AES128.encrypt(keys[1:2], blocks[16:32])
+    assert first == b"".join(map(aes_encrypt_block, keys, _split(blocks, 16)))
     assert second == first[16:32]
 
 
@@ -457,60 +447,77 @@ def test_in_place_lanes_write_only_the_kernels_own_buffer(kind):
          "entry without a block", "partial block"],
 )
 def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypatch):
-    # EVP reads 16 bytes of each entry, so a short entry must never reach it.
+    # EVP reads 16 bytes of each entry, so a short entry must never reach it.  A new thread has no
+    # context yet, so any EVP call would go through the library replaced here.
     class NoCalls:
         def __getattr__(self, name):
             raise AssertionError(f"{name} reached")
 
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", NoCalls())
-    for enc in (1, 0):
-        with pytest.raises(ValueError, match="16-byte key per 16-byte block"):
-            block_cipher._aes128_evp(enc)(keys, blocks)
+
+    def run():
+        for batch in (AES128.encrypt, AES128.decrypt):
+            with pytest.raises(ValueError, match="16-byte key per 16-byte block"):
+                batch(keys, blocks)
+
+    _on_a_new_thread(run)
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+@pytest.mark.parametrize(
+    "bad,where",
+    [("a" * 16, "entry"), (bytearray(16), "entry"), (memoryview(bytes(16)), "entry"),
+     ("a" * 16, "blocks"), (list(bytes(16)), "blocks")],
+    ids=["str entry", "bytearray entry", "memoryview entry", "str blocks", "list blocks"],
+)
+def test_aes128_refuses_inputs_that_are_not_bytes(bad, where):
+    # ctypes would pass a str key as a wide-character buffer, and refuse the buffers in the middle of a batch;
+    # a str or list of blocks passes the shape check by its length.  Each is refused before any EVP call.
+    AES128.encrypt([], b"")  # sets this thread's EVP context up
+    context = block_cipher._THREAD.context
+    if where == "entry":
+        cases = [([bad], bytes(16)), ([bytes(16), bad, bytes(32)], bytes(48))]
+        match = f"must be bytes, got {type(bad).__name__}"
+    else:
+        cases, match = [([bytes(16)], bad)], "bytes-like"
+    for batch in (AES128.encrypt, AES128.decrypt):
+        for keys, blocks in cases:
+            with pytest.raises(TypeError, match=match):
+                batch(keys, blocks)
+            assert block_cipher._THREAD.context is context and context.lane
+    assert AES128.encrypt([bytes(16)], bytes(16)) == aes_encrypt_block(bytes(16), bytes(16))
 
 
 def test_evp_kernel_keys_each_lane_with_the_first_16_bytes_of_its_entry():
     # The tweakable core hands the kernel whole 32-byte squeeze outputs: subkey, then mask.
     rng = random.Random(32)
     entries, blocks = [rng.randbytes(32) for _ in range(5)], rng.randbytes(80)
-    want = [CRYPTOGRAPHY_AES128.encrypt_block(e[:16], b) for e, b in zip(entries, _split(blocks, 16))]
-    assert AES128.encrypt_kernel(entries, blocks) == b"".join(want)
-    assert AES128.decrypt_kernel(entries, b"".join(want)) == blocks
+    want = [aes_encrypt_block(e[:16], b) for e, b in zip(entries, _split(blocks, 16))]
+    assert AES128.encrypt(entries, blocks) == b"".join(want)
+    assert AES128.decrypt(entries, b"".join(want)) == blocks
 
 
 @pytest.mark.parametrize("spec", [AES128, TOY], ids=lambda s: s.name)
 @pytest.mark.parametrize("kind", [bytearray, memoryview], ids=lambda t: t.__name__)
 def test_public_entries_take_bytes_like_input(spec, kind):
-    # ctypes takes no bytearray or memoryview as a pointer: the public entries convert, the cores need not.
-    AES128.encrypt_blocks(b"", b"")  # sets this thread's EVP context up
+    # ctypes takes no bytearray or memoryview as a pointer: the AES-128 batches copy the blocks, tweak_*_many
+    # convert theirs, and the cores need not.  AES-128 key entries stay bytes; the toy pair takes any.
+    AES128.encrypt([], b"")  # sets this thread's EVP context up
     context = block_cipher._THREAD.context
     rng = random.Random(7)
     k, n = spec.key_len, spec.block_len
-    keys, blocks = rng.randbytes(3 * k), rng.randbytes(3 * n)
-    key, tweaks = TweakableKey(keys[:k], spec), _split(rng.randbytes(3 * n), n)
-    single = {AES128: (block_cipher.aes128_encrypt_block, block_cipher.aes128_decrypt_block),
-              TOY: (block_cipher.toy_encrypt_block, block_cipher.toy_decrypt_block)}[spec]
-    calls = [
-        *((fn, keys[:k], blocks[:n]) for fn in single),
-        (spec.encrypt_blocks, keys, blocks),
-        (spec.decrypt_blocks, keys, blocks),
-        (lambda t, b: tweak_encrypt_many(key, t, b), tweaks, blocks),
-        (lambda t, b: tweak_decrypt_many(key, t, b), tweaks, blocks),
-    ]
-    for fn, a, b in calls:
-        want = fn(a, b)
-        assert fn(kind(a) if isinstance(a, bytes) else [kind(t) for t in a], kind(b)) == want
+    keys, blocks = _split(rng.randbytes(3 * k), k), rng.randbytes(3 * n)
+    key, tweaks = TweakableKey(keys[0], spec), _split(rng.randbytes(3 * n), n)
+    entries = keys if spec is AES128 else [kind(e) for e in keys]
+    for fn in (spec.encrypt, spec.decrypt):
+        assert fn(entries, kind(blocks)) == fn(keys, blocks)
+    for fn in BLOCK_PAIRS.get(spec.name, ()):
+        assert fn(kind(keys[0]), kind(blocks[:n])) == fn(keys[0], blocks[:n])
+    for fn in (tweak_encrypt_many, tweak_decrypt_many):
+        assert fn(key, [kind(t) for t in tweaks], kind(blocks)) == fn(key, tweaks, blocks)
     assert block_cipher._THREAD.context is context and context.ptr
     with pytest.raises(TypeError):
-        spec.encrypt_blocks(k, n)  # an int is refused, not read as a length of zero bytes
-
-
-def test_aes128_batch_fips197_vector():
-    # FIPS-197 Appendix C.1, so the batch path rests on AES-128 itself and not only on the per-block path.
-    key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-    ct = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-    assert AES128.encrypt_blocks(key * 3, pt * 3) == ct * 3
-    assert AES128.decrypt_blocks(key * 3, ct * 3) == pt * 3
+        spec.encrypt([bytes(k)], n)  # an int is refused, not read as a length of zero bytes
 
 
 @pytest.mark.parametrize(
@@ -518,15 +525,17 @@ def test_aes128_batch_fips197_vector():
     [(TOY, 0), (TOY, 1), (TOY, 5), (TOY, 300), (AES256, 1), (AES256, 511), (AES256, 512), (AES256, 513)],
     ids=lambda v: v.name if isinstance(v, CipherSpec) else str(v),
 )
-def test_batch_without_kernel_matches_single_block_calls(spec, lanes):
+def test_from_blocks_batch_matches_single_block_calls(spec, lanes):
+    # Each lane gets a squeeze-sized entry, as from the tweakable core: from_blocks cuts it to the key.
     rng = random.Random(lanes)
     k, n = spec.key_len, spec.block_len
-    keys, blocks = rng.randbytes(k * lanes), rng.randbytes(n * lanes)
-    pairs = list(zip(_split(keys, k), _split(blocks, n)))
-    ct = spec.encrypt_blocks(keys, blocks)
-    assert ct == b"".join(spec.encrypt_block(key, b) for key, b in pairs)
-    assert spec.decrypt_blocks(keys, blocks) == b"".join(spec.decrypt_block(key, b) for key, b in pairs)
-    assert spec.decrypt_blocks(keys, ct) == blocks
+    entries, blocks = [rng.randbytes(k + n) for _ in range(lanes)], rng.randbytes(n * lanes)
+    pairs = list(zip([e[:k] for e in entries], _split(blocks, n)))
+    encrypt_block, decrypt_block = BLOCK_PAIRS[spec.name]
+    ct = spec.encrypt(entries, blocks)
+    assert ct == b"".join(encrypt_block(key, b) for key, b in pairs)
+    assert spec.decrypt(entries, blocks) == b"".join(decrypt_block(key, b) for key, b in pairs)
+    assert spec.decrypt(entries, ct) == blocks
 
 
 def test_aes256_plugin_fips197_vector():
@@ -534,19 +543,27 @@ def test_aes256_plugin_fips197_vector():
     key = bytes(range(32))
     pt = bytes.fromhex("00112233445566778899aabbccddeeff")
     ct = bytes.fromhex("8ea2b7ca516745bfeafc49904b496089")
-    assert AES256.encrypt_block(key, pt) == ct
-    assert AES256.decrypt_block(key, ct) == pt
+    assert AES256.encrypt([key], pt) == ct
+    assert AES256.decrypt([key], ct) == pt
 
 
 @pytest.mark.parametrize("spec", [*CIPHERS.values(), AES256], ids=lambda s: s.name)
 def test_batch_shape_checked(spec):
+    # A from_blocks spec is rebuilt on recording block functions: a mismatch is refused before any block call.
     k, n = spec.key_len, spec.block_len
-    bad = [(bytes(k), bytes(n + 1)), (bytes(k + 1), bytes(n)), (bytes(2 * k), bytes(n)), (bytes(k), bytes(2 * n))]
+    calls = []
+    if spec.name in BLOCK_PAIRS:
+        record = [lambda key, block, fn=fn: calls.append(fn) or fn(key, block) for fn in BLOCK_PAIRS[spec.name]]
+        spec = CipherSpec.from_blocks(spec.name, n, k, *record)
+    bad = [([bytes(k)], bytes(n + 1)), ([bytes(k)] * 2, bytes(n)), ([bytes(k)], bytes(2 * n)), ([], bytes(n)),
+           ([bytes(k)], b"")]
     for keys, blocks in bad:
-        with pytest.raises(ValueError):
-            spec.encrypt_blocks(keys, blocks)
-        with pytest.raises(ValueError):
-            spec.decrypt_blocks(keys, blocks)
+        for batch in (spec.encrypt, spec.decrypt):
+            with pytest.raises(ValueError):
+                batch(keys, blocks)
+    assert calls == []
+    spec.decrypt([bytes(k)] * 2, spec.encrypt([bytes(k)] * 2, bytes(2 * n)))
+    assert len(calls) == (4 if spec.name in BLOCK_PAIRS else 0)
 
 
 @pytest.mark.parametrize(
@@ -583,8 +600,8 @@ def test_tweak_many_checks_shapes():
 
 @pytest.mark.parametrize("spec", [AES128, TOY, AES256], ids=lambda s: s.name)
 def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypatch):
-    # aead calls the unchecked cores, so every other way in must check first: tweak_*_many before
-    # the first SHAKE squeeze, encrypt_blocks/decrypt_blocks before the first block call or kernel lane.
+    # aead calls the unchecked cores, so tweak_*_many must check before the first SHAKE squeeze or
+    # cipher batch; test_batch_shape_checked covers the batches' own checks.
     work = []
     real_shake = tweakable.shake128
     monkeypatch.setattr(tweakable, "shake128", lambda data, size: work.append("squeeze") or real_shake(data, size))
@@ -593,23 +610,18 @@ def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypat
         fn = getattr(spec, name)
         return lambda keys, blocks: work.append(name) or fn(keys, blocks)
 
-    names = [f for f in ("encrypt_block", "decrypt_block", "encrypt_kernel", "decrypt_kernel") if getattr(spec, f)]
-    spied = dataclasses.replace(spec, **{name: spy(name) for name in names})
-    key, k, n = TweakableKey(bytes(spec.key_len), spied), spec.key_len, spec.block_len
+    spied = dataclasses.replace(spec, encrypt=spy("encrypt"), decrypt=spy("decrypt"))
+    key, n = TweakableKey(bytes(spec.key_len), spied), spec.block_len
     # Tweaks too wide and too narrow, then one block too many and one too few.
     bad = [([bytes(n + 1)], bytes(n)), ([bytes(n), bytes(n - 1)], bytes(2 * n)), ([bytes(n)], bytes(2 * n))]
     for entry in (tweak_encrypt_many, tweak_decrypt_many):
         for tweaks, blocks in bad + [([bytes(n)] * 2, bytes(n))]:
             with pytest.raises(ValueError):
                 entry(key, tweaks, blocks)
-    for batch in (spied.encrypt_blocks, spied.decrypt_blocks):
-        for keys, blocks in [(bytes(k - 1), bytes(n)), (bytes(k), bytes(2 * n)), (bytes(k), bytes(n + 1))]:
-            with pytest.raises(ValueError):
-                batch(keys, blocks)
     assert work == []
     # The spies do see a well-formed batch.
     tweak_decrypt_many(key, [bytes(n)], bytes(n))
-    assert work[0] == "squeeze" and work[-1] in ("decrypt_block", "decrypt_kernel")
+    assert work == ["squeeze", "decrypt"]
 
 
 @pytest.mark.parametrize("block_len", [16, 2])

