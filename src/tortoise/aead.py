@@ -15,11 +15,11 @@ full-block tag, and verify it in constant time before releasing anything.
 
 Each data dependency is one pass of tweakable calls.  A pass lays its
 blocks end to end, message blocks first, then any tag block, then the
-associated-data blocks.  A pass of up to ``_SEGMENT`` blocks, which covers
+associated-data blocks.  A pass of up to ``_LANES`` blocks, which covers
 every message up to 32 KiB, is straight-line code: one tweak list built
 from one encoder call per tweak domain, one call to the tweakable core,
 then the message outputs sliced off and the sums folded as integers.  A
-longer pass goes in even runs of at most ``_SEGMENT`` blocks, folded run by
+longer pass goes in the even runs of ``block_cipher._runs``, folded run by
 run.  The core, ``tweakable._encrypt`` or ``_decrypt``, checks nothing:
 ``_check`` has bounded every length and tweak on entry.  The nr checksum
 and the associated data are known before any block is encrypted, so an nr
@@ -38,7 +38,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Callable
 
-from .block_cipher import _LANES
+from . import block_cipher
 from .tweakable import (
     TweakableKey,
     _ad_tweaks,
@@ -64,11 +64,6 @@ __all__ = [
     "seal_mr",
     "open_mr",
 ]
-
-
-# Blocks per batch call: 32 KiB of a 16-byte-block message, one AES-128
-# arena.  This bounds the tweaks, subkeys and masks held at once.
-_SEGMENT = _LANES
 
 
 class AuthenticationError(Exception):
@@ -130,20 +125,19 @@ def _pass(
     ``_encrypt`` or ``_decrypt``.  Returns the message blocks' outputs if
     ``keep`` is set, and the XOR of the outputs from block ``sum_from`` on.
 
-    Up to ``_SEGMENT`` blocks are one call.  A longer pass goes in even runs
-    of at most ``_SEGMENT`` blocks, so that it holds one run's tweaks,
-    subkeys and masks at a time, and sums each run's outputs on their own.
+    Up to ``_LANES`` blocks are one call.  A longer pass goes in the even
+    runs of ``_runs``, so that it holds one run's tweaks, subkeys and masks
+    at a time, and sums each run's outputs on their own.
     """
     n = key.cipher.block_len
     count, t = len(data) // n, m + len(tags)
-    if count <= _SEGMENT:
+    if count <= block_cipher._LANES:
         tweaks = _nr_msg_tweaks(nonce, range(m), n) + tags if m else tags
         out = crypt(key, tweaks + _ad_tweaks(range(count - t), n) if count > t else tweaks, data)
         return out[: m * n] if keep else b"", _fold(out[sum_from * n :], n)
-    step = -(-count // -(-count // _SEGMENT))
     kept, acc = [], 0
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
+    for run in block_cipher._runs(count):
+        lo, hi = run.start, run.stop
         # No name holds the run's tweaks, or the last run's would stay alive through the join.
         out = crypt(
             key,
@@ -204,15 +198,13 @@ def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes, m: int) -> bytes:
 def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int) -> bytes:
     """XOR the first ``m`` blocks of ``data`` with the keystream seeded by ``tag``; its own inverse.
 
-    Up to ``_SEGMENT`` blocks are one call; a longer stream goes in even runs, as in :func:`_pass`.
+    Up to ``_LANES`` blocks are one call; a longer stream goes in the runs of ``_runs``, as in :func:`_pass`.
     """
     n = key.cipher.block_len
     seed = b"\x00" + nonce
-    if m <= _SEGMENT:
+    if m <= block_cipher._LANES:
         return _xor(data[: m * n], _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))
-    step = -(-m // -(-m // _SEGMENT))
-    # A generator: the runs of the largest count the limit allows would not fit in memory.
-    runs = (range(lo, min(lo + step, m)) for lo in range(0, m, step))
+    runs = block_cipher._runs(m)
     return b"".join(
         [_xor(data[r.start * n : r.stop * n], _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r))) for r in runs]
     )

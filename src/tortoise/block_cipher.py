@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 __all__ = [
     "CipherSpec",
@@ -36,6 +36,11 @@ __all__ = [
 
 _Block = Callable[[bytes, bytes], bytes]
 _Batch = Callable[[list[bytes], bytes], bytes]
+
+
+def _bytes(data: bytes) -> bytes:
+    """``data``, any bytes-like object, as ``bytes``: its length counts bytes, and every cipher gets ``bytes``."""
+    return data if type(data) is bytes else memoryview(data).tobytes()
 
 
 def _check_len(name: str, value: bytes, expected: int) -> None:
@@ -75,13 +80,15 @@ class CipherSpec:
     ) -> CipherSpec:
         """A spec whose batch pair calls ``encrypt_block(key, block)`` or ``decrypt_block`` lane by lane.
 
-        Each batch checks that there is one key entry per block, then hands
-        each block function the first ``key_len`` bytes of its entry; the
-        block functions check the exact lengths they need.
+        Each batch converts its blocks, any bytes-like object, to ``bytes`` (a
+        ``str`` or a list raises ``TypeError``), checks that there is one key
+        entry per block, then hands each block function the first ``key_len``
+        bytes of its entry and its block; the block functions check the lengths.
         """
 
         def lanes(block_fn: _Block) -> _Batch:
             def batch(keys: list[bytes], blocks: bytes) -> bytes:
+                blocks = _bytes(blocks)
                 if len(keys) * block_len != len(blocks):
                     raise ValueError(
                         f"need one key per {block_len}-byte block, got {len(keys)} for {len(blocks)} bytes"
@@ -178,11 +185,18 @@ class _Context:
 
 
 _THREAD = threading.local()
-_LANES = 2048  # 16-byte lanes in a thread's arena: aead's run size
+_LANES = 2048  # 16-byte lanes in a thread's arena: the most that one kernel pass, or one aead batch, holds
 _ARENA = 16 * _LANES
-_ZEROS = memoryview(bytes(_ARENA))  # what a batch writes over the span of the arena it used
-# Loaded after a batch's last lane, so that no subkey's schedule outlives the call.
+_ZEROS = memoryview(bytes(_ARENA))  # what a pass writes over the span of the arena it used
+# Loaded after a pass's last lane, so that no subkey's schedule outlives it.
 _ZERO_KEY = bytes(16)
+
+
+def _runs(count: int) -> Iterator[range]:
+    """Lanes 0 to ``count`` - 1, ``count`` > 0, in even runs of at most ``_LANES``, made one by one as they are used."""
+    step = -(-count // -(-count // _LANES))
+    return (range(lo, min(lo + step, count)) for lo in range(0, count, step))
+
 
 _NO_LIBCRYPTO = (
     "aes128 needs the libcrypto that hashlib's _hashlib extension links, and it could not be loaded;"
@@ -193,17 +207,17 @@ _NO_LIBCRYPTO = (
 def _aes128_evp(enc: int) -> _Batch:
     """The AES-128 batch of one direction: ``enc`` 1 encrypts, 0 decrypts.
 
-    EVP keys each lane with the first 16 bytes of its ``keys`` entry, which must be ``bytes``: ctypes
-    would pass a ``str`` as a wide-character buffer and refuse other buffers mid-batch.  ``blocks``
-    may be any bytes-like object.  They go through the thread's arena in chunks of up to ``_LANES``,
-    each encrypted there in place with the context's pre-built arguments, copied out as ``bytes`` and
-    zeroed; the caller's blocks are never written.  On a failure the arena is zeroed, and the context dropped and freed.
+    EVP keys each lane with the first 16 bytes of its ``keys`` entry, which must be ``bytes``: ctypes would pass
+    a ``str`` as a wide-character buffer and refuse other buffers mid-batch.  ``blocks`` may be any bytes-like
+    object.  A pass of up to ``_LANES`` lanes goes through the thread's arena, where it is encrypted in place
+    with the context's pre-built arguments, copied out as ``bytes`` and zeroed; the caller's blocks are never
+    written.  A longer batch, which only a direct caller makes, is checked whole, then cut into :func:`_runs` of
+    one pass each, each checked again.  On a failure the arena is zeroed, and the context dropped and freed.
     """
     init_failed = ("EVP_DecryptInit_ex failed", "EVP_EncryptInit_ex failed")[enc]
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
-        if type(blocks) is not bytes:  # a str or a list of ints is refused here, not in the arena mid-batch
-            blocks = memoryview(blocks).tobytes()
+        blocks = _bytes(blocks)  # a str or a list of ints is refused here, not in the arena mid-pass
         n = len(blocks)
         if len(keys) != n >> 4 or n & 15:
             raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} keys for {n} block bytes")
@@ -212,38 +226,37 @@ def _aes128_evp(enc: int) -> _Batch:
                 raise TypeError(f"each key entry must be bytes, got {type(key).__name__}")
             if len(key) < 16:  # EVP reads 16 bytes of each entry, so it would read past this one's end
                 raise ValueError(f"need one 16-byte key per 16-byte block, got a key entry of {len(key)} bytes")
+        if len(keys) > _LANES:
+            runs = _runs(len(keys))
+            return b"".join([kernel(keys[r.start : r.stop], blocks[16 * r.start : 16 * r.stop]) for r in runs])
         context = getattr(_THREAD, "context", None)
         if context is None:
             if _LIBCRYPTO is None:
                 raise RuntimeError(_NO_LIBCRYPTO)
             context = _THREAD.context = _Context(_LIBCRYPTO)
         ctx, inits, cipher, arena, lanes = context.lane
-        init, rest, parts = inits[enc], iter(keys), []
+        init = inits[enc]
         try:
-            for start in range(0, n, _ARENA):
-                chunk = blocks[start : start + _ARENA]
-                m = len(chunk)
-                arena[:m] = chunk
-                # ``lanes`` goes first, so that zip takes no key from ``rest`` when a full chunk ends.
-                for at, key in zip(lanes, rest):
-                    # The cipher carries over a re-key, the init called sets the direction, and EVP_Cipher never pads.
-                    if init(ctx, None, None, key, None) != 1:
-                        raise RuntimeError(init_failed)
-                    # EVP_Cipher returns 16, the bytes written, on OpenSSL 3's provider path but 1 on 1.1.1
-                    # (its man page warns of this), and a failure as 0 or -1: so any result under 1 fails.
-                    if cipher(ctx, at, at, 16) < 1:
-                        raise RuntimeError("EVP_Cipher failed")
-                parts.append(arena[:m].tobytes())
-                arena[:m] = _ZEROS[:m]
+            arena[:n] = blocks
+            for at, key in zip(lanes, keys):
+                # The cipher carries over a re-key, the init called sets the direction, and EVP_Cipher never pads.
+                if init(ctx, None, None, key, None) != 1:
+                    raise RuntimeError(init_failed)
+                # EVP_Cipher returns 16, the bytes written, on OpenSSL 3's provider path but 1 on 1.1.1
+                # (its man page warns of this), and a failure as 0 or -1: so any result under 1 fails.
+                if cipher(ctx, at, at, 16) < 1:
+                    raise RuntimeError("EVP_Cipher failed")
+            out = arena[:n].tobytes()
+            arena[:n] = _ZEROS[:n]
             if init(ctx, None, None, _ZERO_KEY, None) != 1:
                 raise RuntimeError(init_failed)
         except BaseException:
-            # The context may hold a subkey or be in an unknown state, and the arena lanes of this batch: drop both.
+            # The context may hold a subkey or be in an unknown state, and the arena this pass's lanes: drop both.
             _THREAD.context = None
             arena[:] = _ZEROS
             context.close()
             raise
-        return b"".join(parts)  # one part is returned as it is
+        return out
 
     return kernel
 

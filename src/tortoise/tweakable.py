@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .block_cipher import CipherSpec
+from .block_cipher import CipherSpec, _bytes
 
 __all__ = ["TweakableKey", "tweak_encrypt_many", "tweak_decrypt_many"]
 
@@ -48,11 +48,6 @@ _STREAM_COUNTER_LIMIT = 1 << 64
 def shake128(data: bytes, out_len: int) -> bytes:
     """``out_len`` bytes of SHAKE128(``data``); a shorter output is a prefix of a longer one."""
     return hashlib.shake_128(data).digest(out_len)
-
-
-def _bytes(data: bytes) -> bytes:
-    """``data``, any bytes-like object, as ``bytes``: its length counts bytes, and every cipher gets ``bytes``."""
-    return data if type(data) is bytes else memoryview(data).tobytes()
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -156,10 +151,12 @@ def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     return key.cipher.decrypt(outs, _xor(blocks, masks))
 
 
-def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> None:
-    n = key.cipher.block_len
+def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
+    """``blocks`` as ``bytes``, checked to hold one block per tweak, each tweak a block wide."""
+    blocks, n = _bytes(blocks), key.cipher.block_len
     if len(blocks) != n * len(tweaks) or any(len(tweak) != n for tweak in tweaks):
         raise ValueError(f"every tweak must be {n} bytes, with one {n}-byte block each; got {len(blocks)} block bytes")
+    return blocks
 
 
 def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
@@ -168,13 +165,9 @@ def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) ->
     ``blocks``, any bytes-like object, and the result are the blocks end to
     end.  The blocks are independent, so the cipher sees them as one batch.
     """
-    blocks = _bytes(blocks)
-    _check_batch(key, tweaks, blocks)
-    return _encrypt(key, tweaks, blocks)
+    return _encrypt(key, tweaks, _check_batch(key, tweaks, blocks))
 
 
 def tweak_decrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """Invert :func:`tweak_encrypt_many` for the same key and tweaks."""
-    blocks = _bytes(blocks)
-    _check_batch(key, tweaks, blocks)
-    return _decrypt(key, tweaks, blocks)
+    return _decrypt(key, tweaks, _check_batch(key, tweaks, blocks))

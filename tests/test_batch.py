@@ -33,10 +33,10 @@ from tortoise.tweakable import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX = aead._SEGMENT
+MAX = block_cipher._LANES
 # Empty and tiny batches, 511-513 lanes (where a table-based kernel once took over), around the
 # largest batch aead makes, which fills the EVP kernel's arena, and one that goes through the arena
-# in three chunks.
+# in three runs.
 AES_LANES = [0, 1, 2, 3, 511, 512, 513, MAX - 1, MAX, MAX + 1, 2 * MAX + 1]
 
 
@@ -272,12 +272,15 @@ def test_every_batch_ends_on_the_zero_key(monkeypatch):
 
     def run():
         AES128.encrypt([], b"")  # sets the thread's context up
-        for lanes in (0, 1, 3, 600):
+        for lanes in (0, 1, 3, 600, MAX + 1):
             keys = _split(random.Random(lanes).randbytes(16 * lanes), 16)
+            want = [*keys, bytes(16)]
+            if lanes > MAX:  # two even passes through the arena, of 1,025 and 1,024 lanes, each ending on the zero key
+                want.insert(MAX // 2 + 1, bytes(16))
             for direction, name in (("encrypt", "EVP_EncryptInit_ex"), ("decrypt", "EVP_DecryptInit_ex")):
                 keys_seen.clear()
                 _DIRECTIONS[direction][0](keys, bytes(16 * lanes))
-                assert keys_seen == [(name, key) for key in [*keys, bytes(16)]]
+                assert keys_seen == [(name, key) for key in want]
 
     _on_a_new_thread(run)
 
@@ -465,6 +468,41 @@ def test_evp_kernel_checks_shapes_before_any_foreign_call(keys, blocks, monkeypa
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
 @pytest.mark.parametrize(
+    "bad,error", [("a" * 16, TypeError), (bytes(15), ValueError)], ids=["str entry", "15-byte entry"]
+)
+def test_batch_longer_than_the_arena_is_checked_whole_before_its_first_pass(bad, error, monkeypatch):
+    # A batch of more than one arena goes in runs: a bad entry in a later run must stop it before the
+    # first run reaches EVP, and leave the thread's context open.
+    calls = []
+
+    def spy(name):
+        real = getattr(block_cipher._LIBCRYPTO, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_Cipher", spy("EVP_Cipher"))
+    lib.EVP_EncryptInit_ex, lib.EVP_DecryptInit_ex = spy("EVP_EncryptInit_ex"), spy("EVP_DecryptInit_ex")
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
+    lanes = 2 * MAX + 1
+    keys, blocks = _split(random.Random(14).randbytes(16 * lanes), 16), random.Random(15).randbytes(16 * lanes)
+
+    def run():
+        AES128.encrypt([], b"")  # sets the thread's context up
+        context = block_cipher._THREAD.context
+        calls.clear()
+        # Lane 2,048 is the first lane past one arena; the last lane is in the last run.
+        for at in (MAX, lanes - 1):
+            for batch in (AES128.encrypt, AES128.decrypt):
+                with pytest.raises(error):
+                    batch([*keys[:at], bad, *keys[at + 1 :]], blocks)
+                assert calls == [] and block_cipher._THREAD.context is context and context.lane
+        assert AES128.encrypt(keys, blocks) == b"".join(map(aes_encrypt_block, keys, _split(blocks, 16)))
+        assert (lib.made, lib.freed) == (1, 0)
+
+    _on_a_new_thread(run)
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+@pytest.mark.parametrize(
     "bad,where",
     [("a" * 16, "entry"), (bytearray(16), "entry"), (memoryview(bytes(16)), "entry"),
      ("a" * 16, "blocks"), (list(bytes(16)), "blocks")],
@@ -500,8 +538,9 @@ def test_evp_kernel_keys_each_lane_with_the_first_16_bytes_of_its_entry():
 @pytest.mark.parametrize("spec", [AES128, TOY], ids=lambda s: s.name)
 @pytest.mark.parametrize("kind", [bytearray, memoryview], ids=lambda t: t.__name__)
 def test_public_entries_take_bytes_like_input(spec, kind):
-    # ctypes takes no bytearray or memoryview as a pointer: the AES-128 batches copy the blocks, tweak_*_many
-    # convert theirs, and the cores need not.  AES-128 key entries stay bytes; the toy pair takes any.
+    # ctypes takes no bytearray or memoryview as a pointer: the AES-128 batches copy the blocks, the from_blocks
+    # batches and tweak_*_many convert theirs, and the cores need not.  AES-128 key entries stay bytes; the toy
+    # pair takes any.
     AES128.encrypt([], b"")  # sets this thread's EVP context up
     context = block_cipher._THREAD.context
     rng = random.Random(7)
@@ -561,6 +600,11 @@ def test_batch_shape_checked(spec):
         for batch in (spec.encrypt, spec.decrypt):
             with pytest.raises(ValueError):
                 batch(keys, blocks)
+    # A str or a list of ints has the length of a well-formed batch, but is not bytes-like.
+    for blocks in ("a" * n, list(bytes(n))):
+        for batch in (spec.encrypt, spec.decrypt):
+            with pytest.raises(TypeError):
+                batch([bytes(k)], blocks)
     assert calls == []
     spec.decrypt([bytes(k)] * 2, spec.encrypt([bytes(k)] * 2, bytes(2 * n)))
     assert len(calls) == (4 if spec.name in BLOCK_PAIRS else 0)
@@ -666,7 +710,7 @@ def test_aead_runs_give_the_same_bytes(mode, monkeypatch):
     key = TweakableKey(rng.randbytes(16), AES128)
     nonce, ad, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(170), rng.randbytes(16 * 40 - 5)
     whole = SEAL[mode](key, nonce, ad, pt)
-    monkeypatch.setattr(aead, "_SEGMENT", 3)
+    monkeypatch.setattr(block_cipher, "_LANES", 3)
     assert SEAL[mode](key, nonce, ad, pt) == whole
     assert OPEN[mode](key, nonce, ad, whole.ciphertext, whole.tag) == pt
 
@@ -706,7 +750,7 @@ def test_runs_cut_across_message_tag_and_ad_give_the_same_bytes(segment, monkeyp
     lanes = []
     real = aead._encrypt
     monkeypatch.setattr(aead, "_encrypt", lambda k, t, b: lanes.append(len(t)) or real(k, t, b))
-    monkeypatch.setattr(aead, "_SEGMENT", segment)
+    monkeypatch.setattr(block_cipher, "_LANES", segment)
     seen = set()
     for (mode, m, a), (nonce, ad, pt, sealed) in inputs.items():
         lanes.clear()
