@@ -13,22 +13,20 @@ reveals whether two messages were identical.
 Both modes PKCS#7-pad the plaintext and the associated data, carry a
 full-block tag, and verify it in constant time before releasing anything.
 
-Each data dependency is one pass of tweakable calls.  A pass lays its
-blocks end to end, message blocks first, then any tag block, then the
-associated-data blocks.  A pass of up to ``_LANES`` blocks, which covers
-every message up to 32 KiB, is straight-line code: one tweak list built
-from one encoder call per tweak domain, one call to the tweakable core,
-then the message outputs sliced off and the sums folded as integers.  A
-longer pass goes in the even runs of ``block_cipher._runs``, folded run by
-run.  The core, ``tweakable._encrypt`` or ``_decrypt``, checks nothing:
-``_check`` has bounded every length and tweak on entry.  The nr checksum
-and the associated data are known before any block is encrypted, so an nr
-seal is one pass; an nr open decrypts first, because its checksum needs
-the plaintext, then makes the tag.  In mr the message and associated-data
-sums are one pass, the tag block a second and the keystream it seeds a
-third, when sealing and opening alike.  The blocks a seal appends go into
-the one padded copy of the message it makes, and those an mr open appends
-into the join of its keystream.
+Each data dependency is one pass of tweakable calls.  A seal or open
+lays its blocks end to end in one ``bytearray``, message blocks first,
+then any tag block, then the associated-data blocks; every pass writes
+its outputs into it in place, the entry point returns one ``bytes`` copy
+of the span it owes, and a rejected open zeroes it before raising.  A
+pass of up to ``_LANES`` blocks, every message up to 32 KiB, is
+straight-line code: one tweak list, one call to the tweakable core on a
+``bytes`` copy of its blocks; a longer pass goes in the even runs of
+``block_cipher._runs``.  The core, ``tweakable._encrypt`` or
+``_decrypt``, checks nothing: ``_check`` has bounded every length and
+tweak on entry.  An nr seal is one pass, since its checksum and AD are
+known first; an nr open decrypts, then makes the tag from the checksum.
+In mr the message and associated-data sums are one pass, the tag block a
+second and the keystream it seeds a third, when sealing and opening alike.
 """
 
 from __future__ import annotations
@@ -114,16 +112,16 @@ def _fold(data: bytes, n: int) -> int:
 
 
 def _pass(
-    crypt: Callable, key: TweakableKey, data: bytes, nonce: bytes, m: int, tags: list[bytes], keep: bool, sum_from: int
-) -> tuple[bytes, int]:
+    crypt: Callable, key: TweakableKey, data: memoryview, nonce: bytes, m: int, tags: list, keep: bool, sum_from: int
+) -> int:
     """The tweakable calls over the blocks of ``data``, laid end to end.
 
     The first ``m`` blocks are message blocks under the counter tweaks of
-    ``nonce``; one block per tweak in ``tags`` follows, then the
-    associated-data blocks under AD tweaks from 0, each from an unchecked
-    encoder: the caller has bounded them.  ``crypt`` is the tweakable core,
-    ``_encrypt`` or ``_decrypt``.  Returns the message blocks' outputs if
-    ``keep`` is set, and the XOR of the outputs from block ``sum_from`` on.
+    ``nonce``, then one block per tweak in ``tags``, then associated-data
+    blocks under AD tweaks from 0, all from unchecked encoders: the caller
+    has bounded them.  ``crypt`` is ``_encrypt`` or ``_decrypt``.  Writes
+    the outputs over their blocks if ``keep`` is set; returns the XOR of
+    the outputs from block ``sum_from`` on.
 
     Up to ``_LANES`` blocks are one call.  A longer pass goes in the even
     runs of ``_runs``, so that it holds one run's tweaks, subkeys and masks
@@ -133,24 +131,24 @@ def _pass(
     count, t = len(data) // n, m + len(tags)
     if count <= block_cipher._LANES:
         tweaks = _nr_msg_tweaks(nonce, range(m), n) + tags if m else tags
-        out = crypt(key, tweaks + _ad_tweaks(range(count - t), n) if count > t else tweaks, data)
-        return out[: m * n] if keep else b"", _fold(out[sum_from * n :], n)
-    kept, acc = [], 0
+        out = crypt(key, tweaks + _ad_tweaks(range(count - t), n) if count > t else tweaks, bytes(data))
+        if keep:
+            data[:] = out
+        return _fold(out[sum_from * n :], n)
+    acc = 0
     for run in block_cipher._runs(count):
         lo, hi = run.start, run.stop
-        # No name holds the run's tweaks, or the last run's would stay alive through the join.
         out = crypt(
             key,
             _nr_msg_tweaks(nonce, range(lo, min(hi, m)), n)
             + tags[max(lo - m, 0) : max(hi - m, 0)]
             + _ad_tweaks(range(max(lo - t, 0), hi - t), n),
-            data[lo * n : hi * n],
+            bytes(data[lo * n : hi * n]),
         )
         if keep:
-            kept.append(out[: max(min(hi, m) - lo, 0) * n])
+            data[lo * n : hi * n] = out
         acc ^= _fold(out[max(sum_from - lo, 0) * n :], n)
-    del out  # else the last run's output would stay alive through the join too
-    return b"".join(kept), acc
+    return acc
 
 
 def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, tag: bytes | None = None) -> int:
@@ -185,38 +183,36 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: byt
     return n
 
 
-def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes, m: int) -> bytes:
+def _mr_tag(key: TweakableKey, nonce: bytes, data: memoryview, m: int) -> bytes:
     """The mr tag of ``data``: ``m`` padded message blocks, then the padded associated data.
 
     One pass sums both under their tweaks, then the sum is the tag block.
     """
     n = key.cipher.block_len
-    acc = _pass(_encrypt, key, data, nonce[: _layout(n).nonce_len], m, [], False, 0)[1]
+    acc = _pass(_encrypt, key, data, nonce[: _layout(n).nonce_len], m, [], False, 0)
     return _encrypt(key, [_mr_tag_tweak(nonce)], acc.to_bytes(n, "big"))
 
 
-def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes, m: int) -> bytes:
-    """XOR the first ``m`` blocks of ``data`` with the keystream seeded by ``tag``; its own inverse.
+def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: memoryview, m: int) -> None:
+    """XOR the keystream seeded by ``tag`` into the first ``m`` blocks of ``data``; its own inverse.
 
     Up to ``_LANES`` blocks are one call; a longer stream goes in the runs of ``_runs``, as in :func:`_pass`.
     """
     n = key.cipher.block_len
     seed = b"\x00" + nonce
-    if m <= block_cipher._LANES:
-        return _xor(data[: m * n], _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))
-    runs = block_cipher._runs(m)
-    return b"".join(
-        [_xor(data[r.start * n : r.stop * n], _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r))) for r in runs]
-    )
+    for r in [range(m)] if m <= block_cipher._LANES else block_cipher._runs(m):
+        lo, hi = r.start * n, r.stop * n
+        data[lo:hi] = _xor(data[lo:hi], _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r)))
 
 
-def _release(expected: bytes, tag: bytes, data: bytes, end: int, n: int) -> bytes:
-    """Return the unpadded plaintext ``data[:end]`` only if the tag verifies in constant time."""
+def _release(expected: bytes, tag: bytes, data: memoryview, end: int, n: int) -> bytes:
+    """The unpadded plaintext ``data[:end]`` if the tag verifies in constant time; else zero ``data`` and raise."""
     if hmac.compare_digest(expected, tag):
         k = data[end - 1]
         # Bad padding raises exactly as a tag mismatch does: no padding oracle.
         if 1 <= k <= n and data[end - k : end] == bytes([k]) * k:
-            return data[: end - k]
+            return bytes(data[: end - k])
+    data[:] = bytes(len(data))
     raise AuthenticationError("authentication failed")
 
 
@@ -229,30 +225,32 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, plaintext)
     m = len(plaintext) // n + 1
     pad = _padding(len(plaintext), n)
-    # The whole plaintext blocks, then the last padded block: its tail and the padding.
-    checksum = _fold(plaintext, n) ^ int.from_bytes(plaintext[(m - 1) * n :] + pad, "big")
-    data = b"".join([plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)])
-    ct, tag = _pass(_encrypt, key, data, nonce, m, [_nr_tag_tweak(nonce, m, n)], True, m)
-    return SealedMessage(ct, tag.to_bytes(n, "big"))
+    # The whole plaintext blocks, then the last padded block: its tail (a memoryview has no +) and the padding.
+    checksum = _fold(plaintext, n) ^ int.from_bytes(bytes(plaintext[(m - 1) * n :]) + pad, "big")
+    data = memoryview(bytearray().join([plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)]))
+    tag = _pass(_encrypt, key, data, nonce, m, [_nr_tag_tweak(nonce, m, n)], True, m)
+    return SealedMessage(bytes(data[: m * n]), tag.to_bytes(n, "big"))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
     n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
-    plain, checksum = _pass(_decrypt, key, ciphertext, nonce, m, [], True, 0)
-    data = b"".join([checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)])
-    expected = _pass(_encrypt, key, data, nonce, 0, [_nr_tag_tweak(nonce, m, n)], False, 0)[1]
-    return _release(expected.to_bytes(n, "big"), tag, plain, len(plain), n)
+    data = memoryview(bytearray().join([ciphertext, bytes(n), ad, _padding(len(ad), n)]))
+    # The plaintext's checksum goes into the tag block, between the plaintext and the AD.
+    data[m * n : (m + 1) * n] = _pass(_decrypt, key, data[: m * n], nonce, m, [], True, 0).to_bytes(n, "big")
+    expected = _pass(_encrypt, key, data[m * n :], nonce, 0, [_nr_tag_tweak(nonce, m, n)], False, 0)
+    return _release(expected.to_bytes(n, "big"), tag, data, m * n, n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
     n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ad, plaintext)
     m = len(plaintext) // n + 1
-    data = b"".join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)])
+    data = memoryview(bytearray().join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)]))
     tag = _mr_tag(key, nonce, data, m)
-    return SealedMessage(_mr_stream(key, nonce, tag, data, m), tag)
+    _mr_stream(key, nonce, tag, data, m)
+    return SealedMessage(bytes(data[: m * n]), tag)
 
 
 def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -264,7 +262,8 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     """
     n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
-    data = b"".join([_mr_stream(key, nonce, tag, ciphertext, m), ad, _padding(len(ad), n)])
+    data = memoryview(bytearray().join([ciphertext, ad, _padding(len(ad), n)]))
+    _mr_stream(key, nonce, tag, data, m)
     return _release(_mr_tag(key, nonce, data, m), tag, data, m * n, n)
 
 

@@ -18,7 +18,7 @@ from tortoise.aead import (
     seal_mr,
     seal_nr,
 )
-from tortoise.block_cipher import AES128, TOY
+from tortoise.block_cipher import AES128, TOY, CipherSpec
 from tortoise.tweakable import TweakableKey, _nr_msg_tweaks, _nr_tag_tweak
 
 ZERO_KEY = TweakableKey(bytes(16), AES128)
@@ -403,14 +403,15 @@ def test_aes128_length_limit(mode, max_blocks, tweak_calls):
 
 
 @pytest.mark.parametrize(
-    "mode,seal_mib,open_mib", [(AeadMode.NONCE_RESPECTING, 3.00, 2.00), (AeadMode.MISUSE_RESISTANT, 3.00, 2.00)]
+    "mode,seal_mib,open_mib", [(AeadMode.NONCE_RESPECTING, 2.00, 2.00), (AeadMode.MISUSE_RESISTANT, 2.00, 2.00)]
 )
 def test_one_mib_peak_memory(mode, seal_mib, open_mib):
-    # Peaks of traced allocations, in MiB, before the pass over message, tag and AD went into one
-    # batch per step, plus 1%.  A seal holds the padded copy (with the tag and AD blocks appended
-    # to it), the run outputs and their join; an open the run outputs and their join, then the
-    # unpadded copy.  A message-sized buffer kept alive beside them would add 1 MiB, and one 32 KiB
-    # run output kept through the join 0.03 MiB, which the 1% slack already refuses.
+    # Peaks of traced allocations, in MiB, plus 1%.  Each seal and open holds one buffer with the
+    # message, tag and AD blocks, which every pass writes in place, and at the end the bytes copy
+    # it returns; a run's copy, tweaks and outputs are gone by then.  An nr seal folds the
+    # plaintext's checksum (a 1 MiB integer) before it makes the buffer.  A second message-sized
+    # buffer kept alive would add 1 MiB, and one 32 KiB run output kept to the end 0.03 MiB,
+    # which the 1% slack already refuses.
     nonce, ad, pt = bytes(nonce_length(mode)), bytes(13), bytes(1 << 20)
     SEAL[mode](ZERO_KEY, nonce, ad, b"")  # this thread's EVP context, outside the measurement
     tracemalloc.start()
@@ -426,3 +427,55 @@ def test_one_mib_peak_memory(mode, seal_mib, open_mib):
     assert opened == pt
     assert seal_peak <= 1.01 * seal_mib * 2**20
     assert open_peak <= 1.01 * open_mib * 2**20
+
+
+# --- one buffer per message -------------------------------------------------
+
+def _spy_spec(types):
+    """AES-128 under another name, recording the type of every block batch its two functions are handed."""
+
+    def spy(batch):
+        return lambda keys, blocks: types.append(type(blocks)) or batch(keys, blocks)
+
+    return CipherSpec("spy", 16, 16, spy(AES128.encrypt), spy(AES128.decrypt))
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_bytes_like_inputs_give_the_bytes_result(mode, kind):
+    # Every seal and open takes any bytes-like plaintext or ciphertext, AD, nonce and tag.
+    rng = random.Random(0xB1)
+    nonce, ad = rng.randbytes(nonce_length(mode)), rng.randbytes(21)
+    for pt in (b"", rng.randbytes(15), rng.randbytes(40), rng.randbytes(16 * 3000 + 7)):
+        sealed = SEAL[mode](ZERO_KEY, nonce, ad, pt)
+        assert SEAL[mode](ZERO_KEY, kind(bytearray(nonce)), kind(bytearray(ad)), kind(bytearray(pt))) == sealed
+        args = [kind(bytearray(x)) for x in (nonce, ad, sealed.ciphertext, sealed.tag)]
+        assert OPEN[mode](ZERO_KEY, *args) == pt
+        args[3] = kind(bytearray(composed_tweakable.xor(sealed.tag, b"\x01" + bytes(15))))
+        with pytest.raises(AuthenticationError):
+            OPEN[mode](ZERO_KEY, *args)
+
+
+@pytest.mark.parametrize("size", [40, 16 * 4097], ids=["40B", "three-runs"])
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_one_buffer_leaves_the_callers_buffers_and_hands_out_bytes(mode, size):
+    # A seal, an open and a rejected open write only their own buffer: the caller's bytearrays keep
+    # their bytes, what comes back is exactly bytes, and the cipher is handed only bytes batches.
+    rng = random.Random(size)
+    types = []
+    key = TweakableKey(bytes(16), _spy_spec(types))
+    nonce, ad, pt = (bytearray(rng.randbytes(k)) for k in (nonce_length(mode), 13, size))
+    held = [bytes(nonce), bytes(ad), bytes(pt)]
+    sealed = SEAL[mode](key, nonce, ad, pt)
+    assert type(sealed.ciphertext) is bytes and type(sealed.tag) is bytes
+    assert sealed == SEAL[mode](TweakableKey(bytes(16), AES128), *held)
+    ct, tag = bytearray(sealed.ciphertext), bytearray(sealed.tag)
+    opened = OPEN[mode](key, nonce, ad, ct, tag)
+    assert type(opened) is bytes and opened == pt
+    bad_tag = bytearray(tag)
+    bad_tag[0] ^= 1
+    with pytest.raises(AuthenticationError):
+        OPEN[mode](key, nonce, ad, ct, bad_tag)
+    assert [bytes(nonce), bytes(ad), bytes(pt)] == held
+    assert (bytes(ct), bytes(tag), bytes(bad_tag[1:])) == (sealed.ciphertext, sealed.tag, sealed.tag[1:])
+    assert types and set(types) == {bytes}

@@ -111,6 +111,29 @@ def test_bad_padding_raises_like_bad_tag(mode, padded):
     _assert_open_fails_like_bad_tag(KEY, mode, bytes(range(nonce_length(mode))), AD, padded)
 
 
+@pytest.mark.parametrize("fault", ["tag", "padding"])
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_rejected_open_keeps_no_candidate_plaintext(mode, fault):
+    # The traceback of a rejected open keeps its frames' locals alive; none of them may hold the
+    # candidate plaintext.  A wrong AD fails the tag over well-padded blocks, a forgery the padding;
+    # either way the open has decrypted the candidate before it raises.
+    nonce = bytes(range(nonce_length(mode)))
+    candidate = bytes(range(0x41, 0x71)) + (pad(b"", 16) if fault == "tag" else BAD_PAD)
+    ct, tag = FORGE[mode](KEY, nonce, AD, candidate)
+    with pytest.raises(AuthenticationError) as rejected:
+        OPEN[mode](KEY, nonce, AD + b"!" if fault == "tag" else AD, ct, tag)
+    seen, tb = set(), rejected.value.__traceback__
+    while tb is not None:
+        frame, tb = tb.tb_frame, tb.tb_next
+        if frame.f_globals["__name__"].startswith("tortoise."):
+            seen.add(frame.f_code.co_name)
+            for name, value in frame.f_locals.items():
+                if isinstance(value, (bytes, bytearray, memoryview)):
+                    held = bytes(value)
+                    assert not any(candidate[i : i + 16] in held for i in range(0, len(candidate), 16)), name
+    assert {f"open_{mode.value}", "_release"} <= seen
+
+
 @pytest.mark.parametrize("n", OTHER_BLOCK_LENS)
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_forger_matches_seal_any_block_length(mode, n):
