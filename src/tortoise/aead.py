@@ -13,6 +13,12 @@ reveals whether two messages were identical.
 Both modes PKCS#7-pad the plaintext and the associated data, carry a
 full-block tag, and verify it in constant time before releasing anything.
 
+Each block goes through the tweakable cipher under a one-block tweak
+whose byte 0 carries a domain prefix in its high nibble: ``0000`` message
+(nonce, block counter), ``0001`` tag (nonce and block count, or the mr
+nonce alone), ``0010`` associated data (block index).  The mr keystream
+tweak is the tag XOR the counter.  Fields are big-endian; see the encoders.
+
 Each data dependency is one pass of tweakable calls.  A seal or open
 lays its blocks end to end in one ``bytearray``, message blocks first,
 then any tag block, then the associated-data blocks; every pass writes
@@ -21,12 +27,12 @@ of the span it owes, and a rejected open zeroes it before raising.  A
 pass of up to ``_LANES`` blocks, every message up to 32 KiB, is
 straight-line code: one tweak list, one call to the tweakable core on a
 ``bytes`` copy of its blocks; a longer pass goes in the even runs of
-``block_cipher._runs``.  The core, ``tweakable._encrypt`` or
-``_decrypt``, checks nothing: ``_check`` has bounded every length and
-tweak on entry.  An nr seal is one pass, since its checksum and AD are
-known first; an nr open decrypts, then makes the tag from the checksum.
-In mr the message and associated-data sums are one pass, the tag block a
-second and the keystream it seeds a third, when sealing and opening alike.
+``block_cipher._runs``.  Past ``_check`` nothing checks again: not the
+encoders, nor the core, ``tweakable._encrypt`` or ``_decrypt``.  An nr
+seal is one pass, since its checksum and AD are known first; an nr open
+decrypts, then makes the tag from the checksum.  In mr the message and
+associated-data sums are one pass, the tag block a second and the
+keystream it seeds a third, when sealing and opening alike.
 """
 
 from __future__ import annotations
@@ -34,21 +40,11 @@ from __future__ import annotations
 import enum
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from . import block_cipher
-from .tweakable import (
-    TweakableKey,
-    _ad_tweaks,
-    _decrypt,
-    _encrypt,
-    _layout,
-    _mr_stream_tweaks,
-    _mr_tag_tweak,
-    _nr_msg_tweaks,
-    _nr_tag_tweak,
-    _xor,
-)
+from .tweakable import TweakableKey, _decrypt, _encrypt, _xor
 
 __all__ = [
     "AeadMode",
@@ -73,9 +69,23 @@ class AeadMode(enum.Enum):
     MISUSE_RESISTANT = "mr"
 
 
+# The members under module names, read on every message: on Python 3.11 an ``AeadMode.X`` lookup costs ~0.1 us.
+_NR, _MR = AeadMode.NONCE_RESPECTING, AeadMode.MISUSE_RESISTANT
+
+
 def nonce_length(mode: AeadMode, block_len: int = 16) -> int:
-    """Required nonce width: the counter layout's nonce in nr, all bytes after the prefix in mr."""
-    return _layout(block_len).nonce_len if mode is AeadMode.NONCE_RESPECTING else block_len - 1
+    """Required nonce width: the counter layouts' nonce in nr, all bytes after the prefix in mr."""
+    return min(8, block_len - 1) if mode is _NR else block_len - 1
+
+
+@lru_cache(maxsize=None)
+def _limits(block_len: int) -> tuple[int, int]:
+    """The counter and AD limits of ``block_len``, in blocks: 2^56 and 2^120 at n=16, 16 and 256 at n=2.
+
+    The mr keystream's own 2^64 would bind only at n >= 18, on more bytes than a message can hold.
+    """
+    counter_len = block_len - 1 - nonce_length(_NR, block_len)
+    return 256**counter_len if counter_len else 16, 256 ** (block_len - 1)
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,42 @@ def _fold(data: bytes, n: int) -> int:
         x = (x >> bits) ^ (x & ((1 << bits) - 1))
         count = low
     return x
+
+
+def _ad_tweaks(indices: range, block_len: int) -> list[bytes]:
+    """Tweak for each associated-data block of an ascending ``indices`` range: 0x20, then the index, big-endian."""
+    return [b"\x20" + i.to_bytes(block_len - 1, "big") for i in indices]
+
+
+def _nr_msg_tweaks(nonce: bytes, counters: range, block_len: int) -> list[bytes]:
+    """Message tweak for each counter of an ascending ``counters`` range: prefix 0, nonce, block counter.
+
+    The counter occupies the bytes left after the nonce (7 bytes at n=16);
+    when none remain, as with 2-byte blocks, it moves into the low nibble of
+    byte 0 and is limited to 15.
+    """
+    counter_len = block_len - 1 - len(nonce)
+    if counter_len:
+        head = b"\x00" + nonce
+        return [head + j.to_bytes(counter_len, "big") for j in counters]
+    return [bytes([j]) + nonce for j in counters]
+
+
+def _nr_tag_tweak(nonce: bytes, count: int, block_len: int) -> bytes:
+    """The nr tag tweak of a ``count``-block message: the message layout with prefix 1 and counter ``count``."""
+    counter_len = block_len - 1 - len(nonce)
+    return b"\x10" + nonce + count.to_bytes(counter_len, "big") if counter_len else bytes([0x10 | count]) + nonce
+
+
+def _mr_tag_tweak(nonce: bytes) -> bytes:
+    """Tag tweak for the misuse-resistant mode: 0x10, then a nonce filling the rest."""
+    return b"\x10" + nonce
+
+
+def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes]:
+    """Keystream tweak for each counter of an ascending ``counters`` range: the tag XOR the counter, big-endian."""
+    t = int.from_bytes(tag, "big")
+    return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 
 
 def _pass(
@@ -151,16 +197,22 @@ def _pass(
     return acc
 
 
-def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, tag: bytes | None = None) -> int:
-    """Check every length before any block work; return the block length.
+def _flat(data: bytes) -> memoryview:
+    """``data`` as a flat byte view, so that ``len`` counts its bytes whatever its format or shape."""
+    return memoryview(data).cast("B")
 
-    ``tag`` is given only when opening.  The passes encode their tweaks
-    unchecked and the tweakable core takes them as they are, so this bounds
-    them all: the message blocks' counters, in nr the tag block's next one,
-    in mr the keystream's, and the AD blocks.
+
+def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, tag: bytes | None = None) -> tuple:
+    """Check every length before any block work; return the block length and the inputs, measured in bytes.
+
+    ``tag`` is given only when opening.  An input that is not ``bytes`` comes
+    back as a flat byte view.  The encoders and the tweakable core take
+    every tweak as it is, so this bounds them all: the message counters, in
+    nr the tag block's next one, in mr the keystream's, and the AD blocks.
     """
+    if not (type(nonce) is type(ad) is type(data) is bytes and (tag is None or type(tag) is bytes)):
+        nonce, ad, data, tag = _flat(nonce), _flat(ad), _flat(data), tag if tag is None else _flat(tag)
     n = key.cipher.block_len
-    layout = _layout(n)
     nonce_len = nonce_length(mode, n)
     if len(nonce) != nonce_len:
         raise ValueError(f"nonce must be {nonce_len} bytes, got {len(nonce)}")
@@ -172,15 +224,15 @@ def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: byt
         if not data or len(data) % n:
             raise ValueError("ciphertext must be a positive multiple of the block size")
         blocks = len(data) // n
-    nr = mode is AeadMode.NONCE_RESPECTING
-    limit = layout.counter_limit - 1 if nr else min(layout.counter_limit, layout.stream_limit)
+    counter_limit, ad_limit = _limits(n)
+    limit = counter_limit - 1 if mode is _NR else counter_limit
     if blocks > limit:
         raise ValueError(f"message of {blocks} padded blocks exceeds the {mode.value} limit of {limit}")
     # Empty associated data still pads to one block, so (ad="", pt=x) and (ad=x, pt="") differ.
     blocks = len(ad) // n + 1
-    if blocks > layout.ad_limit:
-        raise ValueError(f"associated data of {blocks} padded blocks exceeds the limit of {layout.ad_limit}")
-    return n
+    if blocks > ad_limit:
+        raise ValueError(f"associated data of {blocks} padded blocks exceeds the limit of {ad_limit}")
+    return n, nonce, ad, data, tag
 
 
 def _mr_tag(key: TweakableKey, nonce: bytes, data: memoryview, m: int) -> bytes:
@@ -189,7 +241,7 @@ def _mr_tag(key: TweakableKey, nonce: bytes, data: memoryview, m: int) -> bytes:
     One pass sums both under their tweaks, then the sum is the tag block.
     """
     n = key.cipher.block_len
-    acc = _pass(_encrypt, key, data, nonce[: _layout(n).nonce_len], m, [], False, 0)
+    acc = _pass(_encrypt, key, data, nonce[: nonce_length(_NR, n)], m, [], False, 0)
     return _encrypt(key, [_mr_tag_tweak(nonce)], acc.to_bytes(n, "big"))
 
 
@@ -222,7 +274,7 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     The caller must never reuse a (key, nonce) pair; confidentiality and
     authenticity both degrade if it does.
     """
-    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, plaintext)
+    n, nonce, ad, plaintext, _ = _check(key, _NR, nonce, ad, plaintext)
     m = len(plaintext) // n + 1
     pad = _padding(len(plaintext), n)
     # The whole plaintext blocks, then the last padded block: its tail (a memoryview has no +) and the padding.
@@ -234,7 +286,7 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
-    n = _check(key, AeadMode.NONCE_RESPECTING, nonce, ad, ciphertext, tag)
+    n, nonce, ad, ciphertext, tag = _check(key, _NR, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
     data = memoryview(bytearray().join([ciphertext, bytes(n), ad, _padding(len(ad), n)]))
     # The plaintext's checksum goes into the tag block, between the plaintext and the AD.
@@ -245,7 +297,7 @@ def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
-    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ad, plaintext)
+    n, nonce, ad, plaintext, _ = _check(key, _MR, nonce, ad, plaintext)
     m = len(plaintext) // n + 1
     data = memoryview(bytearray().join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)]))
     tag = _mr_tag(key, nonce, data, m)
@@ -260,7 +312,7 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     plaintext exists internally before verification; it is never returned
     or leaked on failure.
     """
-    n = _check(key, AeadMode.MISUSE_RESISTANT, nonce, ad, ciphertext, tag)
+    n, nonce, ad, ciphertext, tag = _check(key, _MR, nonce, ad, ciphertext, tag)
     m = len(ciphertext) // n
     data = memoryview(bytearray().join([ciphertext, ad, _padding(len(ad), n)]))
     _mr_stream(key, nonce, tag, data, m)

@@ -15,6 +15,7 @@ from tortoise.aead import (
     SEAL,
     AeadMode,
     AuthenticationError,
+    _nr_msg_tweaks,
     nonce_length,
     open_mr,
     open_nr,
@@ -24,7 +25,7 @@ from tortoise.aead import (
 from tortoise.block_cipher import AES128, TOY
 from tortoise.cli import main
 from tortoise.kat import differential_check, generate_kats, parse_kat_text, serialize_records, verify_kats
-from tortoise.tweakable import TweakableKey, _nr_msg_tweaks, shake128
+from tortoise.tweakable import TweakableKey, shake128
 
 KATS_DIR = Path(__file__).resolve().parent.parent / "kats"
 

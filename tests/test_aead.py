@@ -12,6 +12,8 @@ from tortoise.aead import (
     SEAL,
     AeadMode,
     AuthenticationError,
+    _nr_msg_tweaks,
+    _nr_tag_tweak,
     nonce_length,
     open_mr,
     open_nr,
@@ -19,7 +21,7 @@ from tortoise.aead import (
     seal_nr,
 )
 from tortoise.block_cipher import AES128, TOY, CipherSpec
-from tortoise.tweakable import TweakableKey, _nr_msg_tweaks, _nr_tag_tweak
+from tortoise.tweakable import TweakableKey
 
 ZERO_KEY = TweakableKey(bytes(16), AES128)
 
@@ -364,32 +366,53 @@ def test_tweakable_calls_per_message(mode, seal_calls, open_calls, tweak_calls):
     assert len(tweak_calls) == open_calls
 
 
-@pytest.mark.parametrize(
-    "mode,max_pt_len", [(AeadMode.NONCE_RESPECTING, 29), (AeadMode.MISUSE_RESISTANT, 31)]
-)
-def test_toy_length_limit(mode, max_pt_len, tweak_calls):
-    # toy counters run 0..15: nr allows 15 padded blocks (its tag takes the 16th), mr 16;
-    # toy AD indices run 0..255, so the AD allows 256 padded blocks
-    pt, ad = bytes(range(max_pt_len)), bytes(511)
-    sealed = SEAL[mode](TOY_KEY, b"\x5a", ad, pt)
-    assert OPEN[mode](TOY_KEY, b"\x5a", ad, sealed.ciphertext, sealed.tag) == pt
+# Block lengths whose limits a real message reaches: (key, counters, AD blocks or None where out of reach).
+# Up to n=9 the nr nonce leaves no counter byte, so the counter is byte 0's low nibble, 0..15; n=10
+# has a one-byte counter.  The AD index takes the n-1 bytes after the prefix: one block at n=1.
+SHORT_BLOCKS = {
+    "xor1": (TweakableKey(b"\x42", composed_tweakable.xor_spec(1)), 16, 1),
+    "toy": (TOY_KEY, 16, 256),
+    "xor9": (TweakableKey(b"\x42", composed_tweakable.xor_spec(9)), 16, None),
+    "xor10": (TweakableKey(b"\x42", composed_tweakable.xor_spec(10)), 256, None),
+}
+
+
+@pytest.mark.parametrize("spec", SHORT_BLOCKS)
+@pytest.mark.parametrize("mode", list(AeadMode), ids=lambda mode: mode.value)
+def test_toy_length_limit(mode, spec, tweak_calls):
+    # nr allows one padded block fewer than there are counters (its tag takes the last one), mr all of them
+    key, counters, ad_blocks = SHORT_BLOCKS[spec]
+    n = key.cipher.block_len
+    blocks = counters - 1 if mode is AeadMode.NONCE_RESPECTING else counters
+    rng = random.Random(n)
+    nonce, pt, ad = (rng.randbytes(k) for k in (nonce_length(mode, n), n * blocks - 1, n * (ad_blocks or 1) - 1))
+    sealed = SEAL[mode](key, nonce, ad, pt)
+    assert OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag) == pt
     tweak_calls.clear()
-    with pytest.raises(ValueError, match="limit"):
-        SEAL[mode](TOY_KEY, b"\x5a", ad, pt + b"!")
-    with pytest.raises(ValueError, match="limit"):
-        OPEN[mode](TOY_KEY, b"\x5a", ad, sealed.ciphertext + bytes(2), sealed.tag)
-    with pytest.raises(ValueError, match="limit"):
-        SEAL[mode](TOY_KEY, b"\x5a", ad + b"!", pt)
-    with pytest.raises(ValueError, match="limit"):
-        OPEN[mode](TOY_KEY, b"\x5a", ad + b"!", sealed.ciphertext, sealed.tag)
+    too_long = f"message of {blocks + 1} padded blocks exceeds the {mode.value} limit of {blocks}$"
+    with pytest.raises(ValueError, match=too_long):
+        SEAL[mode](key, nonce, ad, pt + b"!")
+    with pytest.raises(ValueError, match=too_long):
+        OPEN[mode](key, nonce, ad, sealed.ciphertext + bytes(n), sealed.tag)
+    if ad_blocks:
+        too_long = f"associated data of {ad_blocks + 1} padded blocks exceeds the limit of {ad_blocks}$"
+        with pytest.raises(ValueError, match=too_long):
+            SEAL[mode](key, nonce, ad + b"!", pt)
+        with pytest.raises(ValueError, match=too_long):
+            OPEN[mode](key, nonce, ad + b"!", sealed.ciphertext, sealed.tag)
     assert tweak_calls == []
 
 
 @pytest.mark.parametrize(
     "mode,max_blocks", [(AeadMode.NONCE_RESPECTING, 2**56 - 1), (AeadMode.MISUSE_RESISTANT, 2**56)]
 )
-def test_aes128_length_limit(mode, max_blocks, tweak_calls):
+def test_aes128_length_limit(mode, max_blocks, tweak_calls, monkeypatch):
     nonce = bytes(nonce_length(mode))
+    # The stand-in has a length but no buffer, so the entry refuses it before any block work.  Let past
+    # the entry's byte view, it shows where the length check draws its line.
+    with pytest.raises(TypeError, match="bytes-like"):
+        SEAL[mode](ZERO_KEY, nonce, b"", _HugeMessage(16))
+    monkeypatch.setattr(aead, "_flat", lambda data: data)
     # at the limit the entry check passes and the stand-in fails on first use
     with pytest.raises(TypeError):
         SEAL[mode](ZERO_KEY, nonce, b"", _HugeMessage(16 * max_blocks - 1))
@@ -440,20 +463,33 @@ def _spy_spec(types):
     return CipherSpec("spy", 16, 16, spy(AES128.encrypt), spy(AES128.decrypt))
 
 
-@pytest.mark.parametrize("kind", [bytearray, memoryview], ids=lambda t: t.__name__)
+def words(data):
+    """A view of ``data`` in 4-byte items where its length allows, so that its ``len`` counts items, not bytes."""
+    return memoryview(data).cast("I") if len(data) % 4 == 0 else memoryview(data)
+
+
+def rows(data):
+    """A 2-D view of ``data`` as one row, so that its ``len`` is 1 whatever its byte count; empty data stays 1-D."""
+    return memoryview(data).cast("B", (1, len(data))) if data else memoryview(data)
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview, words, rows], ids=lambda t: t.__name__)
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_bytes_like_inputs_give_the_bytes_result(mode, kind):
-    # Every seal and open takes any bytes-like plaintext or ciphertext, AD, nonce and tag.
+    # Every seal and open takes any bytes-like plaintext or ciphertext, AD, nonce and tag, measured in bytes.
     rng = random.Random(0xB1)
     nonce, ad = rng.randbytes(nonce_length(mode)), rng.randbytes(21)
     for pt in (b"", rng.randbytes(15), rng.randbytes(40), rng.randbytes(16 * 3000 + 7)):
         sealed = SEAL[mode](ZERO_KEY, nonce, ad, pt)
-        assert SEAL[mode](ZERO_KEY, kind(bytearray(nonce)), kind(bytearray(ad)), kind(bytearray(pt))) == sealed
-        args = [kind(bytearray(x)) for x in (nonce, ad, sealed.ciphertext, sealed.tag)]
-        assert OPEN[mode](ZERO_KEY, *args) == pt
-        args[3] = kind(bytearray(composed_tweakable.xor(sealed.tag, b"\x01" + bytes(15))))
+        plain = [nonce, ad, pt, sealed.ciphertext, sealed.tag]
+        views = [kind(bytearray(x)) for x in plain]
+        # Every input of this kind, then each one alone among bytes inputs.
+        for args in [views] + [plain[:i] + [views[i]] + plain[i + 1 :] for i in range(5)]:
+            assert SEAL[mode](ZERO_KEY, *args[:3]) == sealed
+            assert OPEN[mode](ZERO_KEY, *args[:2], *args[3:]) == pt
+        bad_tag = kind(bytearray(composed_tweakable.xor(sealed.tag, b"\x01" + bytes(15))))
         with pytest.raises(AuthenticationError):
-            OPEN[mode](ZERO_KEY, *args)
+            OPEN[mode](ZERO_KEY, *views[:2], views[3], bad_tag)
 
 
 @pytest.mark.parametrize("size", [40, 16 * 4097], ids=["40B", "three-runs"])

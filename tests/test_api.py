@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import tortoise
@@ -78,3 +81,35 @@ def test_sealed_message_carries_only_ciphertext_and_tag():
     key = tortoise.TweakableKey(bytes(16), tortoise.AES128)
     sealed = SEAL[AeadMode.MISUSE_RESISTANT](key, bytes(15), b"", b"x")
     assert list(vars(sealed)) == ["ciphertext", "tag"]
+
+
+# Every private name that one module of the package takes from another, by import or as an attribute
+# of an imported module: (taker, giver) -> names.  A new crossing is a design change, so it shows here.
+PRIVATE_CROSSINGS = {
+    ("aead", "tweakable"): {"_encrypt", "_decrypt", "_xor"},
+    ("aead", "block_cipher"): {"_LANES", "_runs"},
+    ("tweakable", "block_cipher"): {"_bytes"},
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_names_cross_module_lines_only_where_pinned():
+    crossings = {}
+    for path in sorted(Path(tortoise.__file__).parent.glob("*.py")):
+        taker, tree = path.stem, ast.parse(path.read_text(), str(path))
+        modules = {}  # local name -> sibling module, for ``from . import x``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        crossings.setdefault((taker, node.module), set()).add(alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and _private(node.attr):
+                if node.value.id in modules:
+                    crossings.setdefault((taker, modules[node.value.id]), set()).add(node.attr)
+    assert crossings == PRIVATE_CROSSINGS

@@ -20,17 +20,20 @@ import reference_aes
 from composed_tweakable import aes_decrypt_block, aes_encrypt_block
 from tortoise import aead, block_cipher, tweakable
 from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec, toy_decrypt_block, toy_encrypt_block
-from tortoise.aead import OPEN, SEAL, AeadMode, nonce_length, open_nr, seal_nr
-from tortoise.tweakable import (
-    TweakableKey,
+from tortoise.aead import (
+    OPEN,
+    SEAL,
+    AeadMode,
     _ad_tweaks,
     _mr_stream_tweaks,
     _mr_tag_tweak,
     _nr_msg_tweaks,
     _nr_tag_tweak,
-    tweak_decrypt_many,
-    tweak_encrypt_many,
+    nonce_length,
+    open_nr,
+    seal_nr,
 )
+from tortoise.tweakable import TweakableKey, tweak_decrypt_many, tweak_encrypt_many
 
 ROOT = Path(__file__).resolve().parent.parent
 MAX = block_cipher._LANES

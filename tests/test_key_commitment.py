@@ -20,16 +20,20 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 import composed_tweakable
 from composed_tweakable import xor
 from tortoise import cli
-from tortoise.aead import OPEN, SEAL, AeadMode, SealedMessage, open_nr
-from tortoise.block_cipher import AES128
-from tortoise.tweakable import (
-    TweakableKey,
+from tortoise.aead import (
+    OPEN,
+    SEAL,
+    AeadMode,
+    SealedMessage,
     _ad_tweaks,
     _mr_stream_tweaks,
     _mr_tag_tweak,
     _nr_msg_tweaks,
     _nr_tag_tweak,
+    open_nr,
 )
+from tortoise.block_cipher import AES128
+from tortoise.tweakable import TweakableKey
 
 
 def _valid_padding(block):

@@ -11,10 +11,20 @@ import pytest
 
 from composed_tweakable import ad_sum, pad, xor, xor_spec
 from composed_tweakable import encrypt as tweak_encrypt  # by hand, not through tortoise.tweakable
-from tortoise.aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length
+from tortoise.aead import (
+    OPEN,
+    SEAL,
+    AeadMode,
+    AuthenticationError,
+    _mr_stream_tweaks,
+    _mr_tag_tweak,
+    _nr_msg_tweaks,
+    _nr_tag_tweak,
+    nonce_length,
+)
 from tortoise.block_cipher import AES128
 from tortoise.cli import Envelope, main, pack_envelope
-from tortoise.tweakable import TweakableKey, _mr_stream_tweaks, _mr_tag_tweak, _nr_msg_tweaks, _nr_tag_tweak
+from tortoise.tweakable import TweakableKey
 
 KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 KEY = TweakableKey(bytes.fromhex(KEY_HEX), AES128)

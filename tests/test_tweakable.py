@@ -7,20 +7,17 @@ from hypothesis import strategies as st
 
 import composed_tweakable
 from tortoise import aead, tweakable
-from tortoise.aead import AeadMode, nonce_length
-from tortoise.block_cipher import AES128, TOY, toy_encrypt_block
-from tortoise.tweakable import (
-    TweakableKey,
+from tortoise.aead import (
+    AeadMode,
     _ad_tweaks,
-    _layout,
     _mr_stream_tweaks,
     _mr_tag_tweak,
     _nr_msg_tweaks,
     _nr_tag_tweak,
-    shake128,
-    tweak_decrypt_many,
-    tweak_encrypt_many,
+    nonce_length,
 )
+from tortoise.block_cipher import AES128, TOY, toy_encrypt_block
+from tortoise.tweakable import TweakableKey, shake128, tweak_decrypt_many, tweak_encrypt_many
 
 ZERO_KEY = TweakableKey(bytes(16), AES128)
 ZERO_TWEAK = bytes(16)
@@ -174,7 +171,7 @@ def test_block_length_checked():
         tweak_encrypt(ZERO_KEY, bytes(2), bytes(16))
 
 
-# --- tweak encoders: 16-byte layout -------------------------------------
+# --- aead's tweak encoders: 16-byte layout ------------------------------
 
 # One tweak each, as one-counter calls of the encoders aead uses.  They do not check their
 # inputs: aead bounds them once per message, as tests/test_aead.py's limit tests pin.
@@ -198,7 +195,6 @@ def test_ad_tweak_layout():
     assert encode_ad_tweak(0) == bytes.fromhex("20000000000000000000000000000000")
     assert encode_ad_tweak(1) == bytes.fromhex("20000000000000000000000000000001")
     assert encode_ad_tweak(2**120 - 1) == bytes.fromhex("20ffffffffffffffffffffffffffffff")
-    assert _layout(16).ad_limit == 2**120
 
 
 def test_nr_msg_tweak_layout():
@@ -217,7 +213,6 @@ def test_mr_stream_tweak_layout():
     assert encode_mr_stream_tweak(tag, 0) == tag
     assert encode_mr_stream_tweak(bytes(16), 1) == bytes.fromhex("00000000000000000000000000000001")
     assert encode_mr_stream_tweak(bytes(16), 2**64 - 1) == bytes(8) + b"\xff" * 8
-    assert _layout(16).stream_limit == 2**64
 
 
 @given(st.binary(min_size=16, max_size=16), st.integers(0, 2**64 - 1))
@@ -225,7 +220,7 @@ def test_mr_stream_tweak_involution(tag, j):
     assert encode_mr_stream_tweak(encode_mr_stream_tweak(tag, j), j) == tag
 
 
-# --- tweak encoders: 2-byte toy layout ----------------------------------
+# --- aead's tweak encoders: 2-byte toy layout ---------------------------
 
 def test_toy_layouts():
     assert encode_ad_tweak(3, block_len=2) == bytes.fromhex("2003")
@@ -233,7 +228,6 @@ def test_toy_layouts():
     assert encode_nr_msg_tweak(1, b"\xab", 5, block_len=2) == bytes.fromhex("15ab")
     assert _mr_tag_tweak(b"\xcd") == bytes.fromhex("10cd")
     assert encode_mr_stream_tweak(b"\x12\x34", 0x0101, block_len=2) == bytes.fromhex("1335")
-    assert _layout(2) == (1, 16, 256, 2**16)
 
 
 def test_nonce_widths():
@@ -245,7 +239,6 @@ def test_nonce_widths():
 def test_counter_limit_is_encoder_range(block_len, limit, last):
     # The last counter below the limit fills the counter field: one more would not fit it.
     nonce = b"\xab" * nonce_length(AeadMode.NONCE_RESPECTING, block_len)
-    assert _layout(block_len).counter_limit == limit
     assert encode_nr_msg_tweak(1, nonce, limit - 1, block_len) == bytes.fromhex(last)
 
 
@@ -325,7 +318,7 @@ def test_toy_domain_census():
     # Every tweak each layout can produce within the toy limits: nr seals at
     # most 15 padded blocks (its tag takes counter 15 at most), mr 16, and
     # the AD encoder numbers up to 256 blocks.
-    limit = _layout(2).counter_limit
+    limit = 16
     nonces = [bytes([b]) for b in range(256)]
     ad = {encode_ad_tweak(i, 2) for i in range(256)}
     nr_msg = {t for nonce in nonces for t in _nr_msg_tweaks(nonce, range(limit - 1), 2)}
