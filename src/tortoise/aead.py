@@ -7,17 +7,23 @@ the caller must never reuse a (key, nonce) pair.
 
 Misuse-resistant mode first derives the tag from the whole message (so it
 depends on every plaintext and associated-data bit), then uses the tag to
-seed a keystream.  Sealing is fully deterministic; repeating a nonce only
-reveals whether two messages were identical.
+seed a keystream.  Sealing is fully deterministic.  Under a repeated
+nonce equal messages seal alike, and two messages whose tags agree in all
+but their low ``ceil(log2 m)`` bits, for ``m`` the longer one's block
+count, share keystream: block ``j`` of one meets block ``j ^ t_a ^ t_b``
+of the other, where their ciphertext XOR is their plaintext XOR.  For
+``q`` messages under one nonce that has probability about
+``q^2 * 2^(ceil(log2 m) - 129)`` at n=16.
 
 Both modes PKCS#7-pad the plaintext and the associated data, carry a
 full-block tag, and verify it in constant time before releasing anything.
 
-Each block goes through the tweakable cipher under a one-block tweak
-whose byte 0 carries a domain prefix in its high nibble: ``0000`` message
-(nonce, block counter), ``0001`` tag (nonce and block count, or the mr
-nonce alone), ``0010`` associated data (block index).  The mr keystream
-tweak is the tag XOR the counter.  Fields are big-endian; see the encoders.
+Each block goes through the tweakable cipher under a one-block tweak.
+All but the mr keystream's share one counter-in-tweak layout: a domain
+prefix in byte 0's high nibble (``0000`` message, ``0001`` tag, ``0010``
+associated data), the nonce (none for AD; the mr tag's fills the rest and
+its count is 0), then a big-endian counter.  The keystream's is the tag
+XOR the counter.
 
 Each data dependency is one pass of tweakable calls.  A seal or open
 lays its blocks end to end in one ``bytearray``, message blocks first,
@@ -74,8 +80,12 @@ _NR, _MR = AeadMode.NONCE_RESPECTING, AeadMode.MISUSE_RESISTANT
 
 
 def nonce_length(mode: AeadMode, block_len: int = 16) -> int:
-    """Required nonce width: the counter layouts' nonce in nr, all bytes after the prefix in mr."""
-    return min(8, block_len - 1) if mode is _NR else block_len - 1
+    """Required nonce width: the layout's nonce in nr, every byte after the prefix in mr; ``TypeError`` otherwise."""
+    if mode is _NR:
+        return min(8, block_len - 1)
+    if mode is _MR:
+        return block_len - 1
+    raise TypeError(f"mode must be an AeadMode member, not {type(mode).__name__}")
 
 
 @lru_cache(maxsize=None)
@@ -121,34 +131,29 @@ def _fold(data: bytes, n: int) -> int:
     return x
 
 
-def _ad_tweaks(indices: range, block_len: int) -> list[bytes]:
-    """Tweak for each associated-data block of an ascending ``indices`` range: 0x20, then the index, big-endian."""
-    return [b"\x20" + i.to_bytes(block_len - 1, "big") for i in indices]
+_MSG, _TAG, _AD = b"\x00", b"\x10", b"\x20"  # the layout's domain prefixes
 
 
-def _nr_msg_tweaks(nonce: bytes, counters: range, block_len: int) -> list[bytes]:
-    """Message tweak for each counter of an ascending ``counters`` range: prefix 0, nonce, block counter.
+def _tweaks(prefix: bytes, nonce: bytes, counters: range, block_len: int) -> list[bytes]:
+    """The tweak of each counter of an ascending ``counters`` range: ``prefix``, ``nonce``, counter.
 
-    The counter occupies the bytes left after the nonce (7 bytes at n=16);
-    when none remain, as with 2-byte blocks, it moves into the low nibble of
-    byte 0 and is limited to 15.
+    The counter fills the bytes after the nonce (at n=16, 7 for a message
+    and 15 for AD, whose nonce is empty); when none remain, as for a message
+    at n=2, it moves into byte 0's low nibble and is limited to 15.
     """
     counter_len = block_len - 1 - len(nonce)
     if counter_len:
-        head = b"\x00" + nonce
+        head = prefix + nonce
         return [head + j.to_bytes(counter_len, "big") for j in counters]
-    return [bytes([j]) + nonce for j in counters]
+    return [(prefix[0] | j).to_bytes(1, "big") + nonce for j in counters]
 
 
-def _nr_tag_tweak(nonce: bytes, count: int, block_len: int) -> bytes:
-    """The nr tag tweak of a ``count``-block message: the message layout with prefix 1 and counter ``count``."""
+def _tag_tweak(nonce: bytes, count: int, block_len: int) -> bytes:
+    """The tag tweak of a ``count``-block message: the same layout under ``_TAG``; mr passes its nonce and 0."""
     counter_len = block_len - 1 - len(nonce)
-    return b"\x10" + nonce + count.to_bytes(counter_len, "big") if counter_len else bytes([0x10 | count]) + nonce
-
-
-def _mr_tag_tweak(nonce: bytes) -> bytes:
-    """Tag tweak for the misuse-resistant mode: 0x10, then a nonce filling the rest."""
-    return b"\x10" + nonce
+    if counter_len:
+        return _TAG + nonce + count.to_bytes(counter_len, "big")
+    return (_TAG[0] | count).to_bytes(1, "big") + nonce
 
 
 def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes]:
@@ -176,8 +181,8 @@ def _pass(
     n = key.cipher.block_len
     count, t = len(data) // n, m + len(tags)
     if count <= block_cipher._LANES:
-        tweaks = _nr_msg_tweaks(nonce, range(m), n) + tags if m else tags
-        out = crypt(key, tweaks + _ad_tweaks(range(count - t), n) if count > t else tweaks, bytes(data))
+        tweaks = _tweaks(_MSG, nonce, range(m), n) + tags if m else tags
+        out = crypt(key, tweaks + _tweaks(_AD, b"", range(count - t), n) if count > t else tweaks, bytes(data))
         if keep:
             data[:] = out
         return _fold(out[sum_from * n :], n)
@@ -186,9 +191,9 @@ def _pass(
         lo, hi = run.start, run.stop
         out = crypt(
             key,
-            _nr_msg_tweaks(nonce, range(lo, min(hi, m)), n)
+            _tweaks(_MSG, nonce, range(lo, min(hi, m)), n)
             + tags[max(lo - m, 0) : max(hi - m, 0)]
-            + _ad_tweaks(range(max(lo - t, 0), hi - t), n),
+            + _tweaks(_AD, b"", range(max(lo - t, 0), hi - t), n),
             bytes(data[lo * n : hi * n]),
         )
         if keep:
@@ -242,7 +247,7 @@ def _mr_tag(key: TweakableKey, nonce: bytes, data: memoryview, m: int) -> bytes:
     """
     n = key.cipher.block_len
     acc = _pass(_encrypt, key, data, nonce[: nonce_length(_NR, n)], m, [], False, 0)
-    return _encrypt(key, [_mr_tag_tweak(nonce)], acc.to_bytes(n, "big"))
+    return _encrypt(key, [_tag_tweak(nonce, 0, n)], acc.to_bytes(n, "big"))
 
 
 def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: memoryview, m: int) -> None:
@@ -280,7 +285,7 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     # The whole plaintext blocks, then the last padded block: its tail (a memoryview has no +) and the padding.
     checksum = _fold(plaintext, n) ^ int.from_bytes(bytes(plaintext[(m - 1) * n :]) + pad, "big")
     data = memoryview(bytearray().join([plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)]))
-    tag = _pass(_encrypt, key, data, nonce, m, [_nr_tag_tweak(nonce, m, n)], True, m)
+    tag = _pass(_encrypt, key, data, nonce, m, [_tag_tweak(nonce, m, n)], True, m)
     return SealedMessage(bytes(data[: m * n]), tag.to_bytes(n, "big"))
 
 
@@ -291,7 +296,7 @@ def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     data = memoryview(bytearray().join([ciphertext, bytes(n), ad, _padding(len(ad), n)]))
     # The plaintext's checksum goes into the tag block, between the plaintext and the AD.
     data[m * n : (m + 1) * n] = _pass(_decrypt, key, data[: m * n], nonce, m, [], True, 0).to_bytes(n, "big")
-    expected = _pass(_encrypt, key, data[m * n :], nonce, 0, [_nr_tag_tweak(nonce, m, n)], False, 0)
+    expected = _pass(_encrypt, key, data[m * n :], nonce, 0, [_tag_tweak(nonce, m, n)], False, 0)
     return _release(expected.to_bytes(n, "big"), tag, data, m * n, n)
 
 

@@ -20,7 +20,7 @@ the modes in ``aead`` choose them and lay them out.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .block_cipher import CipherSpec, _bytes
 
@@ -39,12 +39,13 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class TweakableKey:
-    """Master key bound to the cipher it will be used with."""
+    """Master key bound to the cipher it will be used with; kept as a ``bytes`` copy, left out of ``repr``."""
 
-    master_key: bytes
+    master_key: bytes = field(repr=False)
     cipher: CipherSpec
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "master_key", _bytes(self.master_key))
         if len(self.master_key) != self.cipher.key_len:
             raise ValueError(
                 f"master_key must be {self.cipher.key_len} bytes for "
@@ -76,23 +77,23 @@ def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     return key.cipher.decrypt(outs, _xor(blocks, masks))
 
 
-def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
-    """``blocks`` as ``bytes``, checked to hold one block per tweak, each tweak a block wide."""
-    blocks, n = _bytes(blocks), key.cipher.block_len
+def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> tuple[list[bytes], bytes]:
+    """``tweaks`` and ``blocks`` as ``bytes``, checked to hold one block per tweak, each tweak a block wide."""
+    tweaks, blocks, n = [_bytes(tweak) for tweak in tweaks], _bytes(blocks), key.cipher.block_len
     if len(blocks) != n * len(tweaks) or any(len(tweak) != n for tweak in tweaks):
         raise ValueError(f"every tweak must be {n} bytes, with one {n}-byte block each; got {len(blocks)} block bytes")
-    return blocks
+    return tweaks, blocks
 
 
 def tweak_encrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """Encrypt ``blocks``, one block per tweak, each under the permutation its tweak selects.
 
-    ``blocks``, any bytes-like object, and the result are the blocks end to
-    end.  The blocks are independent, so the cipher sees them as one batch.
+    Each tweak and ``blocks`` may be any bytes-like object; ``blocks`` and the
+    result are the blocks end to end, which the cipher sees as one batch.
     """
-    return _encrypt(key, tweaks, _check_batch(key, tweaks, blocks))
+    return _encrypt(key, *_check_batch(key, tweaks, blocks))
 
 
 def tweak_decrypt_many(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
     """Invert :func:`tweak_encrypt_many` for the same key and tweaks."""
-    return _decrypt(key, tweaks, _check_batch(key, tweaks, blocks))
+    return _decrypt(key, *_check_batch(key, tweaks, blocks))

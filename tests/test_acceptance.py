@@ -15,7 +15,8 @@ from tortoise.aead import (
     SEAL,
     AeadMode,
     AuthenticationError,
-    _nr_msg_tweaks,
+    _MSG,
+    _tweaks,
     nonce_length,
     open_mr,
     open_nr,
@@ -162,7 +163,7 @@ def test_criterion_6_nr_tag_structure():
             # ciphertext corresponds position-wise to the permuted blocks:
             # position j carries the relocated block under tweak j, and the
             # padding block (position 3) is identical.
-            for j, (p, tweak) in enumerate(zip(perm, _nr_msg_tweaks(nonce, range(3), 16))):
+            for j, (p, tweak) in enumerate(zip(perm, _tweaks(_MSG, nonce, range(3), 16))):
                 if sealed.ciphertext[16 * j : 16 * (j + 1)] != composed_tweakable.encrypt(key, tweak, blocks[p]):
                     ok = False
             if sealed.ciphertext[48:] != base.ciphertext[48:]:

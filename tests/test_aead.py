@@ -12,8 +12,9 @@ from tortoise.aead import (
     SEAL,
     AeadMode,
     AuthenticationError,
-    _nr_msg_tweaks,
-    _nr_tag_tweak,
+    _MSG,
+    _tag_tweak,
+    _tweaks,
     nonce_length,
     open_mr,
     open_nr,
@@ -40,7 +41,7 @@ AUTH_EMPTY_AD = bytes.fromhex("5fba08572a71a90f1bea4153f87527f5")
 def test_auth_empty_ad_kat():
     # The AD share of the frozen nr tag.  With an empty message the tag block is one block of
     # padding under the tag tweak of counter 1; empty AD still contributes one padded block.
-    tag_block = composed_tweakable.encrypt(ZERO_KEY, _nr_tag_tweak(bytes(8), 1, 16), bytes([16]) * 16)
+    tag_block = composed_tweakable.encrypt(ZERO_KEY, _tag_tweak(bytes(8), 1, 16), bytes([16]) * 16)
     assert composed_tweakable.ad_sum(ZERO_KEY, b"") == AUTH_EMPTY_AD
     assert composed_tweakable.xor(tag_block, AUTH_EMPTY_AD) == NR_KAT_TAG
 
@@ -74,7 +75,7 @@ def test_nr_block_permutation_preserves_tag():
         permuted = seal_nr(key, nonce, b"", b"".join(blocks[p] for p in perm))
         assert permuted.tag == base.tag
         # each position encrypts the relocated block under that position's tweak
-        for j, (p, tweak) in enumerate(zip(perm, _nr_msg_tweaks(nonce, range(3), 16))):
+        for j, (p, tweak) in enumerate(zip(perm, _tweaks(_MSG, nonce, range(3), 16))):
             assert permuted.ciphertext[16 * j : 16 * (j + 1)] == composed_tweakable.encrypt(key, tweak, blocks[p])
         # the trailing padding block is untouched
         assert permuted.ciphertext[48:] == base.ciphertext[48:]
@@ -317,6 +318,48 @@ def test_mr_nonce_reuse_reveals_only_equality():
         assert all(
             flipped.ciphertext[i : i + 16] != sealed.ciphertext[i : i + 16] for i in range(0, len(pt) + 7, 16)
         )
+
+
+def test_aes128_mr_tags_one_bit_apart_swap_keystream_blocks():
+    # Keystream block j runs the seed 0x00 || nonce under the tweak tag XOR j, so under one nonce
+    # the tags t and t ^ 1 give blocks 0 and 1 each other's keystream.  No search is needed.
+    rng = random.Random(0x13)
+    key, nonce, tag = TweakableKey(rng.randbytes(16), AES128), rng.randbytes(15), rng.randbytes(16)
+    near = (int.from_bytes(tag, "big") ^ 1).to_bytes(16, "big")
+    a, b = memoryview(bytearray(32)), memoryview(bytearray(32))
+    aead._mr_stream(key, nonce, tag, a, 2)
+    aead._mr_stream(key, nonce, near, b, 2)
+    assert a[16:] == b[:16] and a[:16] == b[16:] and a[:16] != a[16:]
+
+
+def test_toy_mr_repeated_nonce_leaks_the_plaintext_xor_of_tags_in_one_window():
+    # Two 15-block messages under one nonce whose 16-bit tags differ by d < 16 (all but the low
+    # ceil(log2 15) = 4 bits agree) put block j of one and block j ^ d of the other under one
+    # keystream tweak: there the ciphertext XOR is the padded plaintext XOR.  A pair of random tags
+    # does so with probability 2^(4 - 16), so 256 messages hold Poisson(32,640 * 2^-12 = 7.97) such
+    # pairs.  The bounds 1..20, fixed before the run, fail a correct scheme with probability
+    # 4.4e-4; a rate 16 times higher (mean 127.5) passes them with probability below 1e-31.
+    rng = random.Random(13)
+    key, nonce = TweakableKey(rng.randbytes(2), TOY), rng.randbytes(1)
+    padded = [rng.randbytes(28) + b"\x02\x02" for _ in range(256)]
+    sealed = [seal_mr(key, nonce, b"", p[:-2]) for p in padded]
+    tags = [int.from_bytes(s.tag, "big") for s in sealed]
+
+    def leaks(a, b, d):
+        """The positions j where block j of a and block j ^ d of b have the plaintext XOR as ciphertext XOR."""
+        ca, cb, pa, pb = sealed[a].ciphertext, sealed[b].ciphertext, padded[a], padded[b]
+        shared = [(2 * j, 2 * (j ^ d)) for j in range(15) if j ^ d < 15]
+        xor = composed_tweakable.xor
+        return [i for i, k in shared if xor(ca[i : i + 2], cb[k : k + 2]) == xor(pa[i : i + 2], pb[k : k + 2])]
+
+    window = [(a, b, tags[a] ^ tags[b]) for a in range(256) for b in range(a + 1, 256) if tags[a] ^ tags[b] < 16]
+    assert 1 <= len(window) <= 20
+    for a, b, d in window:
+        # Every shared position leaks: 14 of the 15, or all 15 if the tags are equal.
+        assert len(leaks(a, b, d)) == (15 if d == 0 else 14)
+    # Outside a window no two keystream tweaks meet, and the same check finds nothing.
+    d = tags[0] ^ tags[1]
+    assert d >= 16 and leaks(0, 1, d & 15) == []
 
 
 # --- length limits, checked before any block work ---------------------------

@@ -24,11 +24,11 @@ from tortoise.aead import (
     OPEN,
     SEAL,
     AeadMode,
-    _ad_tweaks,
+    _AD,
+    _MSG,
     _mr_stream_tweaks,
-    _mr_tag_tweak,
-    _nr_msg_tweaks,
-    _nr_tag_tweak,
+    _tag_tweak,
+    _tweaks,
     nonce_length,
     open_nr,
     seal_nr,
@@ -675,10 +675,10 @@ def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypat
 def test_nr_tweak_batch_matches_single(block_len):
     nonce = bytes(range(1, min(8, block_len - 1) + 1))
     counters = range(3, 15)
-    assert _nr_msg_tweaks(nonce, counters, block_len) == [
-        _nr_msg_tweaks(nonce, range(j, j + 1), block_len)[0] for j in counters
+    assert _tweaks(_MSG, nonce, counters, block_len) == [
+        _tweaks(_MSG, nonce, range(j, j + 1), block_len)[0] for j in counters
     ]
-    assert _nr_msg_tweaks(nonce, range(0), block_len) == []
+    assert _tweaks(_MSG, nonce, range(0), block_len) == []
 
 
 @pytest.mark.parametrize("block_len", [16, 2])
@@ -687,17 +687,19 @@ def test_nr_tag_tweak_is_the_prefix_one_counter_tweak(block_len):
     nonce = bytes(range(1, min(8, block_len - 1) + 1))
     for count in range(1, 16):
         want = bytes.fromhex(f"100102030405060708{count:014x}" if block_len == 16 else f"1{count:x}01")
-        assert _nr_tag_tweak(nonce, count, block_len) == want
+        assert _tag_tweak(nonce, count, block_len) == want
         # The message tweak of the same counter differs only in the prefix nibble.
-        [msg] = _nr_msg_tweaks(nonce, range(count, count + 1), block_len)
+        [msg] = _tweaks(_MSG, nonce, range(count, count + 1), block_len)
         assert bytes([msg[0] ^ 0x10]) + msg[1:] == want
 
 
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_ad_tweak_batch_matches_single(block_len):
     indices = range(250, 256)
-    assert _ad_tweaks(indices, block_len) == [_ad_tweaks(range(i, i + 1), block_len)[0] for i in indices]
-    assert _ad_tweaks(range(0), block_len) == []
+    assert _tweaks(_AD, b"", indices, block_len) == [
+        _tweaks(_AD, b"", range(i, i + 1), block_len)[0] for i in indices
+    ]
+    assert _tweaks(_AD, b"", range(0), block_len) == []
 
 
 def test_stream_tweak_batch_matches_single():
@@ -728,10 +730,10 @@ def _seal_by_hand(mode, key, nonce, ad, pt):
     m = len(blocks)
     auth = composed_tweakable.ad_sum(key, ad)
     if mode is AeadMode.NONCE_RESPECTING:
-        ct = b"".join(map(enc, _nr_msg_tweaks(nonce, range(m), 16), blocks))
-        return ct, xor(enc(_nr_tag_tweak(nonce, m, 16), reduce(xor, blocks)), auth)
-    sums = list(map(enc, _nr_msg_tweaks(nonce[:8], range(m), 16), blocks))
-    tag = enc(_mr_tag_tweak(nonce), reduce(xor, sums, auth))
+        ct = b"".join(map(enc, _tweaks(_MSG, nonce, range(m), 16), blocks))
+        return ct, xor(enc(_tag_tweak(nonce, m, 16), reduce(xor, blocks)), auth)
+    sums = list(map(enc, _tweaks(_MSG, nonce[:8], range(m), 16), blocks))
+    tag = enc(_tag_tweak(nonce, 0, 16), reduce(xor, sums, auth))
     stream = [enc(t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(m), 16)]
     return b"".join(map(xor, blocks, stream)), tag
 

@@ -41,6 +41,13 @@ def test_round_trip_with_ad(tmp_path):
     _roundtrip(tmp_path, "nr", NR_NONCE, b"payload", ad_args=("--ad-hex", "deadbeef"))
 
 
+def test_ad_file_binds_the_same_ad_as_ad_hex(tmp_path):
+    ad = tmp_path / "ad.bin"
+    ad.write_bytes(bytes.fromhex("deadbeef"))
+    from_file = _roundtrip(tmp_path, "mr", MR_NONCE, b"payload", ad_args=("--ad-file", str(ad))).read_bytes()
+    assert _roundtrip(tmp_path, "mr", MR_NONCE, b"payload", ad_args=("--ad-hex", "deadbeef")).read_bytes() == from_file
+
+
 def test_envelope_deterministic_given_fixed_nonce(tmp_path):
     env1 = _roundtrip(tmp_path, "mr", MR_NONCE, b"stable bytes")
     blob1 = env1.read_bytes()
@@ -234,6 +241,20 @@ def test_envelope_rejects_bad_ct_len():
         parse_envelope(ragged)
     with pytest.raises(EnvelopeError):
         pack_envelope(Envelope(AeadMode.NONCE_RESPECTING, bytes(8), bytes(16), b""))
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        Envelope(AeadMode.NONCE_RESPECTING, bytes(15), bytes(16), bytes(16)),  # the mr nonce width
+        Envelope(AeadMode.MISUSE_RESISTANT, bytes(8), bytes(16), bytes(16)),  # the nr nonce width
+        Envelope(AeadMode.NONCE_RESPECTING, bytes(8), bytes(15), bytes(16)),
+        Envelope(AeadMode.MISUSE_RESISTANT, bytes(15), bytes(17), bytes(16)),
+    ],
+)
+def test_pack_envelope_rejects_bad_nonce_or_tag_length(env):
+    with pytest.raises(EnvelopeError):
+        pack_envelope(env)
 
 
 # --- kat subcommands --------------------------------------------------------

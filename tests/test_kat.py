@@ -1,9 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from tortoise import tweakable
-from tortoise.aead import AeadMode
+from tortoise import kat, tweakable
+from tortoise.aead import AeadMode, AuthenticationError
 from tortoise.kat import (
     KatParseError,
     KatRecord,
@@ -56,6 +57,14 @@ def test_parse_errors_reported_per_line_without_aborting():
     assert errors[0].startswith("line 1:") and errors[1].startswith("line 3:")
 
 
+def _field(name, change):
+    """A mangle that applies ``change`` to the value of field ``name`` only."""
+    prefix = name + "="
+    return lambda line: " ".join(
+        prefix + change(part[len(prefix) :]) if part.startswith(prefix) else part for part in line.split(" ")
+    )
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -63,7 +72,13 @@ def test_parse_errors_reported_per_line_without_aborting():
         lambda line: line.replace("key=", "key=ZZ"),
         lambda line: line.replace("tag=", "tag=0"),  # odd-length hex
         lambda line: line + " extra=00",
-        lambda line: line.upper(),  # non-canonical hex
+        lambda line: line.upper(),  # upper-case field names
+        _field("tag", lambda v: "AB" + v[2:]),  # non-canonical hex
+        _field("key", lambda v: v + "00"),  # one byte too many for toy
+        _field("nonce", lambda v: v + "00"),
+        _field("tag", lambda v: v[2:]),
+        _field("ct", lambda v: v + "00"),  # not a whole number of blocks
+        _field("ct", lambda v: ""),
     ],
 )
 def test_parse_rejects_malformed_records(mangle):
@@ -111,6 +126,38 @@ def test_single_altered_hex_digit_fails_exactly_once():
     report = verify_kats(records)
     assert sum(not r.ok for r in report.results) == 1
     assert not report.results[0].ok
+
+
+def _wrong_plaintext(monkeypatch, rec):
+    monkeypatch.setitem(kat.OPEN, rec.mode, lambda *args: b"not the plaintext")
+    return rec
+
+
+def _auth_failure(monkeypatch, rec):
+    def refuse(*args):
+        raise AuthenticationError("authentication failed")
+
+    monkeypatch.setitem(kat.OPEN, rec.mode, refuse)
+    return rec
+
+
+def _long_nonce(monkeypatch, rec):
+    # Only the parser checks lengths, so a record built in code reaches the replay.
+    return dataclasses.replace(rec, nonce=rec.nonce + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "breaks,detail",
+    [
+        (_wrong_plaintext, "open returned different plaintext"),
+        (_auth_failure, "replay raised: authentication failed"),
+        (_long_nonce, "replay raised: nonce must be"),
+    ],
+)
+def test_verify_reports_each_failure_of_a_replay(monkeypatch, breaks, detail):
+    rec = breaks(monkeypatch, generate_kats(6, 1, "toy")[1])
+    [result] = verify_kats([rec]).results
+    assert not result.ok and result.detail.startswith(detail)
 
 
 def test_empty_file_is_success():

@@ -25,11 +25,11 @@ from tortoise.aead import (
     SEAL,
     AeadMode,
     SealedMessage,
-    _ad_tweaks,
+    _AD,
+    _MSG,
     _mr_stream_tweaks,
-    _mr_tag_tweak,
-    _nr_msg_tweaks,
-    _nr_tag_tweak,
+    _tag_tweak,
+    _tweaks,
     open_nr,
 )
 from tortoise.block_cipher import AES128
@@ -83,7 +83,7 @@ def _choose_ad(rng, out, free, target):
     The AD is ``free`` whole blocks, so its padding is one more block of
     sixteen 16s, folded into the target here.
     """
-    tweaks = _ad_tweaks(range(free + 1), 16)
+    tweaks = _tweaks(_AD, b"", range(free + 1), 16)
     return _choose(rng, out, tweaks[:free], target ^ out(tweaks[free], bytes([16]) * 16))
 
 
@@ -123,8 +123,8 @@ def _nr_envelope(seed, k=2, free=None):
     rng = random.Random(seed)
     keys = [TweakableKey(rng.randbytes(16), AES128) for _ in range(k)]
     nonce = rng.randbytes(8)
-    [msg_tweak] = _nr_msg_tweaks(nonce, range(1), 16)
-    tag_tweak = _nr_tag_tweak(nonce, 1, 16)
+    [msg_tweak] = _tweaks(_MSG, nonce, range(1), 16)
+    tag_tweak = _tag_tweak(nonce, 1, 16)
     enc = composed_tweakable.encrypt
     ct, blocks = _padded_block(rng, keys, msg_tweak)
     # One block is its own checksum.  The tags agree when each other key's AD sum differs from the first
@@ -146,8 +146,8 @@ def _mr_envelope(seed):
     rng = random.Random(seed)
     k1, k2 = TweakableKey(rng.randbytes(16), AES128), TweakableKey(rng.randbytes(16), AES128)
     nonce = rng.randbytes(15)
-    [msg_tweak] = _nr_msg_tweaks(nonce[:8], range(1), 16)
-    tag_tweak = _mr_tag_tweak(nonce)
+    [msg_tweak] = _tweaks(_MSG, nonce[:8], range(1), 16)
+    tag_tweak = _tag_tweak(nonce, 0, 16)
     enc, dec = composed_tweakable.encrypt, composed_tweakable.decrypt
     # The keystream depends on the tag, so retry the tag with the ciphertext block until that
     # block decrypts to valid padding under both keys.
@@ -205,10 +205,10 @@ def _nr_empty_ad_envelope(seed):
     rng = random.Random(seed)
     keys = [TweakableKey(rng.randbytes(16), AES128) for _ in range(2)]
     nonce = rng.randbytes(8)
-    tweaks = _nr_msg_tweaks(nonce, range(free + 1), 16)
+    tweaks = _tweaks(_MSG, nonce, range(free + 1), 16)
     last, lasts = _padded_block(rng, keys, tweaks[free])
     tag = rng.randbytes(16)
-    tag_tweak = _nr_tag_tweak(nonce, free + 1, 16)
+    tag_tweak = _tag_tweak(nonce, free + 1, 16)
     dec = composed_tweakable.decrypt
     checksums = [dec(key, tag_tweak, xor(tag, composed_tweakable.ad_sum(key, b""))) for key in keys]
     target = _int(*map(xor, checksums, lasts))

@@ -16,10 +16,10 @@ from tortoise.aead import (
     SEAL,
     AeadMode,
     AuthenticationError,
+    _MSG,
     _mr_stream_tweaks,
-    _mr_tag_tweak,
-    _nr_msg_tweaks,
-    _nr_tag_tweak,
+    _tag_tweak,
+    _tweaks,
     nonce_length,
 )
 from tortoise.block_cipher import AES128
@@ -68,8 +68,8 @@ def _forge_nr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tupl
     for p in blocks:
         checksum = xor(checksum, p)
     m = len(blocks)
-    ct = b"".join(tweak_encrypt(key, t, p) for t, p in zip(_nr_msg_tweaks(nonce, range(m), n), blocks))
-    ftag = tweak_encrypt(key, _nr_tag_tweak(nonce, m, n), checksum)
+    ct = b"".join(tweak_encrypt(key, t, p) for t, p in zip(_tweaks(_MSG, nonce, range(m), n), blocks))
+    ftag = tweak_encrypt(key, _tag_tweak(nonce, m, n), checksum)
     return ct, xor(ftag, ad_sum(key, ad))
 
 
@@ -78,9 +78,9 @@ def _forge_mr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tupl
     blocks = [padded[i : i + n] for i in range(0, len(padded), n)]
     acc = ad_sum(key, ad)
     msg_nonce = nonce[: nonce_length(AeadMode.NONCE_RESPECTING, n)]
-    for t, p in zip(_nr_msg_tweaks(msg_nonce, range(len(blocks)), n), blocks):
+    for t, p in zip(_tweaks(_MSG, msg_nonce, range(len(blocks)), n), blocks):
         acc = xor(acc, tweak_encrypt(key, t, p))
-    tag = tweak_encrypt(key, _mr_tag_tweak(nonce), acc)
+    tag = tweak_encrypt(key, _tag_tweak(nonce, 0, n), acc)
     stream = (tweak_encrypt(key, t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(len(blocks)), n))
     return b"".join(map(xor, blocks, stream)), tag
 

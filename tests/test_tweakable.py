@@ -9,11 +9,11 @@ import composed_tweakable
 from tortoise import aead, tweakable
 from tortoise.aead import (
     AeadMode,
-    _ad_tweaks,
+    _AD,
+    _MSG,
     _mr_stream_tweaks,
-    _mr_tag_tweak,
-    _nr_msg_tweaks,
-    _nr_tag_tweak,
+    _tag_tweak,
+    _tweaks,
     nonce_length,
 )
 from tortoise.block_cipher import AES128, TOY, toy_encrypt_block
@@ -177,14 +177,19 @@ def test_block_length_checked():
 # inputs: aead bounds them once per message, as tests/test_aead.py's limit tests pin.
 
 def encode_ad_tweak(i, block_len=16):
-    return _ad_tweaks(range(i, i + 1), block_len)[0]
+    return _tweaks(_AD, b"", range(i, i + 1), block_len)[0]
 
 
 def encode_nr_msg_tweak(prefix, nonce, j, block_len=16):
     # Prefix 0 is the message tweak of counter j, prefix 1 the tag tweak of a j-block message.
     if prefix:
-        return _nr_tag_tweak(nonce, j, block_len)
-    return _nr_msg_tweaks(nonce, range(j, j + 1), block_len)[0]
+        return _tag_tweak(nonce, j, block_len)
+    return _tweaks(_MSG, nonce, range(j, j + 1), block_len)[0]
+
+
+def encode_mr_tag_tweak(nonce):
+    # The mr nonce fills every byte after the prefix, so the tag layout's count 0 goes in the nibble.
+    return _tag_tweak(nonce, 0, len(nonce) + 1)
 
 
 def encode_mr_stream_tweak(tag, j, block_len=16):
@@ -204,8 +209,8 @@ def test_nr_msg_tweak_layout():
 
 
 def test_mr_tag_tweak_layout():
-    assert _mr_tag_tweak(bytes(15)) == bytes.fromhex("10000000000000000000000000000000")
-    assert _mr_tag_tweak(b"\xff" * 15) == bytes.fromhex("10ffffffffffffffffffffffffffffff")
+    assert encode_mr_tag_tweak(bytes(15)) == bytes.fromhex("10000000000000000000000000000000")
+    assert encode_mr_tag_tweak(b"\xff" * 15) == bytes.fromhex("10ffffffffffffffffffffffffffffff")
 
 
 def test_mr_stream_tweak_layout():
@@ -224,9 +229,10 @@ def test_mr_stream_tweak_involution(tag, j):
 
 def test_toy_layouts():
     assert encode_ad_tweak(3, block_len=2) == bytes.fromhex("2003")
+    assert encode_ad_tweak(0, block_len=1) == b"\x20"  # n=1's only AD index, in the nibble fallback
     assert encode_nr_msg_tweak(0, b"\xab", 5, block_len=2) == bytes.fromhex("05ab")
     assert encode_nr_msg_tweak(1, b"\xab", 5, block_len=2) == bytes.fromhex("15ab")
-    assert _mr_tag_tweak(b"\xcd") == bytes.fromhex("10cd")
+    assert encode_mr_tag_tweak(b"\xcd") == bytes.fromhex("10cd")
     assert encode_mr_stream_tweak(b"\x12\x34", 0x0101, block_len=2) == bytes.fromhex("1335")
 
 
@@ -254,7 +260,7 @@ def test_counter_limit_is_encoder_range(block_len, limit, last):
 def test_domains_never_collide(i, prefix, nonce, j, mr_nonce):
     ad = encode_ad_tweak(i)
     msg = encode_nr_msg_tweak(prefix, nonce, j)
-    tag = _mr_tag_tweak(mr_nonce)
+    tag = encode_mr_tag_tweak(mr_nonce)
     assert ad[0] == 0x20
     assert msg[0] >> 4 in (0, 1)
     assert tag[0] == 0x10
@@ -267,7 +273,7 @@ def test_domains_never_collide(i, prefix, nonce, j, mr_nonce):
 def test_aes128_nr_tag_tweaks_are_mr_tag_tweaks(nonce, j):
     # Both tag layouts start with nibble 0001: the nr tag tweak of (nonce, block count j)
     # is the mr tag tweak of the nonce followed by j in 7 bytes.
-    assert encode_nr_msg_tweak(1, nonce, j) == _mr_tag_tweak(nonce + j.to_bytes(7, "big"))
+    assert encode_nr_msg_tweak(1, nonce, j) == encode_mr_tag_tweak(nonce + j.to_bytes(7, "big"))
 
 
 def test_aes128_nr_and_mr_tags_share_a_permutation(monkeypatch):
@@ -309,7 +315,7 @@ def test_aes128_mr_tag_starting_0x10_puts_its_keystream_on_mr_tag_tweaks():
     keystream = composed_tweakable.xor(sealed.ciphertext, pt + b"\x01")
     seed, rest = b"\x00" + nonce, int.from_bytes(sealed.tag[1:], "big")
     for j, tweak in enumerate(_mr_stream_tweaks(sealed.tag, range(m), 16)):
-        tag_tweak = _mr_tag_tweak((rest ^ j).to_bytes(15, "big"))
+        tag_tweak = encode_mr_tag_tweak((rest ^ j).to_bytes(15, "big"))
         assert tweak == tag_tweak
         assert keystream[16 * j : 16 * j + 16] == tweak_encrypt(key, tag_tweak, seed)
 
@@ -321,10 +327,10 @@ def test_toy_domain_census():
     limit = 16
     nonces = [bytes([b]) for b in range(256)]
     ad = {encode_ad_tweak(i, 2) for i in range(256)}
-    nr_msg = {t for nonce in nonces for t in _nr_msg_tweaks(nonce, range(limit - 1), 2)}
+    nr_msg = {t for nonce in nonces for t in _tweaks(_MSG, nonce, range(limit - 1), 2)}
     nr_tag = {encode_nr_msg_tweak(1, nonce, j, 2) for nonce in nonces for j in range(1, limit)}
-    mr_sum = {t for nonce in nonces for t in _nr_msg_tweaks(nonce, range(limit), 2)}
-    mr_tag = {_mr_tag_tweak(nonce) for nonce in nonces}
+    mr_sum = {t for nonce in nonces for t in _tweaks(_MSG, nonce, range(limit), 2)}
+    mr_tag = {encode_mr_tag_tweak(nonce) for nonce in nonces}
     stream = {t for x in range(1 << 16) for t in _mr_stream_tweaks(x.to_bytes(2, "big"), range(limit), 2)}
     assert (len(ad), len(nr_msg), len(nr_tag), len(mr_sum), len(mr_tag)) == (256, 15 * 256, 15 * 256, 16 * 256, 256)
     # AD, message and tag tweaks are disjoint, across both modes.
