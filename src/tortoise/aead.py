@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import hmac
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -80,7 +81,12 @@ _NR, _MR = AeadMode.NONCE_RESPECTING, AeadMode.MISUSE_RESISTANT
 
 
 def nonce_length(mode: AeadMode, block_len: int = 16) -> int:
-    """Required nonce width: the layout's nonce in nr, every byte after the prefix in mr; ``TypeError`` otherwise."""
+    """Required nonce width: the layout's nonce in nr, every byte after the prefix in mr.
+
+    ``TypeError`` for a non-member ``mode`` or a non-integer ``block_len``, ``ValueError`` for one outside [1, 255].
+    """
+    if not 1 <= operator.index(block_len) <= 255:
+        raise ValueError(f"block_len must be in [1, 255], got {block_len}")
     if mode is _NR:
         return min(8, block_len - 1)
     if mode is _MR:
@@ -207,21 +213,26 @@ def _flat(data: bytes) -> memoryview:
     return memoryview(data).cast("B")
 
 
-def _check(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, tag: bytes | None = None) -> tuple:
-    """Check every length before any block work; return the block length and the inputs, measured in bytes.
+def _check(
+    key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, opening: bool, tag: bytes = b""
+) -> tuple:
+    """Check every type and length before any block work; return the block length and the inputs, measured in bytes.
 
-    ``tag`` is given only when opening.  An input that is not ``bytes`` comes
-    back as a flat byte view.  The encoders and the tweakable core take
-    every tweak as it is, so this bounds them all: the message counters, in
-    nr the tag block's next one, in mr the keystream's, and the AD blocks.
+    ``data`` is the plaintext, or with ``opening`` the ciphertext, which
+    comes with its ``tag``.  An input that is not ``bytes`` comes back as a
+    flat byte view.  The encoders and the tweakable core take every tweak
+    as it is, so this bounds them all: the message counters, in nr the tag
+    block's next one, in mr the keystream's, and the AD blocks.
     """
-    if not (type(nonce) is type(ad) is type(data) is bytes and (tag is None or type(tag) is bytes)):
-        nonce, ad, data, tag = _flat(nonce), _flat(ad), _flat(data), tag if tag is None else _flat(tag)
+    if not isinstance(key, TweakableKey):
+        raise TypeError(f"key must be a TweakableKey, not {type(key).__name__}")
+    if not (type(nonce) is type(ad) is type(data) is type(tag) is bytes):
+        nonce, ad, data, tag = _flat(nonce), _flat(ad), _flat(data), _flat(tag)
     n = key.cipher.block_len
     nonce_len = nonce_length(mode, n)
     if len(nonce) != nonce_len:
         raise ValueError(f"nonce must be {nonce_len} bytes, got {len(nonce)}")
-    if tag is None:
+    if not opening:
         blocks = len(data) // n + 1
     else:
         if len(tag) != n:
@@ -279,7 +290,7 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     The caller must never reuse a (key, nonce) pair; confidentiality and
     authenticity both degrade if it does.
     """
-    n, nonce, ad, plaintext, _ = _check(key, _NR, nonce, ad, plaintext)
+    n, nonce, ad, plaintext, _ = _check(key, _NR, nonce, ad, plaintext, False)
     m = len(plaintext) // n + 1
     pad = _padding(len(plaintext), n)
     # The whole plaintext blocks, then the last padded block: its tail (a memoryview has no +) and the padding.
@@ -291,7 +302,7 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
-    n, nonce, ad, ciphertext, tag = _check(key, _NR, nonce, ad, ciphertext, tag)
+    n, nonce, ad, ciphertext, tag = _check(key, _NR, nonce, ad, ciphertext, True, tag)
     m = len(ciphertext) // n
     data = memoryview(bytearray().join([ciphertext, bytes(n), ad, _padding(len(ad), n)]))
     # The plaintext's checksum goes into the tag block, between the plaintext and the AD.
@@ -302,7 +313,7 @@ def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
-    n, nonce, ad, plaintext, _ = _check(key, _MR, nonce, ad, plaintext)
+    n, nonce, ad, plaintext, _ = _check(key, _MR, nonce, ad, plaintext, False)
     m = len(plaintext) // n + 1
     data = memoryview(bytearray().join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)]))
     tag = _mr_tag(key, nonce, data, m)
@@ -317,7 +328,7 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     plaintext exists internally before verification; it is never returned
     or leaked on failure.
     """
-    n, nonce, ad, ciphertext, tag = _check(key, _MR, nonce, ad, ciphertext, tag)
+    n, nonce, ad, ciphertext, tag = _check(key, _MR, nonce, ad, ciphertext, True, tag)
     m = len(ciphertext) // n
     data = memoryview(bytearray().join([ciphertext, ad, _padding(len(ad), n)]))
     _mr_stream(key, nonce, tag, data, m)

@@ -3,22 +3,28 @@
 Everything above this layer is generic over :class:`CipherSpec`: a fixed
 block length, a fixed key length, and an encrypt/decrypt pair that takes
 a whole batch of blocks with one key each and is a permutation of every
-block for every key.  :meth:`CipherSpec.from_blocks` builds that pair
-from single-block functions.  Two specs ship with the package:
+block for every key.  Both built-in specs are such batch pairs, each
+direction one kernel that checks the whole batch before its first lane;
+:meth:`CipherSpec.from_blocks` is the adapter that plugs in a cipher
+which comes as single-block functions.  A single block is a batch of
+one, ``AES128.encrypt([key], block)``.
 
 * ``AES128`` - the production cipher, gated by the known-answer vectors.
   Every batch goes to OpenSSL's EVP interface through ``ctypes``, on one
-  context per thread re-keyed for every block; a single block is a batch
-  of one, ``AES128.encrypt([key], block)``.  Where that libcrypto cannot
-  be loaded, the first AES-128 call raises ``RuntimeError``, and a caller
-  can plug in another AES-128 as a ``CipherSpec``.
-* ``TOY`` - a deliberately weak 16-bit substitution-permutation network,
-  built from its block pair.  Its entire codomain can be enumerated on a
-  desktop, which is what the brute-force verification harness needs.
+  context per thread re-keyed for every block.  Where that libcrypto
+  cannot be loaded, the first AES-128 call raises ``RuntimeError``, and
+  a caller can plug in another AES-128 as a ``CipherSpec``.
+* ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
+  Its entire codomain can be enumerated on a desktop, which is what the
+  brute-force verification harness needs.  Its batch pair runs the rounds
+  inline, lane by lane; :func:`toy_encrypt_block` and
+  :func:`toy_decrypt_block` code the same rounds a block at a time, as
+  the reference that ``kat diff`` and the tests check the batches against.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,6 +86,7 @@ class CipherSpec:
     ) -> CipherSpec:
         """A spec whose batch pair calls ``encrypt_block(key, block)`` or ``decrypt_block`` lane by lane.
 
+        The adapter for a plug-in cipher that comes as a single-block pair.
         Each batch converts its blocks, any bytes-like object, to ``bytes`` (a
         ``str`` or a list raises ``TypeError``), checks that there is one key
         entry per block, then hands each block function the first ``key_len``
@@ -294,8 +301,9 @@ def _toy_round_keys(key: int) -> tuple[int, ...]:
 
 
 def toy_encrypt_block(key: bytes, block: bytes) -> bytes:
-    _check_len("key", key, 2)
-    _check_len("block", block, 2)
+    if len(key) != 2 or len(block) != 2:
+        _check_len("key", key, 2)
+        _check_len("block", block, 2)
     rks = _toy_round_keys(int.from_bytes(key, "big"))
     s = int.from_bytes(block, "big") ^ rks[0]
     for rk in rks[1:]:
@@ -304,8 +312,9 @@ def toy_encrypt_block(key: bytes, block: bytes) -> bytes:
 
 
 def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
-    _check_len("key", key, 2)
-    _check_len("block", block, 2)
+    if len(key) != 2 or len(block) != 2:
+        _check_len("key", key, 2)
+        _check_len("block", block, 2)
     rks = _toy_round_keys(int.from_bytes(key, "big"))
     s = int.from_bytes(block, "big") ^ rks[4]
     for rk in rks[3::-1]:
@@ -313,8 +322,43 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
     return s.to_bytes(2, "big")
 
 
+def _toy_batch(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int, ...]]) -> _Batch:
+    """The toy batch of one direction: the ``hi``/``lo`` round tables and the round keys in the order applied.
+
+    Checked as the AES-128 batch is, before any lane: ``blocks`` any bytes-like object, one key entry per
+    2-byte block, each entry ``bytes`` of at least 2 bytes, whose first 2 are the lane's key.  Each lane then
+    runs the whitening key and the four table rounds inline, and the output is packed once.
+    """
+
+    def kernel(keys: list[bytes], blocks: bytes) -> bytes:
+        blocks = _bytes(blocks)
+        count = len(keys)
+        if 2 * count != len(blocks):
+            raise ValueError(f"need one key per 2-byte block, got {count} keys for {len(blocks)} block bytes")
+        for key in keys:
+            if type(key) is not bytes:
+                raise TypeError(f"each key entry must be bytes, got {type(key).__name__}")
+            if len(key) < 2:
+                raise ValueError(f"need one 2-byte key per 2-byte block, got a key entry of {len(key)} bytes")
+        out = []
+        for key, s in zip(keys, struct.unpack(f">{count}H", blocks)):
+            k0, k1, k2, k3, k4 = schedule(key[0] << 8 | key[1])
+            s ^= k0
+            s = hi[s >> 8] ^ lo[s & 255] ^ k1
+            s = hi[s >> 8] ^ lo[s & 255] ^ k2
+            s = hi[s >> 8] ^ lo[s & 255] ^ k3
+            out.append(hi[s >> 8] ^ lo[s & 255] ^ k4)
+        return struct.pack(f">{count}H", *out)
+
+    return kernel
+
+
 AES128 = CipherSpec("aes128", 16, 16, _aes128_evp(1), _aes128_evp(0))
-TOY = CipherSpec.from_blocks("toy", 2, 2, toy_encrypt_block, toy_decrypt_block)
+# The inverse applies the round keys last first, from a cache of its own, so that a lane unpacks a ready tuple.
+_toy_inverse_keys = lru_cache(maxsize=4096)(lambda key: _toy_round_keys(key)[::-1])
+TOY = CipherSpec(
+    "toy", 2, 2, _toy_batch(_FWD_HI, _FWD_LO, _toy_round_keys), _toy_batch(_INV_HI, _INV_LO, _toy_inverse_keys)
+)
 
 CIPHERS: dict[str, CipherSpec] = {spec.name: spec for spec in (AES128, TOY)}
 

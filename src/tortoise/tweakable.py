@@ -45,6 +45,8 @@ class TweakableKey:
     cipher: CipherSpec
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cipher, CipherSpec):
+            raise TypeError(f"cipher must be a CipherSpec, not {type(self.cipher).__name__}")
         object.__setattr__(self, "master_key", _bytes(self.master_key))
         if len(self.master_key) != self.cipher.key_len:
             raise ValueError(
@@ -79,6 +81,8 @@ def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
 
 def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> tuple[list[bytes], bytes]:
     """``tweaks`` and ``blocks`` as ``bytes``, checked to hold one block per tweak, each tweak a block wide."""
+    if not isinstance(key, TweakableKey):
+        raise TypeError(f"key must be a TweakableKey, not {type(key).__name__}")
     tweaks, blocks, n = [_bytes(tweak) for tweak in tweaks], _bytes(blocks), key.cipher.block_len
     if len(blocks) != n * len(tweaks) or any(len(tweak) != n for tweak in tweaks):
         raise ValueError(f"every tweak must be {n} bytes, with one {n}-byte block each; got {len(blocks)} block bytes")

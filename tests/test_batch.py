@@ -49,7 +49,7 @@ def _split(data: bytes, n: int) -> list[bytes]:
 
 # A plug-in built with from_blocks from its block pair, with a key twice the block length.
 AES256 = composed_tweakable.aes_spec(32)
-# The single-block pair each from_blocks spec here is built from.
+# The single-block pair of each spec here: TOY's reference, and the pair the AES-256 plug-in is built from.
 BLOCK_PAIRS = {"toy": (toy_encrypt_block, toy_decrypt_block), "aes256": (aes_encrypt_block, aes_decrypt_block)}
 
 
@@ -541,18 +541,17 @@ def test_evp_kernel_keys_each_lane_with_the_first_16_bytes_of_its_entry():
 @pytest.mark.parametrize("spec", [AES128, TOY], ids=lambda s: s.name)
 @pytest.mark.parametrize("kind", [bytearray, memoryview], ids=lambda t: t.__name__)
 def test_public_entries_take_bytes_like_input(spec, kind):
-    # ctypes takes no bytearray or memoryview as a pointer: the AES-128 batches copy the blocks, the from_blocks
-    # batches and tweak_*_many convert theirs, and the cores need not.  AES-128 key entries stay bytes; the toy
-    # pair takes any.
+    # ctypes takes no bytearray or memoryview as a pointer: the built-in batches and tweak_*_many convert the
+    # blocks, and the cores need not.  Key entries stay bytes for both built-in batches; the toy block pair,
+    # the single-block reference, takes any.
     AES128.encrypt([], b"")  # sets this thread's EVP context up
     context = block_cipher._THREAD.context
     rng = random.Random(7)
     k, n = spec.key_len, spec.block_len
     keys, blocks = _split(rng.randbytes(3 * k), k), rng.randbytes(3 * n)
     key, tweaks = TweakableKey(keys[0], spec), _split(rng.randbytes(3 * n), n)
-    entries = keys if spec is AES128 else [kind(e) for e in keys]
     for fn in (spec.encrypt, spec.decrypt):
-        assert fn(entries, kind(blocks)) == fn(keys, blocks)
+        assert fn(keys, kind(blocks)) == fn(keys, blocks)
     for fn in BLOCK_PAIRS.get(spec.name, ()):
         assert fn(kind(keys[0]), kind(blocks[:n])) == fn(keys[0], blocks[:n])
     for fn in (tweak_encrypt_many, tweak_decrypt_many):
@@ -568,7 +567,8 @@ def test_public_entries_take_bytes_like_input(spec, kind):
     ids=lambda v: v.name if isinstance(v, CipherSpec) else str(v),
 )
 def test_from_blocks_batch_matches_single_block_calls(spec, lanes):
-    # Each lane gets a squeeze-sized entry, as from the tweakable core: from_blocks cuts it to the key.
+    # Each lane gets a squeeze-sized entry, as from the tweakable core: the toy kernel reads the key from its
+    # first 2 bytes, and from_blocks cuts it to the key.
     rng = random.Random(lanes)
     k, n = spec.key_len, spec.block_len
     entries, blocks = [rng.randbytes(k + n) for _ in range(lanes)], rng.randbytes(n * lanes)
@@ -591,10 +591,11 @@ def test_aes256_plugin_fips197_vector():
 
 @pytest.mark.parametrize("spec", [*CIPHERS.values(), AES256], ids=lambda s: s.name)
 def test_batch_shape_checked(spec):
-    # A from_blocks spec is rebuilt on recording block functions: a mismatch is refused before any block call.
+    # The from_blocks plug-in is rebuilt on recording block functions: a mismatch is refused before any block
+    # call.  The built-in batches are checked as they are.
     k, n = spec.key_len, spec.block_len
-    calls = []
-    if spec.name in BLOCK_PAIRS:
+    calls, plugin = [], spec is AES256
+    if plugin:
         record = [lambda key, block, fn=fn: calls.append(fn) or fn(key, block) for fn in BLOCK_PAIRS[spec.name]]
         spec = CipherSpec.from_blocks(spec.name, n, k, *record)
     bad = [([bytes(k)], bytes(n + 1)), ([bytes(k)] * 2, bytes(n)), ([bytes(k)], bytes(2 * n)), ([], bytes(n)),
@@ -610,7 +611,7 @@ def test_batch_shape_checked(spec):
                 batch([bytes(k)], blocks)
     assert calls == []
     spec.decrypt([bytes(k)] * 2, spec.encrypt([bytes(k)] * 2, bytes(2 * n)))
-    assert len(calls) == (4 if spec.name in BLOCK_PAIRS else 0)
+    assert len(calls) == (4 if plugin else 0)
 
 
 @pytest.mark.parametrize(

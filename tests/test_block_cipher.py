@@ -1,4 +1,5 @@
 import random
+import struct
 import zlib
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import composed_tweakable
 import reference_aes
+from tortoise import block_cipher
 from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec, get_cipher, toy_decrypt_block, toy_encrypt_block
 
 # FIPS-197 Appendix C.1
@@ -99,6 +101,57 @@ def test_toy_length_checked():
         toy_encrypt_block(b"\x00", bytes(2))
     with pytest.raises(ValueError):
         toy_decrypt_block(bytes(2), b"\x00\x00\x00")
+
+
+# Every 2-byte block, in order, end to end.
+TOY_DOMAIN = struct.pack(">65536H", *range(1 << 16))
+
+
+def _toy_reference(block_fn, key):
+    return b"".join([block_fn(key, x.to_bytes(2, "big")) for x in range(1 << 16)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_toy_batch_matches_the_reference_on_every_block(seed):
+    # Key entries as long as a squeeze (4 bytes) or longer: the batch reads the key from the first 2.
+    rng = random.Random(0x70B + seed)
+    entry = rng.randbytes(2 + 2 * (seed % 3))
+    for batch, block_fn in ((TOY.encrypt, toy_encrypt_block), (TOY.decrypt, toy_decrypt_block)):
+        want = _toy_reference(block_fn, entry[:2])
+        for lanes in (1, 4, 1 << 16):
+            size = 2 * lanes
+            got = b"".join([batch([entry] * lanes, TOY_DOMAIN[i : i + size]) for i in range(0, 1 << 17, size)])
+            assert got == want, f"lanes={lanes}"
+
+
+def test_toy_batch_refuses_bad_input_before_any_lane():
+    # A kernel built on a recording key schedule shows whether any lane ran.
+    lanes = []
+
+    def schedule(key):
+        lanes.append(key)
+        return block_cipher._toy_round_keys(key)
+
+    spied = block_cipher._toy_batch(block_cipher._FWD_HI, block_cipher._FWD_LO, schedule)
+    good = bytes(2)
+    refused = [
+        (ValueError, [good, b"\x01"], bytes(4)),  # a short key entry, after a good lane
+        (TypeError, [good, bytearray(2)], bytes(4)),  # key entries must be bytes, as for AES-128
+        (TypeError, [good, memoryview(bytes(4))], bytes(4)),
+        (TypeError, [good, "ab"], bytes(4)),
+        (ValueError, [good], bytes(3)),  # misaligned blocks
+        (ValueError, [good, good], bytes(2)),
+        (ValueError, [good], bytes(4)),
+        (TypeError, [good], "ab"),  # not bytes-like
+        (TypeError, [good], [0, 1]),
+    ]
+    for error, keys, blocks in refused:
+        for batch in (spied, TOY.encrypt, TOY.decrypt):
+            with pytest.raises(error):
+                batch(keys, blocks)
+    assert lanes == []
+    assert spied([], b"") == TOY.encrypt([], b"") == TOY.decrypt([], bytearray()) == b""
+    assert spied([good], memoryview(bytes(2))) == TOY.encrypt([good], bytes(2)) and lanes == [0]
 
 
 @given(st.binary(min_size=2, max_size=2), st.binary(min_size=2, max_size=2))

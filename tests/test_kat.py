@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tortoise import kat, tweakable
+from tortoise import block_cipher, kat, tweakable
 from tortoise.aead import AeadMode, AuthenticationError
 from tortoise.kat import (
     KatParseError,
@@ -184,6 +184,21 @@ def test_differential_check_catches_a_broken_batch_path(monkeypatch):
     oracle = differential_check(100).results[0]
     assert oracle.name.endswith("vs composed oracle (100 trials)")
     assert not oracle.ok and oracle.detail
+
+
+def test_differential_check_catches_a_toy_batch_that_departs_from_the_reference(monkeypatch):
+    # The TOY batch kernel and the oracle's toy_encrypt_block are two codings of the rounds: a kernel with
+    # its last two round keys swapped is a different cipher that the oracle must tell apart.
+    def swapped(key):
+        k0, k1, k2, k3, k4 = block_cipher._toy_round_keys(key)
+        return k0, k1, k2, k4, k3
+
+    mutant = block_cipher._toy_batch(block_cipher._FWD_HI, block_cipher._FWD_LO, swapped)
+    monkeypatch.setattr(kat, "TOY", dataclasses.replace(kat.TOY, encrypt=mutant))
+    report = differential_check(100)
+    oracle = report.results[0]
+    assert oracle.name.endswith("vs composed oracle (100 trials)")
+    assert not report.ok and not oracle.ok and oracle.detail
 
 
 def test_differential_check_deterministic():
