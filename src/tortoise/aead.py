@@ -33,12 +33,13 @@ of the span it owes, and a rejected open zeroes it before raising.  A
 pass of up to ``_LANES`` blocks, every message up to 32 KiB, is
 straight-line code: one tweak list, one call to the tweakable core on a
 ``bytes`` copy of its blocks; a longer pass goes in the even runs of
-``block_cipher._runs``.  Past ``_check`` nothing checks again: not the
-encoders, nor the core, ``tweakable._encrypt`` or ``_decrypt``.  An nr
-seal is one pass, since its checksum and AD are known first; an nr open
-decrypts, then makes the tag from the checksum.  In mr the message and
-associated-data sums are one pass, the tag block a second and the
-keystream it seeds a third, when sealing and opening alike.
+``block_cipher._runs``.  Past ``_check`` only each cipher batch checks
+again, its lanes in ``block_cipher._lanes``: not the encoders, nor the
+core, ``tweakable._encrypt`` or ``_decrypt``.  An nr seal is one pass,
+since its checksum and AD are known first; an nr open decrypts, then
+makes the tag from the checksum.  In mr the message and associated-data
+sums are one pass, the tag block a second and the keystream it seeds a
+third, when sealing and opening alike.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Everything above this layer is generic over :class:`CipherSpec`: a fixed
 block length, a fixed key length, and an encrypt/decrypt pair that takes
 a whole batch of blocks with one key each and is a permutation of every
 block for every key.  Both built-in specs are such batch pairs, each
-direction one kernel that checks the whole batch before its first lane;
+direction one kernel; every batch checks its lanes in :func:`_lanes`;
 :meth:`CipherSpec.from_blocks` is the adapter that plugs in a cipher
 which comes as single-block functions.  A single block is a batch of
 one, ``AES128.encrypt([key], block)``.
@@ -24,6 +24,7 @@ one, ``AES128.encrypt([key], block)``.
 
 from __future__ import annotations
 
+import operator
 import struct
 import threading
 from dataclasses import dataclass
@@ -49,9 +50,19 @@ def _bytes(data: bytes) -> bytes:
     return data if type(data) is bytes else memoryview(data).tobytes()
 
 
-def _check_len(name: str, value: bytes, expected: int) -> None:
-    if len(value) != expected:
-        raise ValueError(f"{name} must be {expected} bytes, got {len(value)}")
+def _lanes(keys: list[bytes], blocks: bytes, block_len: int, key_len: int) -> bytes:
+    """``blocks`` as ``bytes``, checked with ``keys`` by the one rule of every batch (see :class:`CipherSpec`)."""
+    blocks = _bytes(blocks)
+    if len(keys) * block_len != len(blocks):
+        raise ValueError(
+            f"need one {key_len}-byte key per {block_len}-byte block, got {len(keys)} keys for {len(blocks)} bytes"
+        )
+    for key in keys:
+        if type(key) is not bytes:
+            raise TypeError(f"each key entry must be bytes, got {type(key).__name__}")
+        if len(key) < key_len:
+            raise ValueError(f"need one {key_len}-byte key per {block_len}-byte block, got a {len(key)}-byte entry")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -63,9 +74,12 @@ class CipherSpec:
     block's key, so that the tweakable layer hands each lane its SHAKE128
     output as it is; the result is laid out like ``blocks``.  For every
     ``key_len``-byte key it must be a bijection on ``block_len``-byte
-    blocks, and ``decrypt`` its exact inverse.  ``block_len`` must be in
-    [1, 255], the block lengths PKCS#7 can pad to.  Wrong lengths raise
-    ``ValueError``; a backend failure raises ``RuntimeError``, as ``AES128``
+    blocks, and ``decrypt`` its exact inverse.  ``block_len`` must be an
+    int in [1, 255], the block lengths PKCS#7 can pad to, and ``key_len``
+    an int of at least 1.  Every batch is checked by :func:`_lanes` before
+    its first lane: ``blocks`` bytes-like and each entry ``bytes``, else
+    ``TypeError``; one entry of at least ``key_len`` bytes per block, else
+    ``ValueError``.  A backend failure raises ``RuntimeError``, as ``AES128``
     does without libcrypto or when an EVP call fails.  Specs are immutable
     and safe to share across threads.
     """
@@ -77,8 +91,12 @@ class CipherSpec:
     decrypt: _Batch
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "block_len", operator.index(self.block_len))
+        object.__setattr__(self, "key_len", operator.index(self.key_len))
         if not 1 <= self.block_len <= 255:
             raise ValueError(f"block_len must be in [1, 255], got {self.block_len}")
+        if self.key_len < 1:
+            raise ValueError(f"key_len must be at least 1, got {self.key_len}")
 
     @classmethod
     def from_blocks(
@@ -87,25 +105,22 @@ class CipherSpec:
         """A spec whose batch pair calls ``encrypt_block(key, block)`` or ``decrypt_block`` lane by lane.
 
         The adapter for a plug-in cipher that comes as a single-block pair.
-        Each batch converts its blocks, any bytes-like object, to ``bytes`` (a
-        ``str`` or a list raises ``TypeError``), checks that there is one key
-        entry per block, then hands each block function the first ``key_len``
-        bytes of its entry and its block; the block functions check the lengths.
+        Each batch is checked by :func:`_lanes`, as the built-in ones are, so
+        a short or non-``bytes`` key entry is refused before any block call;
+        each block function then gets exactly ``key_len`` bytes of key and
+        ``block_len`` bytes of block, both ``bytes``.
         """
 
         def lanes(block_fn: _Block) -> _Batch:
             def batch(keys: list[bytes], blocks: bytes) -> bytes:
-                blocks = _bytes(blocks)
-                if len(keys) * block_len != len(blocks):
-                    raise ValueError(
-                        f"need one key per {block_len}-byte block, got {len(keys)} for {len(blocks)} bytes"
-                    )
-                n = block_len
-                return b"".join([block_fn(key[:key_len], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
+                n, k = spec.block_len, spec.key_len  # the lengths as the spec typed and bounded them
+                blocks = _lanes(keys, blocks, n, k)
+                return b"".join([block_fn(key[:k], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
 
             return batch
 
-        return cls(name, block_len, key_len, lanes(encrypt_block), lanes(decrypt_block))
+        spec = cls(name, block_len, key_len, lanes(encrypt_block), lanes(decrypt_block))
+        return spec
 
 
 # --- AES-128 through OpenSSL's EVP interface --------------------------
@@ -224,15 +239,8 @@ def _aes128_evp(enc: int) -> _Batch:
     init_failed = ("EVP_DecryptInit_ex failed", "EVP_EncryptInit_ex failed")[enc]
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
-        blocks = _bytes(blocks)  # a str or a list of ints is refused here, not in the arena mid-pass
+        blocks = _lanes(keys, blocks, 16, 16)  # EVP reads 16 bytes of each entry: a short one must not reach it
         n = len(blocks)
-        if len(keys) != n >> 4 or n & 15:
-            raise ValueError(f"need one 16-byte key per 16-byte block, got {len(keys)} keys for {n} block bytes")
-        for key in keys:
-            if type(key) is not bytes:
-                raise TypeError(f"each key entry must be bytes, got {type(key).__name__}")
-            if len(key) < 16:  # EVP reads 16 bytes of each entry, so it would read past this one's end
-                raise ValueError(f"need one 16-byte key per 16-byte block, got a key entry of {len(key)} bytes")
         if len(keys) > _LANES:
             runs = _runs(len(keys))
             return b"".join([kernel(keys[r.start : r.stop], blocks[16 * r.start : 16 * r.stop]) for r in runs])
@@ -302,8 +310,7 @@ def _toy_round_keys(key: int) -> tuple[int, ...]:
 
 def toy_encrypt_block(key: bytes, block: bytes) -> bytes:
     if len(key) != 2 or len(block) != 2:
-        _check_len("key", key, 2)
-        _check_len("block", block, 2)
+        raise ValueError(f"key and block must be 2 bytes each, got {len(key)} and {len(block)}")
     rks = _toy_round_keys(int.from_bytes(key, "big"))
     s = int.from_bytes(block, "big") ^ rks[0]
     for rk in rks[1:]:
@@ -313,8 +320,7 @@ def toy_encrypt_block(key: bytes, block: bytes) -> bytes:
 
 def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
     if len(key) != 2 or len(block) != 2:
-        _check_len("key", key, 2)
-        _check_len("block", block, 2)
+        raise ValueError(f"key and block must be 2 bytes each, got {len(key)} and {len(block)}")
     rks = _toy_round_keys(int.from_bytes(key, "big"))
     s = int.from_bytes(block, "big") ^ rks[4]
     for rk in rks[3::-1]:
@@ -325,21 +331,13 @@ def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
 def _toy_batch(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int, ...]]) -> _Batch:
     """The toy batch of one direction: the ``hi``/``lo`` round tables and the round keys in the order applied.
 
-    Checked as the AES-128 batch is, before any lane: ``blocks`` any bytes-like object, one key entry per
-    2-byte block, each entry ``bytes`` of at least 2 bytes, whose first 2 are the lane's key.  Each lane then
-    runs the whitening key and the four table rounds inline, and the output is packed once.
+    Checked by :func:`_lanes` before any lane; the first 2 bytes of each key entry are its lane's key.  Each
+    lane then runs the whitening key and the four table rounds inline, and the output is packed once.
     """
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
-        blocks = _bytes(blocks)
+        blocks = _lanes(keys, blocks, 2, 2)
         count = len(keys)
-        if 2 * count != len(blocks):
-            raise ValueError(f"need one key per 2-byte block, got {count} keys for {len(blocks)} block bytes")
-        for key in keys:
-            if type(key) is not bytes:
-                raise TypeError(f"each key entry must be bytes, got {type(key).__name__}")
-            if len(key) < 2:
-                raise ValueError(f"need one 2-byte key per 2-byte block, got a key entry of {len(key)} bytes")
         out = []
         for key, s in zip(keys, struct.unpack(f">{count}H", blocks)):
             k0, k1, k2, k3, k4 = schedule(key[0] << 8 | key[1])

@@ -140,6 +140,18 @@ def test_libcrypto_loads_on_linux():
     assert block_cipher._LIBCRYPTO is not None
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux lists the libraries a process maps in /proc/self/maps")
+def test_a_libcrypto_loaded_into_the_process_is_the_one_aes128_uses():
+    # The EVP symbols are looked up through _hashlib's own file.  If that extension brought a libcrypto into
+    # this process, the lookup had a libcrypto to find, so a None here is a lost lookup, not a missing library.
+    pytest.importorskip("_hashlib")
+    with open("/proc/self/maps") as maps:
+        loaded = sorted({line.split()[-1] for line in maps if "libcrypto" in line})
+    if not loaded:
+        pytest.skip("no libcrypto is mapped into this process: _hashlib has OpenSSL linked in, or none")
+    assert block_cipher._LIBCRYPTO is not None, f"{loaded} is loaded, but aes128 found no EVP symbols through it"
+
+
 _WITHOUT_CRYPTOGRAPHY = """
 import sys
 sys.modules["cryptography"] = None  # importing it, or any module under it, raises ImportError
@@ -591,27 +603,34 @@ def test_aes256_plugin_fips197_vector():
 
 @pytest.mark.parametrize("spec", [*CIPHERS.values(), AES256], ids=lambda s: s.name)
 def test_batch_shape_checked(spec):
-    # The from_blocks plug-in is rebuilt on recording block functions: a mismatch is refused before any block
-    # call.  The built-in batches are checked as they are.
+    # Every spec holds to one lane rule.  The from_blocks plug-in is rebuilt on recording block functions: a
+    # mismatch is refused before any block call.  The built-in batches are checked as they are.
     k, n = spec.key_len, spec.block_len
     calls, plugin = [], spec is AES256
     if plugin:
-        record = [lambda key, block, fn=fn: calls.append(fn) or fn(key, block) for fn in BLOCK_PAIRS[spec.name]]
+        record = [lambda key, block, fn=fn: calls.append(key) or fn(key, block) for fn in BLOCK_PAIRS[spec.name]]
         spec = CipherSpec.from_blocks(spec.name, n, k, *record)
     bad = [([bytes(k)], bytes(n + 1)), ([bytes(k)] * 2, bytes(n)), ([bytes(k)], bytes(2 * n)), ([], bytes(n)),
-           ([bytes(k)], b"")]
+           ([bytes(k)], b""),
+           # Key entries too short: one byte short, alone or after a good one, and three quarters of the key,
+           # 24 bytes for the 32-byte plug-in, which AES would run as AES-192, and an empty one.
+           ([bytes(k - 1)], bytes(n)), ([bytes(k), bytes(k - 1)], bytes(2 * n)), ([bytes(3 * k // 4)], bytes(n)),
+           ([b""], bytes(n))]
     for keys, blocks in bad:
         for batch in (spec.encrypt, spec.decrypt):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"need one {k}-byte key per {n}-byte block"):
                 batch(keys, blocks)
-    # A str or a list of ints has the length of a well-formed batch, but is not bytes-like.
-    for blocks in ("a" * n, list(bytes(n))):
+    # A str or a list of ints has the length of a well-formed batch, but is not bytes-like; a key entry must be
+    # bytes, even one of the key's length.
+    for keys, blocks in [([bytes(k)], "a" * n), ([bytes(k)], list(bytes(n))), (["a" * k], bytes(n)),
+                         ([bytearray(k)], bytes(n)), ([bytes(k), memoryview(bytes(k))], bytes(2 * n))]:
         for batch in (spec.encrypt, spec.decrypt):
             with pytest.raises(TypeError):
-                batch([bytes(k)], blocks)
+                batch(keys, blocks)
     assert calls == []
-    spec.decrypt([bytes(k)] * 2, spec.encrypt([bytes(k)] * 2, bytes(2 * n)))
-    assert len(calls) == (4 if plugin else 0)
+    # A longer entry keys its lane with its first key_len bytes, which are all a plug-in's block function sees.
+    spec.decrypt([bytes(k + 1)] * 2, spec.encrypt([bytes(k)] * 2, bytes(2 * n)))
+    assert calls == ([bytes(k)] * 4 if plugin else [])
 
 
 @pytest.mark.parametrize(

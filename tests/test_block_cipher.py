@@ -176,8 +176,25 @@ def test_registry_lookup():
         get_cipher("des")
 
 
-@pytest.mark.parametrize("block_len", [0, 256])
-def test_block_length_outside_what_pkcs7_pads_is_refused_at_construction(block_len):
+_NOT_AN_INT = "cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize(
+    "block_len,key_len,error,match",
+    [
+        pytest.param(0, 16, ValueError, r"block_len must be in \[1, 255\]", id="0"),
+        pytest.param(256, 16, ValueError, r"block_len must be in \[1, 255\]", id="256"),
+        # A spec with no key bytes would seal under no secret: TweakableKey(b"", spec) would be accepted.
+        pytest.param(16, 0, ValueError, "key_len must be at least 1, got 0", id="key_len 0"),
+        pytest.param(16, -1, ValueError, "key_len must be at least 1, got -1", id="key_len -1"),
+        pytest.param(16.0, 16, TypeError, _NOT_AN_INT, id="float block_len"),
+        pytest.param("16", 16, TypeError, _NOT_AN_INT, id="str block_len"),
+        pytest.param(16, 16.0, TypeError, _NOT_AN_INT, id="float key_len"),
+        pytest.param(16, None, TypeError, _NOT_AN_INT, id="None key_len"),
+    ],
+)
+def test_block_length_outside_what_pkcs7_pads_is_refused_at_construction(block_len, key_len, error, match):
+    # Every length is an int in range once a spec is built, so no batch does arithmetic on anything else.
     calls = []
 
     def block(key, data):
@@ -185,8 +202,8 @@ def test_block_length_outside_what_pkcs7_pads_is_refused_at_construction(block_l
         return data
 
     for build in (CipherSpec, CipherSpec.from_blocks):
-        with pytest.raises(ValueError, match=r"block_len must be in \[1, 255\]"):
-            build("wide", block_len, 16, block, block)
+        with pytest.raises(error, match=match):
+            build("wide", block_len, key_len, block, block)
     assert calls == []
 
 
