@@ -25,15 +25,18 @@ associated data), the nonce (none for AD; the mr tag's fills the rest and
 its count is 0), then a big-endian counter.  The keystream's is the tag
 XOR the counter.
 
-Each data dependency is one pass of tweakable calls.  A seal or open
-lays its blocks end to end in one ``bytearray``, message blocks first,
-then any tag block, then the associated-data blocks; every pass writes
-its outputs into it in place, the entry point returns one ``bytes`` copy
-of the span it owes, and a rejected open zeroes it before raising.  A
-pass of up to ``_LANES`` blocks, every message up to 32 KiB, is
-straight-line code: one tweak list, one call to the tweakable core on a
-``bytes`` copy of its blocks; a longer pass goes in the even runs of
-``block_cipher._runs``.  Past ``_check`` only each cipher batch checks
+Each data dependency is one pass of tweakable calls over blocks laid end
+to end: message blocks first, then any tag block, then the associated
+data.  ``_check`` picks one of two ways by lane count.  A message whose
+every pass fits one arena of ``_LANES`` blocks, as a message of up to
+about 32 KiB with short AD does, works on ``bytes``: each pass joins its blocks
+once, makes one call to the tweakable core with one tweak list, and uses
+its outputs as returned; an open holds its candidate plaintext only in a
+``bytearray``, which a rejection zeroes.  Any other message lays its
+blocks in one ``bytearray``; every pass goes in the even runs of
+``block_cipher._runs`` and writes their outputs into it in place, the
+entry point returns one ``bytes`` copy of the span it owes, and a
+rejected open zeroes it.  Past ``_check`` only each cipher batch checks
 again, its lanes in ``block_cipher._lanes``: not the encoders, nor the
 core, ``tweakable._encrypt`` or ``_decrypt``.  An nr seal is one pass,
 since its checksum and AD are known first; an nr open decrypts, then
@@ -170,29 +173,28 @@ def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes
 
 
 def _pass(
-    crypt: Callable, key: TweakableKey, data: memoryview, nonce: bytes, m: int, tags: list, keep: bool, sum_from: int
-) -> int:
-    """The tweakable calls over the blocks of ``data``, laid end to end.
+    crypt: Callable, key: TweakableKey, data: bytes | memoryview, nonce: bytes, m: int, tags: list, keep: bool,
+    sum_from: int,
+) -> tuple:
+    """The tweakable calls over the blocks of ``data``: their outputs, and the XOR of those from ``sum_from`` on.
 
     The first ``m`` blocks are message blocks under the counter tweaks of
     ``nonce``, then one block per tweak in ``tags``, then associated-data
     blocks under AD tweaks from 0, all from unchecked encoders: the caller
-    has bounded them.  ``crypt`` is ``_encrypt`` or ``_decrypt``.  Writes
-    the outputs over their blocks if ``keep`` is set; returns the XOR of
-    the outputs from block ``sum_from`` on.
+    has bounded them.  ``crypt`` is ``_encrypt`` or ``_decrypt``.
 
-    Up to ``_LANES`` blocks are one call.  A longer pass goes in the even
-    runs of ``_runs``, so that it holds one run's tweaks, subkeys and masks
-    at a time, and sums each run's outputs on their own.
+    ``bytes`` data is one call, whose outputs come back as they are.  Any
+    other is a view of the message's buffer, which goes in the even runs of
+    ``_runs``, so that it holds one run's tweaks, subkeys and masks at a
+    time; with ``keep`` each run's outputs are written over their blocks,
+    and the view comes back.
     """
     n = key.cipher.block_len
     count, t = len(data) // n, m + len(tags)
-    if count <= block_cipher._LANES:
+    if type(data) is bytes:
         tweaks = _tweaks(_MSG, nonce, range(m), n) + tags if m else tags
-        out = crypt(key, tweaks + _tweaks(_AD, b"", range(count - t), n) if count > t else tweaks, bytes(data))
-        if keep:
-            data[:] = out
-        return _fold(out[sum_from * n :], n)
+        out = crypt(key, tweaks + _tweaks(_AD, b"", range(count - t), n) if count > t else tweaks, data)
+        return out, _fold(out[sum_from * n :], n)
     acc = 0
     for run in block_cipher._runs(count):
         lo, hi = run.start, run.stop
@@ -206,7 +208,7 @@ def _pass(
         if keep:
             data[lo * n : hi * n] = out
         acc ^= _fold(out[max(sum_from - lo, 0) * n :], n)
-    return acc
+    return data, acc
 
 
 def _flat(data: bytes) -> memoryview:
@@ -217,13 +219,15 @@ def _flat(data: bytes) -> memoryview:
 def _check(
     key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, opening: bool, tag: bytes = b""
 ) -> tuple:
-    """Check every type and length before any block work; return the block length and the inputs, measured in bytes.
+    """Check every type and length before any block work; return ``n``, ``m``, the inputs in bytes and ``short``.
 
     ``data`` is the plaintext, or with ``opening`` the ciphertext, which
     comes with its ``tag``.  An input that is not ``bytes`` comes back as a
     flat byte view.  The encoders and the tweakable core take every tweak
     as it is, so this bounds them all: the message counters, in nr the tag
-    block's next one, in mr the keystream's, and the AD blocks.
+    block's next one, in mr the keystream's, and the AD blocks.  ``short``
+    is whether the longest pass fits one arena: an nr seal's one, an nr
+    open's message or its tag and AD, in mr the sums.
     """
     if not isinstance(key, TweakableKey):
         raise TypeError(f"key must be a TweakableKey, not {type(key).__name__}")
@@ -233,48 +237,50 @@ def _check(
     nonce_len = nonce_length(mode, n)
     if len(nonce) != nonce_len:
         raise ValueError(f"nonce must be {nonce_len} bytes, got {len(nonce)}")
-    if not opening:
-        blocks = len(data) // n + 1
-    else:
+    if opening:
         if len(tag) != n:
             raise ValueError(f"tag must be {n} bytes, got {len(tag)}")
         if not data or len(data) % n:
             raise ValueError("ciphertext must be a positive multiple of the block size")
-        blocks = len(data) // n
+    m = len(data) // n + (not opening)
     counter_limit, ad_limit = _limits(n)
     limit = counter_limit - 1 if mode is _NR else counter_limit
-    if blocks > limit:
-        raise ValueError(f"message of {blocks} padded blocks exceeds the {mode.value} limit of {limit}")
+    if m > limit:
+        raise ValueError(f"message of {m} padded blocks exceeds the {mode.value} limit of {limit}")
     # Empty associated data still pads to one block, so (ad="", pt=x) and (ad=x, pt="") differ.
-    blocks = len(ad) // n + 1
-    if blocks > ad_limit:
-        raise ValueError(f"associated data of {blocks} padded blocks exceeds the limit of {ad_limit}")
-    return n, nonce, ad, data, tag
+    a = len(ad) // n + 1
+    if a > ad_limit:
+        raise ValueError(f"associated data of {a} padded blocks exceeds the limit of {ad_limit}")
+    longest = m + a if mode is _MR else (m if m > a else a + 1) if opening else m + a + 1
+    return n, m, nonce, ad, data, tag, longest <= block_cipher._LANES
 
 
-def _mr_tag(key: TweakableKey, nonce: bytes, data: memoryview, m: int) -> bytes:
+def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes | memoryview, m: int) -> bytes:
     """The mr tag of ``data``: ``m`` padded message blocks, then the padded associated data.
 
     One pass sums both under their tweaks, then the sum is the tag block.
     """
     n = key.cipher.block_len
-    acc = _pass(_encrypt, key, data, nonce[: nonce_length(_NR, n)], m, [], False, 0)
+    acc = _pass(_encrypt, key, data, nonce[: nonce_length(_NR, n)], m, [], False, 0)[1]
     return _encrypt(key, [_tag_tweak(nonce, 0, n)], acc.to_bytes(n, "big"))
 
 
-def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: memoryview, m: int) -> None:
-    """XOR the keystream seeded by ``tag`` into the first ``m`` blocks of ``data``; its own inverse.
+def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes | memoryview, m: int) -> bytes | memoryview:
+    """The first ``m`` blocks of ``data`` XOR the keystream seeded by ``tag``; its own inverse.
 
-    Up to ``_LANES`` blocks are one call; a longer stream goes in the runs of ``_runs``, as in :func:`_pass`.
+    ``bytes`` data is one call, whose result comes back; a view of the buffer goes in runs, as in :func:`_pass`.
     """
     n = key.cipher.block_len
     seed = b"\x00" + nonce
-    for r in [range(m)] if m <= block_cipher._LANES else block_cipher._runs(m):
+    if type(data) is bytes:
+        return _xor(data[: m * n], _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))
+    for r in block_cipher._runs(m):
         lo, hi = r.start * n, r.stop * n
         data[lo:hi] = _xor(data[lo:hi], _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r)))
+    return data
 
 
-def _release(expected: bytes, tag: bytes, data: memoryview, end: int, n: int) -> bytes:
+def _release(expected: bytes, tag: bytes, data: bytearray | memoryview, end: int, n: int) -> bytes:
     """The unpadded plaintext ``data[:end]`` if the tag verifies in constant time; else zero ``data`` and raise."""
     if hmac.compare_digest(expected, tag):
         k = data[end - 1]
@@ -291,35 +297,42 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     The caller must never reuse a (key, nonce) pair; confidentiality and
     authenticity both degrade if it does.
     """
-    n, nonce, ad, plaintext, _ = _check(key, _NR, nonce, ad, plaintext, False)
-    m = len(plaintext) // n + 1
-    pad = _padding(len(plaintext), n)
-    # The whole plaintext blocks, then the last padded block: its tail (a memoryview has no +) and the padding.
-    checksum = _fold(plaintext, n) ^ int.from_bytes(bytes(plaintext[(m - 1) * n :]) + pad, "big")
-    data = memoryview(bytearray().join([plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)]))
-    tag = _pass(_encrypt, key, data, nonce, m, [_tag_tweak(nonce, m, n)], True, m)
+    n, m, nonce, ad, plaintext, _, short = _check(key, _NR, nonce, ad, plaintext, False)
+    pad, arena = _padding(len(plaintext), n), n * block_cipher._LANES
+    # The last padded block, its tail (a memoryview has no +) and the padding, then the whole blocks an arena at a time.
+    checksum = int.from_bytes(bytes(plaintext[(m - 1) * n :]) + pad, "big")
+    for i in range(0, len(plaintext), arena):
+        checksum ^= _fold(plaintext[i : i + arena], n)
+    parts = [plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)]
+    data = b"".join(parts) if short else memoryview(bytearray().join(parts))
+    data, tag = _pass(_encrypt, key, data, nonce, m, [_tag_tweak(nonce, m, n)], True, m)
     return SealedMessage(bytes(data[: m * n]), tag.to_bytes(n, "big"))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
-    n, nonce, ad, ciphertext, tag = _check(key, _NR, nonce, ad, ciphertext, True, tag)
-    m = len(ciphertext) // n
-    data = memoryview(bytearray().join([ciphertext, bytes(n), ad, _padding(len(ad), n)]))
-    # The plaintext's checksum goes into the tag block, between the plaintext and the AD.
-    data[m * n : (m + 1) * n] = _pass(_decrypt, key, data[: m * n], nonce, m, [], True, 0).to_bytes(n, "big")
-    expected = _pass(_encrypt, key, data[m * n :], nonce, 0, [_tag_tweak(nonce, m, n)], False, 0)
+    n, m, nonce, ad, ciphertext, tag, short = _check(key, _NR, nonce, ad, ciphertext, True, tag)
+    tail, tags = [ad, _padding(len(ad), n)], [_tag_tweak(nonce, m, n)]
+    if short:
+        # The candidate is kept only in a bytearray, which a rejection zeroes; the tag pass overwrites its checksum.
+        data, expected = _pass(_decrypt, key, bytes(ciphertext), nonce, m, [], True, 0)
+        data = bytearray(data)
+        expected = _pass(_encrypt, key, b"".join([expected.to_bytes(n, "big"), *tail]), nonce, 0, tags, False, 0)[1]
+    else:
+        data = memoryview(bytearray().join([ciphertext, bytes(n), *tail]))
+        # The plaintext's checksum goes into the tag block, between the plaintext and the AD.
+        data[m * n : (m + 1) * n] = _pass(_decrypt, key, data[: m * n], nonce, m, [], True, 0)[1].to_bytes(n, "big")
+        expected = _pass(_encrypt, key, data[m * n :], nonce, 0, tags, False, 0)[1]
     return _release(expected.to_bytes(n, "big"), tag, data, m * n, n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
-    n, nonce, ad, plaintext, _ = _check(key, _MR, nonce, ad, plaintext, False)
-    m = len(plaintext) // n + 1
-    data = memoryview(bytearray().join([plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)]))
+    n, m, nonce, ad, plaintext, _, short = _check(key, _MR, nonce, ad, plaintext, False)
+    parts = [plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)]
+    data = b"".join(parts) if short else memoryview(bytearray().join(parts))
     tag = _mr_tag(key, nonce, data, m)
-    _mr_stream(key, nonce, tag, data, m)
-    return SealedMessage(bytes(data[: m * n]), tag)
+    return SealedMessage(bytes(_mr_stream(key, nonce, tag, data, m)[: m * n]), tag)
 
 
 def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -329,11 +342,15 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     plaintext exists internally before verification; it is never returned
     or leaked on failure.
     """
-    n, nonce, ad, ciphertext, tag = _check(key, _MR, nonce, ad, ciphertext, True, tag)
-    m = len(ciphertext) // n
-    data = memoryview(bytearray().join([ciphertext, ad, _padding(len(ad), n)]))
-    _mr_stream(key, nonce, tag, data, m)
-    return _release(_mr_tag(key, nonce, data, m), tag, data, m * n, n)
+    n, m, nonce, ad, ciphertext, tag, short = _check(key, _MR, nonce, ad, ciphertext, True, tag)
+    tail = [ad, _padding(len(ad), n)]
+    if short:
+        data = bytearray(_mr_stream(key, nonce, tag, bytes(ciphertext), m))
+        expected = _mr_tag(key, nonce, b"".join([data, *tail]), m)
+    else:
+        data = _mr_stream(key, nonce, tag, memoryview(bytearray().join([ciphertext, *tail])), m)
+        expected = _mr_tag(key, nonce, data, m)
+    return _release(expected, tag, data, m * n, n)
 
 
 SEAL = {AeadMode.NONCE_RESPECTING: seal_nr, AeadMode.MISUSE_RESISTANT: seal_mr}

@@ -305,7 +305,9 @@ _TOY_RC = (0x243F, 0x6A88, 0x85A3, 0x08D3, 0x1319)
 
 @lru_cache(maxsize=4096)
 def _toy_round_keys(key: int) -> tuple[int, ...]:
-    return tuple(_rotl16(key, (3 * r) % 16) ^ _TOY_RC[r] for r in range(5))
+    # Round key r is the key rotated left by 3r bits XOR _TOY_RC[r]: the two copies of the key shifted right by 16 - 3r.
+    k, (c0, c1, c2, c3, c4) = key << 16 | key, _TOY_RC
+    return key ^ c0, (k >> 13 & 0xFFFF) ^ c1, (k >> 10 & 0xFFFF) ^ c2, (k >> 7 & 0xFFFF) ^ c3, (k >> 4 & 0xFFFF) ^ c4
 
 
 def toy_encrypt_block(key: bytes, block: bytes) -> bytes:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed_tweakable
-from tortoise import aead
+from tortoise import aead, block_cipher, tweakable
 from tortoise.aead import (
     OPEN,
     SEAL,
@@ -394,9 +394,11 @@ def tweak_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mode,seal_calls,open_calls", [(AeadMode.NONCE_RESPECTING, 1, 2), (AeadMode.MISUSE_RESISTANT, 3, 3)]
+    "mode,seal_calls,open_calls,squeezes,seal_runs,open_runs",
+    [(AeadMode.NONCE_RESPECTING, 1, 2, 5, 3, 3), (AeadMode.MISUSE_RESISTANT, 3, 3, 7, 4, 4)],
 )
-def test_tweakable_calls_per_message(mode, seal_calls, open_calls, tweak_calls):
+def test_tweakable_calls_per_message(mode, seal_calls, open_calls, squeezes, seal_runs, open_runs, tweak_calls,
+                                     monkeypatch):
     # One call per data dependency.  nr seal: the checksum and the AD are known before any block is
     # encrypted, so the message, the tag block and the AD blocks go in one call.  nr open: the
     # checksum needs the decrypted plaintext, so the tag block and the AD follow in a second call.
@@ -407,6 +409,25 @@ def test_tweakable_calls_per_message(mode, seal_calls, open_calls, tweak_calls):
     tweak_calls.clear()
     OPEN[mode](TOY_KEY, b"\x5a", b"ad", sealed.ciphertext, sealed.tag)
     assert len(tweak_calls) == open_calls
+    # Each call is one cipher batch, with one SHAKE128 squeeze per block (2 message, 2 AD and in nr 1
+    # tag block; in mr the 2 message blocks twice and 1 tag block): the work the benchmark's tracer
+    # counts.  With arenas of two blocks every longer pass goes in runs: more batches, the same squeezes.
+    work, real_shake = [], tweakable.shake128
+    monkeypatch.setattr(tweakable, "shake128", lambda data, size: work.append("squeeze") or real_shake(data, size))
+
+    def spy(batch):
+        return lambda keys, blocks: work.append("batch") or batch(keys, blocks)
+
+    key = TweakableKey(TOY_KEY.master_key, CipherSpec("spy", 2, 2, spy(TOY.encrypt), spy(TOY.decrypt)))
+    for lanes, batches in ((block_cipher._LANES, (seal_calls, open_calls)), (2, (seal_runs, open_runs))):
+        monkeypatch.setattr(block_cipher, "_LANES", lanes)
+        work.clear()
+        sealed = SEAL[mode](key, b"\x5a", b"ad", b"pt")
+        counts = [(work.count("squeeze"), work.count("batch"))]
+        work.clear()
+        assert OPEN[mode](key, b"\x5a", b"ad", sealed.ciphertext, sealed.tag) == b"pt"
+        counts.append((work.count("squeeze"), work.count("batch")))
+        assert counts == [(squeezes, batches[0]), (squeezes, batches[1])], lanes
 
 
 # Block lengths whose limits a real message reaches: (key, counters, AD blocks or None where out of reach).
@@ -475,7 +496,7 @@ def test_one_mib_peak_memory(mode, seal_mib, open_mib):
     # Peaks of traced allocations, in MiB, plus 1%.  Each seal and open holds one buffer with the
     # message, tag and AD blocks, which every pass writes in place, and at the end the bytes copy
     # it returns; a run's copy, tweaks and outputs are gone by then.  An nr seal folds the
-    # plaintext's checksum (a 1 MiB integer) before it makes the buffer.  A second message-sized
+    # plaintext's checksum an arena at a time before it makes the buffer.  A second message-sized
     # buffer kept alive would add 1 MiB, and one 32 KiB run output kept to the end 0.03 MiB,
     # which the 1% slack already refuses.
     nonce, ad, pt = bytes(nonce_length(mode)), bytes(13), bytes(1 << 20)
@@ -493,6 +514,18 @@ def test_one_mib_peak_memory(mode, seal_mib, open_mib):
     assert opened == pt
     assert seal_peak <= 1.01 * seal_mib * 2**20
     assert open_peak <= 1.01 * open_mib * 2**20
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_no_fold_takes_more_than_one_arena(mode, monkeypatch):
+    # A message cut into runs folds its nr checksum and every pass's sums an arena at a time, so no
+    # integer it builds outgrows an arena: an nr seal of 1 MiB used to fold its whole plaintext into one.
+    sizes, real = [], aead._fold
+    monkeypatch.setattr(aead, "_fold", lambda data, n: sizes.append(len(data)) or real(data, n))
+    nonce, ad, pt = bytes(nonce_length(mode)), bytes(13), bytes(range(256)) * (32 * block_cipher._LANES // 256) + b"!"
+    sealed = SEAL[mode](ZERO_KEY, nonce, ad, pt)
+    assert OPEN[mode](ZERO_KEY, nonce, ad, sealed.ciphertext, sealed.tag) == pt
+    assert len(sizes) > 4 and max(sizes) <= block_cipher._ARENA
 
 
 # --- one buffer per message -------------------------------------------------

@@ -154,6 +154,14 @@ def test_toy_batch_refuses_bad_input_before_any_lane():
     assert spied([good], memoryview(bytes(2))) == TOY.encrypt([good], bytes(2)) and lanes == [0]
 
 
+def test_toy_round_keys_are_the_rotated_key_xor_the_round_constants():
+    # Every key, through the schedule itself rather than its cache: round key r is the key rotated
+    # left by 3r bits XOR the round constant r, as the schedule was first written.
+    schedule, rotl, rc = block_cipher._toy_round_keys.__wrapped__, block_cipher._rotl16, block_cipher._TOY_RC
+    for key in range(1 << 16):
+        assert schedule(key) == tuple(rotl(key, 3 * r) ^ rc[r] for r in range(5)), key
+
+
 @given(st.binary(min_size=2, max_size=2), st.binary(min_size=2, max_size=2))
 def test_toy_round_trip(key, block):
     assert toy_decrypt_block(key, toy_encrypt_block(key, block)) == block

@@ -11,6 +11,7 @@ import pytest
 
 from composed_tweakable import ad_sum, pad, xor, xor_spec
 from composed_tweakable import encrypt as tweak_encrypt  # by hand, not through tortoise.tweakable
+from tortoise import block_cipher
 from tortoise.aead import (
     OPEN,
     SEAL,
@@ -121,14 +122,21 @@ def test_bad_padding_raises_like_bad_tag(mode, padded):
     _assert_open_fails_like_bad_tag(KEY, mode, bytes(range(nonce_length(mode))), AD, padded)
 
 
-@pytest.mark.parametrize("fault", ["tag", "padding"])
-@pytest.mark.parametrize("mode", list(AeadMode))
-def test_rejected_open_keeps_no_candidate_plaintext(mode, fault):
-    # The traceback of a rejected open keeps its frames' locals alive; none of them may hold the
-    # candidate plaintext.  A wrong AD fails the tag over well-padded blocks, a forgery the padding;
-    # either way the open has decrypted the candidate before it raises.
+def _assert_rejection_keeps_no_candidate(mode, fault, candidate):
+    """Open ``candidate``, padded, so that it fails by ``fault``, and search the traceback's locals for it.
+
+    The traceback of a rejected open keeps its frames' locals alive; none of
+    them may hold a candidate block or the blocks' XOR, the nr checksum: not
+    in bytes, and not as an integer, which for one block is the block itself.
+    A wrong AD fails the tag over well-padded blocks, a forgery the padding;
+    either way the open has decrypted the candidate before it raises.
+    """
     nonce = bytes(range(nonce_length(mode)))
-    candidate = bytes(range(0x41, 0x71)) + (pad(b"", 16) if fault == "tag" else BAD_PAD)
+    blocks = [candidate[i : i + 16] for i in range(0, len(candidate), 16)]
+    checksum = 0
+    for block in blocks:
+        checksum ^= int.from_bytes(block, "big")
+    secrets = blocks + [checksum.to_bytes(16, "big")]
     ct, tag = FORGE[mode](KEY, nonce, AD, candidate)
     with pytest.raises(AuthenticationError) as rejected:
         OPEN[mode](KEY, nonce, AD + b"!" if fault == "tag" else AD, ct, tag)
@@ -140,8 +148,36 @@ def test_rejected_open_keeps_no_candidate_plaintext(mode, fault):
             for name, value in frame.f_locals.items():
                 if isinstance(value, (bytes, bytearray, memoryview)):
                     held = bytes(value)
-                    assert not any(candidate[i : i + 16] in held for i in range(0, len(candidate), 16)), name
+                    assert not any(secret in held for secret in secrets), name
+                elif type(value) is int and 0 <= value < 1 << 128:
+                    assert value.to_bytes(16, "big") not in secrets, name
     assert {f"open_{mode.value}", "_release"} <= seen
+
+
+@pytest.mark.parametrize("fault", ["tag", "padding"])
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_rejected_open_keeps_no_candidate_plaintext(mode, fault):
+    candidate = bytes(range(0x41, 0x71)) + (pad(b"", 16) if fault == "tag" else BAD_PAD)
+    _assert_rejection_keeps_no_candidate(mode, fault, candidate)
+
+
+@pytest.mark.parametrize("fault", ["tag", "padding"])
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_rejected_one_block_open_keeps_no_candidate_plaintext(mode, fault):
+    # One block is its own checksum, so an nr open that names the checksum holds the candidate.
+    _assert_rejection_keeps_no_candidate(mode, fault, pad(b"one block", 16) if fault == "tag" else BAD_PAD)
+
+
+@pytest.mark.parametrize("fault", ["tag", "padding"])
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_rejected_open_cut_into_runs_keeps_no_candidate_plaintext(mode, fault, monkeypatch):
+    # The same check on the buffer path: with arenas of two blocks the candidate's four blocks are
+    # cut into runs, so the open works in its one buffer, not on bytes.
+    runs, real = [], block_cipher._runs
+    monkeypatch.setattr(block_cipher, "_LANES", 2)
+    monkeypatch.setattr(block_cipher, "_runs", lambda count: runs.append(count) or real(count))
+    test_rejected_open_keeps_no_candidate_plaintext(mode, fault)
+    assert runs and max(runs) > 2
 
 
 @pytest.mark.parametrize("n", OTHER_BLOCK_LENS)
