@@ -27,22 +27,20 @@ XOR the counter.
 
 Each data dependency is one pass of tweakable calls over blocks laid end
 to end: message blocks first, then any tag block, then the associated
-data.  ``_check`` picks one of two ways by lane count.  A message whose
-every pass fits one arena of ``_LANES`` blocks, as a message of up to
-about 32 KiB with short AD does, works on ``bytes``: each pass joins its blocks
-once, makes one call to the tweakable core with one tweak list, and uses
-its outputs as returned; an open holds its candidate plaintext only in a
-``bytearray``, which a rejection zeroes.  Any other message lays its
-blocks in one ``bytearray``; every pass goes in the even runs of
-``block_cipher._runs`` and writes their outputs into it in place, the
-entry point returns one ``bytes`` copy of the span it owes, and a
-rejected open zeroes it.  Past ``_check`` only each cipher batch checks
-again, its lanes in ``block_cipher._lanes``: not the encoders, nor the
-core, ``tweakable._encrypt`` or ``_decrypt``.  An nr seal is one pass,
-since its checksum and AD are known first; an nr open decrypts, then
-makes the tag from the checksum.  In mr the message and associated-data
-sums are one pass, the tag block a second and the keystream it seeds a
-third, when sealing and opening alike.
+data.  A pass takes them as a list of parts: the plaintext or ciphertext,
+its padding, the nr checksum block, the AD and its padding.  A pass of up
+to one arena of ``_LANES`` blocks, as for a message of up to about 32 KiB
+with short AD, joins its parts once and makes one call to the tweakable
+core with one tweak list; a longer one goes in the even runs of
+``block_cipher._runs``, each cut out of the parts with one join.  A seal
+returns the joined outputs; an open copies its candidate plaintext into
+one ``bytearray``, which a rejection zeroes.  Past ``_check`` only each
+cipher batch checks again, its lanes in ``block_cipher._lanes``: not the
+encoders, nor the core, ``tweakable._encrypt`` or ``_decrypt``.  An nr
+seal is one pass, since its checksum and AD are known first; an nr open
+decrypts, then makes the tag from the checksum.  In mr the message and
+associated-data sums are one pass, the tag block a second and the
+keystream it seeds a third, when sealing and opening alike.
 """
 
 from __future__ import annotations
@@ -172,43 +170,53 @@ def _mr_stream_tweaks(tag: bytes, counters: range, block_len: int) -> list[bytes
     return [(t ^ j).to_bytes(block_len, "big") for j in counters]
 
 
+def _cut(parts: list, lo: int, hi: int) -> bytes:
+    """Bytes ``lo`` to ``hi`` of ``parts`` laid end to end, as one join of views of the parts that fall in it."""
+    cut = []
+    for part in parts:
+        if lo < len(part) and hi > 0:
+            cut.append(memoryview(part)[max(lo, 0) : hi])
+        lo, hi = lo - len(part), hi - len(part)
+    return b"".join(cut)
+
+
 def _pass(
-    crypt: Callable, key: TweakableKey, data: bytes | memoryview, nonce: bytes, m: int, tags: list, keep: bool,
-    sum_from: int,
+    crypt: Callable, key: TweakableKey, parts: list, nonce: bytes, m: int, tags: list, a: int, split: int
 ) -> tuple:
-    """The tweakable calls over the blocks of ``data``: their outputs, and the XOR of those from ``sum_from`` on.
+    """The tweakable calls over the blocks of ``parts``: each run's outputs before block ``split``, the XOR of the rest.
 
-    The first ``m`` blocks are message blocks under the counter tweaks of
-    ``nonce``, then one block per tweak in ``tags``, then associated-data
-    blocks under AD tweaks from 0, all from unchecked encoders: the caller
-    has bounded them.  ``crypt`` is ``_encrypt`` or ``_decrypt``.
+    The blocks are ``parts`` laid end to end: ``m`` message blocks under the
+    counter tweaks of ``nonce``, then one block per tweak in ``tags``, then
+    ``a`` associated-data blocks under AD tweaks from 0, all from unchecked
+    encoders: the caller has bounded them.  ``crypt`` is ``_encrypt`` or
+    ``_decrypt``.  A pass that returns every output, as an nr open's
+    decryption does, sums them all: the candidate's checksum.
 
-    ``bytes`` data is one call, whose outputs come back as they are.  Any
-    other is a view of the message's buffer, which goes in the even runs of
-    ``_runs``, so that it holds one run's tweaks, subkeys and masks at a
-    time; with ``keep`` each run's outputs are written over their blocks,
-    and the view comes back.
+    A pass that fits one arena is one call on the joined parts.  A longer
+    one goes in the even runs of ``_runs``, each cut out of the parts by
+    :func:`_cut`, so that it holds one run's tweaks, subkeys and masks at a
+    time and keeps only the outputs it returns: a pass that only sums keeps
+    none.
     """
-    n = key.cipher.block_len
-    count, t = len(data) // n, m + len(tags)
-    if type(data) is bytes:
+    n, t = key.cipher.block_len, m + len(tags)
+    sum_from = 0 if split == t + a else split
+    if t + a <= block_cipher._LANES:
         tweaks = _tweaks(_MSG, nonce, range(m), n) + tags if m else tags
-        out = crypt(key, tweaks + _tweaks(_AD, b"", range(count - t), n) if count > t else tweaks, data)
-        return out, _fold(out[sum_from * n :], n)
-    acc = 0
-    for run in block_cipher._runs(count):
+        out = crypt(key, tweaks + _tweaks(_AD, b"", range(a), n) if a else tweaks, b"".join(parts))
+        return [out[: split * n]], _fold(out[sum_from * n :], n)
+    outs, acc = [], 0
+    for run in block_cipher._runs(t + a):
         lo, hi = run.start, run.stop
         out = crypt(
             key,
             _tweaks(_MSG, nonce, range(lo, min(hi, m)), n)
             + tags[max(lo - m, 0) : max(hi - m, 0)]
             + _tweaks(_AD, b"", range(max(lo - t, 0), hi - t), n),
-            bytes(data[lo * n : hi * n]),
+            _cut(parts, lo * n, hi * n),
         )
-        if keep:
-            data[lo * n : hi * n] = out
+        outs.append(out[: max(split - lo, 0) * n])
         acc ^= _fold(out[max(sum_from - lo, 0) * n :], n)
-    return data, acc
+    return outs, acc
 
 
 def _flat(data: bytes) -> memoryview:
@@ -219,15 +227,13 @@ def _flat(data: bytes) -> memoryview:
 def _check(
     key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, opening: bool, tag: bytes = b""
 ) -> tuple:
-    """Check every type and length before any block work; return ``n``, ``m``, the inputs in bytes and ``short``.
+    """Check every type and length before any block work; return ``n``, ``m``, ``a`` and the inputs in bytes.
 
     ``data`` is the plaintext, or with ``opening`` the ciphertext, which
     comes with its ``tag``.  An input that is not ``bytes`` comes back as a
     flat byte view.  The encoders and the tweakable core take every tweak
     as it is, so this bounds them all: the message counters, in nr the tag
-    block's next one, in mr the keystream's, and the AD blocks.  ``short``
-    is whether the longest pass fits one arena: an nr seal's one, an nr
-    open's message or its tag and AD, in mr the sums.
+    block's next one, in mr the keystream's, and the AD blocks.
     """
     if not isinstance(key, TweakableKey):
         raise TypeError(f"key must be a TweakableKey, not {type(key).__name__}")
@@ -251,42 +257,44 @@ def _check(
     a = len(ad) // n + 1
     if a > ad_limit:
         raise ValueError(f"associated data of {a} padded blocks exceeds the limit of {ad_limit}")
-    longest = m + a if mode is _MR else (m if m > a else a + 1) if opening else m + a + 1
-    return n, m, nonce, ad, data, tag, longest <= block_cipher._LANES
+    return n, m, a, nonce, ad, data, tag
 
 
-def _mr_tag(key: TweakableKey, nonce: bytes, data: bytes | memoryview, m: int) -> bytes:
-    """The mr tag of ``data``: ``m`` padded message blocks, then the padded associated data.
+def _mr_tag(key: TweakableKey, nonce: bytes, parts: list, m: int, a: int) -> bytes:
+    """The mr tag of ``parts``: ``m`` padded message blocks, then ``a`` of padded associated data.
 
     One pass sums both under their tweaks, then the sum is the tag block.
     """
     n = key.cipher.block_len
-    acc = _pass(_encrypt, key, data, nonce[: nonce_length(_NR, n)], m, [], False, 0)[1]
+    acc = _pass(_encrypt, key, parts, nonce[: nonce_length(_NR, n)], m, [], a, 0)[1]
     return _encrypt(key, [_tag_tweak(nonce, 0, n)], acc.to_bytes(n, "big"))
 
 
-def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, data: bytes | memoryview, m: int) -> bytes | memoryview:
-    """The first ``m`` blocks of ``data`` XOR the keystream seeded by ``tag``; its own inverse.
+def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, parts: list, m: int) -> bytes:
+    """The ``m`` blocks of ``parts`` XOR the keystream seeded by ``tag``, joined; its own inverse.
 
-    ``bytes`` data is one call, whose result comes back; a view of the buffer goes in runs, as in :func:`_pass`.
+    Like :func:`_pass`, one call when the blocks fit one arena, else one per run.
     """
     n = key.cipher.block_len
     seed = b"\x00" + nonce
-    if type(data) is bytes:
-        return _xor(data[: m * n], _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))
-    for r in block_cipher._runs(m):
-        lo, hi = r.start * n, r.stop * n
-        data[lo:hi] = _xor(data[lo:hi], _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r)))
-    return data
+    if m <= block_cipher._LANES:
+        return _xor(b"".join(parts), _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))
+    return b"".join(
+        [
+            _xor(_cut(parts, r.start * n, r.stop * n), _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r)))
+            for r in block_cipher._runs(m)
+        ]
+    )
 
 
-def _release(expected: bytes, tag: bytes, data: bytearray | memoryview, end: int, n: int) -> bytes:
-    """The unpadded plaintext ``data[:end]`` if the tag verifies in constant time; else zero ``data`` and raise."""
+def _release(expected: bytes, tag: bytes, data: bytearray, n: int) -> bytes:
+    """The plaintext in ``data``, unpadded in place, if the tag verifies in constant time; else zero ``data``, raise."""
     if hmac.compare_digest(expected, tag):
-        k = data[end - 1]
+        k = data[-1]
         # Bad padding raises exactly as a tag mismatch does: no padding oracle.
-        if 1 <= k <= n and data[end - k : end] == bytes([k]) * k:
-            return bytes(data[: end - k])
+        if 1 <= k <= n and data[-k:] == bytes([k]) * k:
+            del data[-k:]
+            return bytes(data)
     data[:] = bytes(len(data))
     raise AuthenticationError("authentication failed")
 
@@ -297,42 +305,35 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     The caller must never reuse a (key, nonce) pair; confidentiality and
     authenticity both degrade if it does.
     """
-    n, m, nonce, ad, plaintext, _, short = _check(key, _NR, nonce, ad, plaintext, False)
+    n, m, a, nonce, ad, plaintext, _ = _check(key, _NR, nonce, ad, plaintext, False)
     pad, arena = _padding(len(plaintext), n), n * block_cipher._LANES
     # The last padded block, its tail (a memoryview has no +) and the padding, then the whole blocks an arena at a time.
     checksum = int.from_bytes(bytes(plaintext[(m - 1) * n :]) + pad, "big")
     for i in range(0, len(plaintext), arena):
         checksum ^= _fold(plaintext[i : i + arena], n)
     parts = [plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)]
-    data = b"".join(parts) if short else memoryview(bytearray().join(parts))
-    data, tag = _pass(_encrypt, key, data, nonce, m, [_tag_tweak(nonce, m, n)], True, m)
-    return SealedMessage(bytes(data[: m * n]), tag.to_bytes(n, "big"))
+    outs, tag = _pass(_encrypt, key, parts, nonce, m, [_tag_tweak(nonce, m, n)], a, m)
+    return SealedMessage(b"".join(outs), tag.to_bytes(n, "big"))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
-    n, m, nonce, ad, ciphertext, tag, short = _check(key, _NR, nonce, ad, ciphertext, True, tag)
-    tail, tags = [ad, _padding(len(ad), n)], [_tag_tweak(nonce, m, n)]
-    if short:
-        # The candidate is kept only in a bytearray, which a rejection zeroes; the tag pass overwrites its checksum.
-        data, expected = _pass(_decrypt, key, bytes(ciphertext), nonce, m, [], True, 0)
-        data = bytearray(data)
-        expected = _pass(_encrypt, key, b"".join([expected.to_bytes(n, "big"), *tail]), nonce, 0, tags, False, 0)[1]
-    else:
-        data = memoryview(bytearray().join([ciphertext, bytes(n), *tail]))
-        # The plaintext's checksum goes into the tag block, between the plaintext and the AD.
-        data[m * n : (m + 1) * n] = _pass(_decrypt, key, data[: m * n], nonce, m, [], True, 0)[1].to_bytes(n, "big")
-        expected = _pass(_encrypt, key, data[m * n :], nonce, 0, tags, False, 0)[1]
-    return _release(expected.to_bytes(n, "big"), tag, data, m * n, n)
+    n, m, a, nonce, ad, ciphertext, tag = _check(key, _NR, nonce, ad, ciphertext, True, tag)
+    # Only a bytearray that a rejection zeroes keeps the candidate: it replaces the run outputs, and the
+    # tag pass overwrites the checksum, which for one block is the candidate itself.
+    data, expected = _pass(_decrypt, key, [ciphertext], nonce, m, [], 0, m)
+    data = bytearray().join(data)
+    tags, pad = [_tag_tweak(nonce, m, n)], _padding(len(ad), n)
+    expected = _pass(_encrypt, key, [expected.to_bytes(n, "big"), ad, pad], nonce, 0, tags, a, 0)[1]
+    return _release(expected.to_bytes(n, "big"), tag, data, n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
-    n, m, nonce, ad, plaintext, _, short = _check(key, _MR, nonce, ad, plaintext, False)
-    parts = [plaintext, _padding(len(plaintext), n), ad, _padding(len(ad), n)]
-    data = b"".join(parts) if short else memoryview(bytearray().join(parts))
-    tag = _mr_tag(key, nonce, data, m)
-    return SealedMessage(bytes(_mr_stream(key, nonce, tag, data, m)[: m * n]), tag)
+    n, m, a, nonce, ad, plaintext, _ = _check(key, _MR, nonce, ad, plaintext, False)
+    parts = [plaintext, _padding(len(plaintext), n)]
+    tag = _mr_tag(key, nonce, parts + [ad, _padding(len(ad), n)], m, a)
+    return SealedMessage(_mr_stream(key, nonce, tag, parts, m), tag)
 
 
 def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -342,15 +343,9 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     plaintext exists internally before verification; it is never returned
     or leaked on failure.
     """
-    n, m, nonce, ad, ciphertext, tag, short = _check(key, _MR, nonce, ad, ciphertext, True, tag)
-    tail = [ad, _padding(len(ad), n)]
-    if short:
-        data = bytearray(_mr_stream(key, nonce, tag, bytes(ciphertext), m))
-        expected = _mr_tag(key, nonce, b"".join([data, *tail]), m)
-    else:
-        data = _mr_stream(key, nonce, tag, memoryview(bytearray().join([ciphertext, *tail])), m)
-        expected = _mr_tag(key, nonce, data, m)
-    return _release(expected, tag, data, m * n, n)
+    n, m, a, nonce, ad, ciphertext, tag = _check(key, _MR, nonce, ad, ciphertext, True, tag)
+    data = bytearray(_mr_stream(key, nonce, tag, [ciphertext], m))
+    return _release(_mr_tag(key, nonce, [data, ad, _padding(len(ad), n)], m, a), tag, data, n)
 
 
 SEAL = {AeadMode.NONCE_RESPECTING: seal_nr, AeadMode.MISUSE_RESISTANT: seal_mr}

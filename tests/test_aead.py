@@ -326,9 +326,7 @@ def test_aes128_mr_tags_one_bit_apart_swap_keystream_blocks():
     rng = random.Random(0x13)
     key, nonce, tag = TweakableKey(rng.randbytes(16), AES128), rng.randbytes(15), rng.randbytes(16)
     near = (int.from_bytes(tag, "big") ^ 1).to_bytes(16, "big")
-    a, b = memoryview(bytearray(32)), memoryview(bytearray(32))
-    aead._mr_stream(key, nonce, tag, a, 2)
-    aead._mr_stream(key, nonce, near, b, 2)
+    a, b = aead._mr_stream(key, nonce, tag, [bytes(32)], 2), aead._mr_stream(key, nonce, near, [bytes(32)], 2)
     assert a[16:] == b[:16] and a[:16] == b[16:] and a[:16] != a[16:]
 
 
@@ -493,12 +491,12 @@ def test_aes128_length_limit(mode, max_blocks, tweak_calls, monkeypatch):
     "mode,seal_mib,open_mib", [(AeadMode.NONCE_RESPECTING, 2.00, 2.00), (AeadMode.MISUSE_RESISTANT, 2.00, 2.00)]
 )
 def test_one_mib_peak_memory(mode, seal_mib, open_mib):
-    # Peaks of traced allocations, in MiB, plus 1%.  Each seal and open holds one buffer with the
-    # message, tag and AD blocks, which every pass writes in place, and at the end the bytes copy
-    # it returns; a run's copy, tweaks and outputs are gone by then.  An nr seal folds the
-    # plaintext's checksum an arena at a time before it makes the buffer.  A second message-sized
-    # buffer kept alive would add 1 MiB, and one 32 KiB run output kept to the end 0.03 MiB,
-    # which the 1% slack already refuses.
+    # Peaks of traced allocations, in MiB, plus 1%.  A seal holds its message's run outputs and
+    # then their join, which it returns; an open holds the candidate's, then the bytearray it copies
+    # them into, and at the end the bytes copy it returns.  A pass that only sums keeps no outputs,
+    # and a run's cut, tweaks and outputs are gone by the end.  An nr seal folds the plaintext's
+    # checksum an arena at a time.  A second message-sized copy kept alive would add 1 MiB, and
+    # one 32 KiB run output kept to the end 0.03 MiB, which the 1% slack already refuses.
     nonce, ad, pt = bytes(nonce_length(mode)), bytes(13), bytes(1 << 20)
     SEAL[mode](ZERO_KEY, nonce, ad, b"")  # this thread's EVP context, outside the measurement
     tracemalloc.start()
@@ -528,7 +526,7 @@ def test_no_fold_takes_more_than_one_arena(mode, monkeypatch):
     assert len(sizes) > 4 and max(sizes) <= block_cipher._ARENA
 
 
-# --- one buffer per message -------------------------------------------------
+# --- parts in, bytes out: the caller's buffers are never written -----------
 
 def _spy_spec(types):
     """AES-128 under another name, recording the type of every block batch its two functions are handed."""

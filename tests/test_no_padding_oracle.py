@@ -122,12 +122,22 @@ def test_bad_padding_raises_like_bad_tag(mode, padded):
     _assert_open_fails_like_bad_tag(KEY, mode, bytes(range(nonce_length(mode))), AD, padded)
 
 
+def _held(value):
+    """``value`` itself or, for a list or tuple, what each of its items holds, down through nested ones."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held(item)
+    else:
+        yield value
+
+
 def _assert_rejection_keeps_no_candidate(mode, fault, candidate):
     """Open ``candidate``, padded, so that it fails by ``fault``, and search the traceback's locals for it.
 
     The traceback of a rejected open keeps its frames' locals alive; none of
     them may hold a candidate block or the blocks' XOR, the nr checksum: not
-    in bytes, and not as an integer, which for one block is the block itself.
+    in bytes, and not as an integer, which for one block is the block itself;
+    not as a local, and not as an item of a list or tuple that a local holds.
     A wrong AD fails the tag over well-padded blocks, a forgery the padding;
     either way the open has decrypted the candidate before it raises.
     """
@@ -145,12 +155,13 @@ def _assert_rejection_keeps_no_candidate(mode, fault, candidate):
         frame, tb = tb.tb_frame, tb.tb_next
         if frame.f_globals["__name__"].startswith("tortoise."):
             seen.add(frame.f_code.co_name)
-            for name, value in frame.f_locals.items():
-                if isinstance(value, (bytes, bytearray, memoryview)):
-                    held = bytes(value)
-                    assert not any(secret in held for secret in secrets), name
-                elif type(value) is int and 0 <= value < 1 << 128:
-                    assert value.to_bytes(16, "big") not in secrets, name
+            for name, local in frame.f_locals.items():
+                for value in _held(local):
+                    if isinstance(value, (bytes, bytearray, memoryview)):
+                        held = bytes(value)
+                        assert not any(secret in held for secret in secrets), name
+                    elif type(value) is int and 0 <= value < 1 << 128:
+                        assert value.to_bytes(16, "big") not in secrets, name
     assert {f"open_{mode.value}", "_release"} <= seen
 
 
@@ -171,8 +182,8 @@ def test_rejected_one_block_open_keeps_no_candidate_plaintext(mode, fault):
 @pytest.mark.parametrize("fault", ["tag", "padding"])
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_rejected_open_cut_into_runs_keeps_no_candidate_plaintext(mode, fault, monkeypatch):
-    # The same check on the buffer path: with arenas of two blocks the candidate's four blocks are
-    # cut into runs, so the open works in its one buffer, not on bytes.
+    # The same check on passes cut into runs: with arenas of two blocks the candidate's four blocks
+    # go in runs, each cut out of the pass's parts, not in one call.
     runs, real = [], block_cipher._runs
     monkeypatch.setattr(block_cipher, "_LANES", 2)
     monkeypatch.setattr(block_cipher, "_runs", lambda count: runs.append(count) or real(count))
