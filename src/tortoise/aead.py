@@ -83,14 +83,17 @@ _NR, _MR = AeadMode.NONCE_RESPECTING, AeadMode.MISUSE_RESISTANT
 
 
 def nonce_length(mode: AeadMode, block_len: int = 16) -> int:
-    """Required nonce width: the layout's nonce in nr, every byte after the prefix in mr.
+    """Required nonce width: ``min(8, n // 2)`` bytes in nr, leaving ``n - 1 - nonce`` counter bytes; ``n - 1`` in mr.
 
-    ``TypeError`` for a non-member ``mode`` or a non-integer ``block_len``, ``ValueError`` for one outside [1, 255].
+    At n=8 the nr nonce is 4 bytes, which must be a counter (random ones collide after about 2^16 messages), and the
+    counter 3 (2^24 blocks); a 64-bit tag falls to a forger with probability 2^-64 per try, and mr's repeated-nonce
+    bound is ``q^2 * 2^(ceil(log2 m) - 65)``.  ``TypeError`` for a non-member ``mode`` or a non-integer ``block_len``,
+    ``ValueError`` for one outside [1, 255].
     """
     if not 1 <= operator.index(block_len) <= 255:
         raise ValueError(f"block_len must be in [1, 255], got {block_len}")
     if mode is _NR:
-        return min(8, block_len - 1)
+        return min(8, block_len // 2)
     if mode is _MR:
         return block_len - 1
     raise TypeError(f"mode must be an AeadMode member, not {type(mode).__name__}")
@@ -219,26 +222,21 @@ def _pass(
     return outs, acc
 
 
-def _flat(data: bytes) -> memoryview:
-    """``data`` as a flat byte view, so that ``len`` counts its bytes whatever its format or shape."""
-    return memoryview(data).cast("B")
-
-
 def _check(
     key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, data: bytes, opening: bool, tag: bytes = b""
 ) -> tuple:
-    """Check every type and length before any block work; return ``n``, ``m``, ``a`` and the inputs in bytes.
+    """Check every type and length before any block work; return ``n``, ``m``, ``a``, the nonce, the parts and the tag.
 
-    ``data`` is the plaintext, or with ``opening`` the ciphertext, which
-    comes with its ``tag``.  An input that is not ``bytes`` comes back as a
-    flat byte view.  The encoders and the tweakable core take every tweak
-    as it is, so this bounds them all: the message counters, in nr the tag
-    block's next one, in mr the keystream's, and the AD blocks.
+    ``data`` is the plaintext, or with ``opening`` the ciphertext, which comes with its ``tag``; every
+    input goes through ``block_cipher._bytes``.  The one place that pads: it returns the message parts,
+    ``[data, padding]`` to seal and ``[data]`` to open, and the AD parts ``[ad, padding]``.  The encoders
+    and the tweakable core take every tweak as it is, so this bounds them all: the message counters, in
+    nr the tag block's next one, in mr the keystream's, and the AD blocks.
     """
     if not isinstance(key, TweakableKey):
         raise TypeError(f"key must be a TweakableKey, not {type(key).__name__}")
     if not (type(nonce) is type(ad) is type(data) is type(tag) is bytes):
-        nonce, ad, data, tag = _flat(nonce), _flat(ad), _flat(data), _flat(tag)
+        nonce, ad, data, tag = map(block_cipher._bytes, (nonce, ad, data, tag))
     n = key.cipher.block_len
     nonce_len = nonce_length(mode, n)
     if len(nonce) != nonce_len:
@@ -257,7 +255,8 @@ def _check(
     a = len(ad) // n + 1
     if a > ad_limit:
         raise ValueError(f"associated data of {a} padded blocks exceeds the limit of {ad_limit}")
-    return n, m, a, nonce, ad, data, tag
+    parts = [data] if opening else [data, _padding(len(data), n)]
+    return n, m, a, nonce, parts, [ad, _padding(len(ad), n)], tag
 
 
 def _mr_tag(key: TweakableKey, nonce: bytes, parts: list, m: int, a: int) -> bytes:
@@ -305,34 +304,32 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
     The caller must never reuse a (key, nonce) pair; confidentiality and
     authenticity both degrade if it does.
     """
-    n, m, a, nonce, ad, plaintext, _ = _check(key, _NR, nonce, ad, plaintext, False)
-    pad, arena = _padding(len(plaintext), n), n * block_cipher._LANES
-    # The last padded block, its tail (a memoryview has no +) and the padding, then the whole blocks an arena at a time.
-    checksum = int.from_bytes(bytes(plaintext[(m - 1) * n :]) + pad, "big")
+    n, m, a, nonce, parts, ads, _ = _check(key, _NR, nonce, ad, plaintext, False)
+    (plaintext, pad), arena = parts, n * block_cipher._LANES
+    # The last padded block, its tail and the padding, then the whole blocks an arena at a time.
+    checksum = int.from_bytes(b"".join([plaintext[(m - 1) * n :], pad]), "big")
     for i in range(0, len(plaintext), arena):
         checksum ^= _fold(plaintext[i : i + arena], n)
-    parts = [plaintext, pad, checksum.to_bytes(n, "big"), ad, _padding(len(ad), n)]
+    parts += [checksum.to_bytes(n, "big"), *ads]
     outs, tag = _pass(_encrypt, key, parts, nonce, m, [_tag_tweak(nonce, m, n)], a, m)
     return SealedMessage(b"".join(outs), tag.to_bytes(n, "big"))
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
     """Open a nonce-respecting message, or raise :class:`AuthenticationError`."""
-    n, m, a, nonce, ad, ciphertext, tag = _check(key, _NR, nonce, ad, ciphertext, True, tag)
+    n, m, a, nonce, parts, ads, tag = _check(key, _NR, nonce, ad, ciphertext, True, tag)
     # Only a bytearray that a rejection zeroes keeps the candidate: it replaces the run outputs, and the
     # tag pass overwrites the checksum, which for one block is the candidate itself.
-    data, expected = _pass(_decrypt, key, [ciphertext], nonce, m, [], 0, m)
+    data, expected = _pass(_decrypt, key, parts, nonce, m, [], 0, m)
     data = bytearray().join(data)
-    tags, pad = [_tag_tweak(nonce, m, n)], _padding(len(ad), n)
-    expected = _pass(_encrypt, key, [expected.to_bytes(n, "big"), ad, pad], nonce, 0, tags, a, 0)[1]
+    expected = _pass(_encrypt, key, [expected.to_bytes(n, "big"), *ads], nonce, 0, [_tag_tweak(nonce, m, n)], a, 0)[1]
     return _release(expected.to_bytes(n, "big"), tag, data, n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
-    n, m, a, nonce, ad, plaintext, _ = _check(key, _MR, nonce, ad, plaintext, False)
-    parts = [plaintext, _padding(len(plaintext), n)]
-    tag = _mr_tag(key, nonce, parts + [ad, _padding(len(ad), n)], m, a)
+    n, m, a, nonce, parts, ads, _ = _check(key, _MR, nonce, ad, plaintext, False)
+    tag = _mr_tag(key, nonce, parts + ads, m, a)
     return SealedMessage(_mr_stream(key, nonce, tag, parts, m), tag)
 
 
@@ -343,9 +340,9 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     plaintext exists internally before verification; it is never returned
     or leaked on failure.
     """
-    n, m, a, nonce, ad, ciphertext, tag = _check(key, _MR, nonce, ad, ciphertext, True, tag)
-    data = bytearray(_mr_stream(key, nonce, tag, [ciphertext], m))
-    return _release(_mr_tag(key, nonce, [data, ad, _padding(len(ad), n)], m, a), tag, data, n)
+    n, m, a, nonce, parts, ads, tag = _check(key, _MR, nonce, ad, ciphertext, True, tag)
+    data = bytearray(_mr_stream(key, nonce, tag, parts, m))
+    return _release(_mr_tag(key, nonce, [data, *ads], m, a), tag, data, n)
 
 
 SEAL = {AeadMode.NONCE_RESPECTING: seal_nr, AeadMode.MISUSE_RESISTANT: seal_mr}

@@ -46,12 +46,15 @@ _Batch = Callable[[list[bytes], bytes], bytes]
 
 
 def _bytes(data: bytes) -> bytes:
-    """``data``, any bytes-like object, as ``bytes``: its length counts bytes, and every cipher gets ``bytes``."""
-    return data if type(data) is bytes else memoryview(data).tobytes()
+    """The package's one rule for bytes-like ``data``: ``bytes`` as it is, else a flat byte view, ``len`` in bytes."""
+    if type(data) is bytes:
+        return data
+    view = memoryview(data)  # anything that is not bytes-like raises TypeError here
+    return view.cast("B") if view.c_contiguous else view.tobytes()  # a view with gaps has no flat view: copy it
 
 
 def _lanes(keys: list[bytes], blocks: bytes, block_len: int, key_len: int) -> bytes:
-    """``blocks`` as ``bytes``, checked with ``keys`` by the one rule of every batch (see :class:`CipherSpec`)."""
+    """``blocks`` by :func:`_bytes`, checked with ``keys`` by the one rule of every batch (see :class:`CipherSpec`)."""
     blocks = _bytes(blocks)
     if len(keys) * block_len != len(blocks):
         raise ValueError(
@@ -108,13 +111,13 @@ class CipherSpec:
         Each batch is checked by :func:`_lanes`, as the built-in ones are, so
         a short or non-``bytes`` key entry is refused before any block call;
         each block function then gets exactly ``key_len`` bytes of key and
-        ``block_len`` bytes of block, both ``bytes``.
+        ``block_len`` bytes of block, both ``bytes``, so a view is copied.
         """
 
         def lanes(block_fn: _Block) -> _Batch:
             def batch(keys: list[bytes], blocks: bytes) -> bytes:
                 n, k = spec.block_len, spec.key_len  # the lengths as the spec typed and bounded them
-                blocks = _lanes(keys, blocks, n, k)
+                blocks = bytes(_lanes(keys, blocks, n, k))
                 return b"".join([block_fn(key[:k], blocks[i * n : i * n + n]) for i, key in enumerate(keys)])
 
             return batch
@@ -354,10 +357,9 @@ def _toy_batch(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int
 
 
 AES128 = CipherSpec("aes128", 16, 16, _aes128_evp(1), _aes128_evp(0))
-# The inverse applies the round keys last first, from a cache of its own, so that a lane unpacks a ready tuple.
-_toy_inverse_keys = lru_cache(maxsize=4096)(lambda key: _toy_round_keys(key)[::-1])
 TOY = CipherSpec(
-    "toy", 2, 2, _toy_batch(_FWD_HI, _FWD_LO, _toy_round_keys), _toy_batch(_INV_HI, _INV_LO, _toy_inverse_keys)
+    "toy", 2, 2, _toy_batch(_FWD_HI, _FWD_LO, _toy_round_keys),
+    _toy_batch(_INV_HI, _INV_LO, lambda key: _toy_round_keys(key)[::-1]),  # the same cached keys, last first
 )
 
 CIPHERS: dict[str, CipherSpec] = {spec.name: spec for spec in (AES128, TOY)}

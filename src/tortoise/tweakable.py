@@ -47,7 +47,7 @@ class TweakableKey:
     def __post_init__(self) -> None:
         if not isinstance(self.cipher, CipherSpec):
             raise TypeError(f"cipher must be a CipherSpec, not {type(self.cipher).__name__}")
-        object.__setattr__(self, "master_key", _bytes(self.master_key))
+        object.__setattr__(self, "master_key", bytes(_bytes(self.master_key)))  # a copy: the key outlives the call
         if len(self.master_key) != self.cipher.key_len:
             raise ValueError(
                 f"master_key must be {self.cipher.key_len} bytes for "
@@ -80,7 +80,7 @@ def _decrypt(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> bytes:
 
 
 def _check_batch(key: TweakableKey, tweaks: list[bytes], blocks: bytes) -> tuple[list[bytes], bytes]:
-    """``tweaks`` and ``blocks`` as ``bytes``, checked to hold one block per tweak, each tweak a block wide."""
+    """``tweaks`` and ``blocks`` by ``_bytes``, checked to hold one block per tweak, each tweak a block wide."""
     if not isinstance(key, TweakableKey):
         raise TypeError(f"key must be a TweakableKey, not {type(key).__name__}")
     tweaks, blocks, n = [_bytes(tweak) for tweak in tweaks], _bytes(blocks), key.cipher.block_len

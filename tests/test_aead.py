@@ -250,6 +250,14 @@ def test_nonce_length_helper():
     assert nonce_length(AeadMode.MISUSE_RESISTANT) == 15
     assert nonce_length(AeadMode.NONCE_RESPECTING, 2) == 1
     assert nonce_length(AeadMode.MISUSE_RESISTANT, 2) == 1
+    # The nr nonce is min(8, n // 2) bytes: 4 at n=8, leaving a 3-byte counter.  Only 3 <= n <= 15 differ
+    # from the earlier min(8, n - 1), so n=2 (toy), n=16 (aes128) and the committed KATs are unchanged.
+    assert [nonce_length(AeadMode.NONCE_RESPECTING, n) for n in (1, 3, 4, 8, 9, 10)] == [0, 1, 2, 4, 4, 5]
+    for n in range(1, 256):
+        assert nonce_length(AeadMode.NONCE_RESPECTING, n) == min(8, n // 2)
+        assert nonce_length(AeadMode.MISUSE_RESISTANT, n) == n - 1
+        if not 3 <= n <= 15:
+            assert nonce_length(AeadMode.NONCE_RESPECTING, n) == min(8, n - 1)
 
 
 def test_every_entry_takes_its_nonce_width_from_nonce_length():
@@ -360,6 +368,39 @@ def test_toy_mr_repeated_nonce_leaks_the_plaintext_xor_of_tags_in_one_window():
     assert d >= 16 and leaks(0, 1, d & 15) == []
 
 
+def test_toy_nr_forges_from_one_nibble_flip_and_sixteen_guesses_per_tag_nibble():
+    # TOY's limit: its rounds substitute each nibble and rotate by whole nibbles, so under any key it is
+    # four independent 4-bit permutations.  In nr a flip of one ciphertext nibble outside the padded last
+    # block changes one candidate nibble, so one checksum nibble and one tag nibble: trying the 16 values
+    # of each tag nibble, 64 opens at most, forges every message.  A 16-bit PRP would accept each guess
+    # with probability 2^-16: about 0.06 expected forgeries over the 3,626 guesses of this seed (1,066 in
+    # nr, 2,560 in mr).  mr resists: its keystream tweak is the whole tag, so a new tag changes every
+    # candidate block.
+    rng = random.Random(0x70F)
+    key = TweakableKey(rng.randbytes(2), TOY)
+    forged, opens = dict.fromkeys(AeadMode, 0), dict.fromkeys(AeadMode, 0)
+    for mode in AeadMode:
+        for _ in range(40):
+            nonce, ad, pt = rng.randbytes(nonce_length(mode, 2)), rng.randbytes(3), rng.randbytes(rng.randrange(2, 30))
+            sealed = SEAL[mode](key, nonce, ad, pt)
+            ct, at = bytearray(sealed.ciphertext), rng.randrange(len(sealed.ciphertext) - 2)  # not the last block
+            ct[at] ^= rng.randrange(1, 16) << rng.choice((0, 4))
+            tag = int.from_bytes(sealed.tag, "big")
+            guesses = [(tag & ~(15 << 4 * i) | v << 4 * i).to_bytes(2, "big") for i in range(4) for v in range(16)]
+            for guess in guesses:
+                opens[mode] += 1
+                try:
+                    got = OPEN[mode](key, nonce, ad, bytes(ct), guess)
+                except AuthenticationError:
+                    continue
+                diff = int.from_bytes(got, "big") ^ int.from_bytes(pt, "big")
+                assert len(got) == len(pt) and [diff >> 4 * k & 15 != 0 for k in range(2 * len(pt))].count(True) == 1
+                forged[mode] += 1
+                break
+    assert forged == {AeadMode.NONCE_RESPECTING: 40, AeadMode.MISUSE_RESISTANT: 0}
+    assert opens[AeadMode.NONCE_RESPECTING] <= 40 * 64 and opens[AeadMode.MISUSE_RESISTANT] == 40 * 64
+
+
 # --- length limits, checked before any block work ---------------------------
 
 TOY_KEY = TweakableKey(b"\x42\x24", TOY)
@@ -428,40 +469,54 @@ def test_tweakable_calls_per_message(mode, seal_calls, open_calls, squeezes, sea
         assert counts == [(squeezes, batches[0]), (squeezes, batches[1])], lanes
 
 
-# Block lengths whose limits a real message reaches: (key, counters, AD blocks or None where out of reach).
-# Up to n=9 the nr nonce leaves no counter byte, so the counter is byte 0's low nibble, 0..15; n=10
-# has a one-byte counter.  The AD index takes the n-1 bytes after the prefix: one block at n=1.
+# Block lengths and their limits: (key, counters, AD blocks or None where out of reach).  The nr nonce
+# is min(8, n // 2) bytes.  At n=1 and 2 it leaves no counter byte, so the counter is byte 0's low
+# nibble, 0..15; n=4 has a one-byte counter, and n=9 and 10 four bytes, which no real message in a
+# test reaches.  The AD index takes the n-1 bytes after the prefix: one block at n=1.
 SHORT_BLOCKS = {
     "xor1": (TweakableKey(b"\x42", composed_tweakable.xor_spec(1)), 16, 1),
     "toy": (TOY_KEY, 16, 256),
-    "xor9": (TweakableKey(b"\x42", composed_tweakable.xor_spec(9)), 16, None),
-    "xor10": (TweakableKey(b"\x42", composed_tweakable.xor_spec(10)), 256, None),
+    "xor4": (TweakableKey(b"\x42", composed_tweakable.xor_spec(4)), 256, None),
+    "xor9": (TweakableKey(b"\x42", composed_tweakable.xor_spec(9)), 2**32, None),
+    "xor10": (TweakableKey(b"\x42", composed_tweakable.xor_spec(10)), 2**32, None),
 }
 
 
 @pytest.mark.parametrize("spec", SHORT_BLOCKS)
 @pytest.mark.parametrize("mode", list(AeadMode), ids=lambda mode: mode.value)
-def test_toy_length_limit(mode, spec, tweak_calls):
+def test_toy_length_limit(mode, spec, tweak_calls, monkeypatch):
     # nr allows one padded block fewer than there are counters (its tag takes the last one), mr all of them
     key, counters, ad_blocks = SHORT_BLOCKS[spec]
     n = key.cipher.block_len
     blocks = counters - 1 if mode is AeadMode.NONCE_RESPECTING else counters
     rng = random.Random(n)
-    nonce, pt, ad = (rng.randbytes(k) for k in (nonce_length(mode, n), n * blocks - 1, n * (ad_blocks or 1) - 1))
-    sealed = SEAL[mode](key, nonce, ad, pt)
-    assert OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag) == pt
+    nonce, ad = rng.randbytes(nonce_length(mode, n)), rng.randbytes(n * (ad_blocks or 1) - 1)
+    if counters <= 256:
+        pt = rng.randbytes(n * blocks - 1)
+        sealed = SEAL[mode](key, nonce, ad, pt)
+        assert OPEN[mode](key, nonce, ad, sealed.ciphertext, sealed.tag) == pt
+        pt, ct, tag = pt + b"!", sealed.ciphertext + bytes(n), sealed.tag
+    else:
+        # Past reach, a stand-in with only a length, let past the entry's byte view as in
+        # test_aes128_length_limit: at the limit the entry check passes and it fails on first use.
+        monkeypatch.setattr(block_cipher, "_bytes", lambda data: data)
+        with pytest.raises(TypeError):
+            SEAL[mode](key, nonce, ad, _HugeMessage(n * blocks - 1))
+        with pytest.raises(TypeError):
+            OPEN[mode](key, nonce, ad, _HugeMessage(n * blocks), bytes(n))
+        pt, ct, tag = _HugeMessage(n * blocks), _HugeMessage(n * (blocks + 1)), bytes(n)
     tweak_calls.clear()
     too_long = f"message of {blocks + 1} padded blocks exceeds the {mode.value} limit of {blocks}$"
     with pytest.raises(ValueError, match=too_long):
-        SEAL[mode](key, nonce, ad, pt + b"!")
+        SEAL[mode](key, nonce, ad, pt)
     with pytest.raises(ValueError, match=too_long):
-        OPEN[mode](key, nonce, ad, sealed.ciphertext + bytes(n), sealed.tag)
+        OPEN[mode](key, nonce, ad, ct, tag)
     if ad_blocks:
         too_long = f"associated data of {ad_blocks + 1} padded blocks exceeds the limit of {ad_blocks}$"
         with pytest.raises(ValueError, match=too_long):
-            SEAL[mode](key, nonce, ad + b"!", pt)
+            SEAL[mode](key, nonce, ad + b"!", pt[:-1])
         with pytest.raises(ValueError, match=too_long):
-            OPEN[mode](key, nonce, ad + b"!", sealed.ciphertext, sealed.tag)
+            OPEN[mode](key, nonce, ad + b"!", ct[:-n], tag)
     assert tweak_calls == []
 
 
@@ -471,10 +526,10 @@ def test_toy_length_limit(mode, spec, tweak_calls):
 def test_aes128_length_limit(mode, max_blocks, tweak_calls, monkeypatch):
     nonce = bytes(nonce_length(mode))
     # The stand-in has a length but no buffer, so the entry refuses it before any block work.  Let past
-    # the entry's byte view, it shows where the length check draws its line.
+    # the entry's byte view (block_cipher._bytes), it shows where the length check draws its line.
     with pytest.raises(TypeError, match="bytes-like"):
         SEAL[mode](ZERO_KEY, nonce, b"", _HugeMessage(16))
-    monkeypatch.setattr(aead, "_flat", lambda data: data)
+    monkeypatch.setattr(block_cipher, "_bytes", lambda data: data)
     # at the limit the entry check passes and the stand-in fails on first use
     with pytest.raises(TypeError):
         SEAL[mode](ZERO_KEY, nonce, b"", _HugeMessage(16 * max_blocks - 1))
@@ -512,6 +567,48 @@ def test_one_mib_peak_memory(mode, seal_mib, open_mib):
     assert opened == pt
     assert seal_peak <= 1.01 * seal_mib * 2**20
     assert open_peak <= 1.01 * open_mib * 2**20
+
+
+def _peaks(mode, args, ct, tag):
+    """The traced allocation peaks of a seal of ``args`` and an open of ``ct`` and ``tag``, above what was held."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for op, op_args in ((SEAL[mode], args), (OPEN[mode], [*args[:2], ct, tag])):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            op(ZERO_KEY, *op_args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_buffer_inputs_peak_as_bytes_inputs_do(mode):
+    # A contiguous buffer is read through a flat view, never copied: a seal and an open of a bytearray, a
+    # memoryview or a 2-D view peak within 1% of the same bytes.  The message is cut into three runs;
+    # a copy of it would add about 14% (its 64 KiB over a peak of about 0.45 MiB), as a non-contiguous
+    # view, the one input that is copied, shows.
+    nonce, ad, pt = bytes(nonce_length(mode)), bytes(13), bytes(range(256)) * 256 + bytes(16)
+    SEAL[mode](ZERO_KEY, nonce, ad, b"")  # this thread's EVP context, outside the measurement
+    sealed = SEAL[mode](ZERO_KEY, nonce, ad, pt)
+    plain = [nonce, ad, pt, sealed.ciphertext, sealed.tag]
+    seal_peak, open_peak = _peaks(mode, plain[:3], *plain[3:])
+    kinds = {
+        "bytearray": bytearray, "memoryview": lambda x: memoryview(bytearray(x)),
+        "rows": lambda x: memoryview(bytearray(x)).cast("B", (1, len(x))),
+    }
+    for kind, wrap in kinds.items():
+        views = [wrap(x) for x in plain]
+        peaks = _peaks(mode, views[:3], *views[3:])
+        assert peaks[0] <= 1.01 * seal_peak and peaks[1] <= 1.01 * open_peak, kind
+    strided = []
+    for x in plain:
+        wide = bytearray(2 * len(x))
+        wide[::2] = x
+        strided.append(memoryview(wide)[::2])
+    assert _peaks(mode, strided[:3], *strided[3:])[0] >= seal_peak + len(pt)
 
 
 @pytest.mark.parametrize("mode", list(AeadMode))

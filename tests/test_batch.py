@@ -268,6 +268,68 @@ def test_failed_evp_call_raises_and_frees_the_context(name, code, direction, mon
 
 
 @pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+@pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+def test_failed_zero_key_rekey_after_the_last_lane_raises_and_frees_the_context(direction, monkeypatch):
+    # Every lane has run and the output is copied out, but the re-key to the zero key that ends the pass
+    # fails: the pass raises, its span of the arena is already zero, and the context, which may still hold
+    # the last lane's subkey, is dropped and freed.  The thread's next batch gets a fresh context.
+    name = {"encrypt": "EVP_EncryptInit_ex", "decrypt": "EVP_DecryptInit_ex"}[direction]
+    real, armed = getattr(block_cipher._LIBCRYPTO, name), []
+
+    def fail_the_zero_key_when_armed(ctx, cipher, engine, key, iv):
+        if key is block_cipher._ZERO_KEY and armed:
+            armed.pop()
+            return 0
+        return real(ctx, cipher, engine, key, iv)
+
+    lib = _Lib(block_cipher._LIBCRYPTO, name, fail_the_zero_key_when_armed)
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
+    keys, blocks = _split(random.Random(21).randbytes(80), 16), random.Random(22).randbytes(80)
+    batch = _DIRECTIONS[direction][0]
+
+    def run():
+        batch([], b"")  # sets the thread's context up
+        context = block_cipher._THREAD.context
+        armed.append(True)
+        with pytest.raises(RuntimeError, match=name):
+            batch(keys, blocks)
+        assert armed == [] and context.arena == bytes(16 * MAX) and context.lane is None
+        assert getattr(block_cipher._THREAD, "context", None) is None and (lib.made, lib.freed) == (1, 1)
+        out = batch(keys, blocks)
+        assert block_cipher._THREAD.context.ptr and (lib.made, lib.freed) == (2, 1)
+        return out
+
+    out = _on_a_new_thread(run)
+    single = {"encrypt": aes_encrypt_block, "decrypt": aes_decrypt_block}[direction]
+    assert out == b"".join(map(single, keys, _split(blocks, 16)))
+    assert lib.freed == 2  # with its thread
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
+def test_a_null_context_raises_memory_error_and_frees_nothing(monkeypatch):
+    # EVP_CIPHER_CTX_new returns NULL when OpenSSL cannot allocate: the batch raises MemoryError before
+    # any EVP call on it, no context is kept or freed, and the thread's next batch tries again.
+    nulls = [None, None]
+    real_new = block_cipher._LIBCRYPTO.EVP_CIPHER_CTX_new
+    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_CIPHER_CTX_new", lambda: nulls.pop() if nulls else real_new())
+    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
+    keys, blocks = _split(random.Random(23).randbytes(48), 16), random.Random(24).randbytes(48)
+
+    def run():
+        with pytest.raises(MemoryError, match="EVP_CIPHER_CTX_new"):
+            AES128.encrypt(keys, blocks)
+        with pytest.raises(MemoryError, match="EVP_CIPHER_CTX_new"):
+            seal_nr(_ZERO, bytes(8), b"", bytes(40))
+        assert getattr(block_cipher._THREAD, "context", None) is None and lib.freed == 0
+        out = AES128.encrypt(keys, blocks)
+        assert block_cipher._THREAD.context.ptr and lib.freed == 0
+        return out
+
+    assert _on_a_new_thread(run) == b"".join(map(aes_encrypt_block, keys, _split(blocks, 16)))
+    assert lib.freed == 1  # the one real context, with its thread
+
+
+@pytest.mark.skipif(block_cipher._LIBCRYPTO is None, reason="no libcrypto behind hashlib")
 def test_every_batch_ends_on_the_zero_key(monkeypatch):
     # Each lane re-keys with its direction's init, and the last re-key of every batch loads the zero key.
     keys_seen = []
@@ -553,9 +615,10 @@ def test_evp_kernel_keys_each_lane_with_the_first_16_bytes_of_its_entry():
 @pytest.mark.parametrize("spec", [AES128, TOY], ids=lambda s: s.name)
 @pytest.mark.parametrize("kind", [bytearray, memoryview], ids=lambda t: t.__name__)
 def test_public_entries_take_bytes_like_input(spec, kind):
-    # ctypes takes no bytearray or memoryview as a pointer: the built-in batches and tweak_*_many convert the
-    # blocks, and the cores need not.  Key entries stay bytes for both built-in batches; the toy block pair,
-    # the single-block reference, takes any.
+    # Every batch and tweak_*_many take their blocks, and each tweak, through block_cipher._bytes: bytes as they
+    # are, another buffer as a flat view, not a copy.  The AES-128 batch copies the view into its arena, which is
+    # what ctypes points at, and the toy batch unpacks it.  Key entries stay bytes for both built-in batches;
+    # the toy block pair, the single-block reference, takes any.
     AES128.encrypt([], b"")  # sets this thread's EVP context up
     context = block_cipher._THREAD.context
     rng = random.Random(7)
@@ -693,7 +756,7 @@ def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypat
 
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_nr_tweak_batch_matches_single(block_len):
-    nonce = bytes(range(1, min(8, block_len - 1) + 1))
+    nonce = bytes(range(1, nonce_length(AeadMode.NONCE_RESPECTING, block_len) + 1))
     counters = range(3, 15)
     assert _tweaks(_MSG, nonce, counters, block_len) == [
         _tweaks(_MSG, nonce, range(j, j + 1), block_len)[0] for j in counters
@@ -704,7 +767,7 @@ def test_nr_tweak_batch_matches_single(block_len):
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_nr_tag_tweak_is_the_prefix_one_counter_tweak(block_len):
     # The layout written out by hand: 0x10, nonce, 7-byte count at n=16; 0x10 | count, nonce at n=2.
-    nonce = bytes(range(1, min(8, block_len - 1) + 1))
+    nonce = bytes(range(1, nonce_length(AeadMode.NONCE_RESPECTING, block_len) + 1))
     for count in range(1, 16):
         want = bytes.fromhex(f"100102030405060708{count:014x}" if block_len == 16 else f"1{count:x}01")
         assert _tag_tweak(nonce, count, block_len) == want

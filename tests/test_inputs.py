@@ -1,5 +1,6 @@
 """Wrong types and lengths at the public entry points: a documented error, no block work, no key bytes shown."""
 
+import mmap
 import random
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tortoise import tweakable
 from tortoise.aead import AeadMode, AuthenticationError, SealedMessage, nonce_length, open_mr, open_nr, seal_mr, seal_nr
-from tortoise.block_cipher import AES128, TOY
+from tortoise.block_cipher import AES128, TOY, CipherSpec
 from tortoise.tweakable import TweakableKey, tweak_decrypt_many, tweak_encrypt_many
 
 MASTER = random.Random(0x5EC).randbytes(16)
@@ -146,3 +147,106 @@ def test_cipher_key_and_block_length_are_typed_before_any_squeeze():
                     nonce_length(mode, block_len)
             assert nonce_length(mode, 1) == 0 and nonce_length(mode, 255) >= 8
         assert not squeeze.called
+
+
+# --- one bytes-like rule at every entry ----------------------------------------
+
+def _words(buf):
+    """A view of ``buf`` in 4-byte items, where its length allows (else 2-byte, else 1-byte): ``len`` counts items."""
+    width = next(w for w in (4, 2, 1) if len(buf) % w == 0)
+    return memoryview(buf).cast("BHI"[width // 2])
+
+
+def _rows(buf):
+    """A 2-D view of ``buf``: two rows where its length is even, else one, so that ``len`` counts rows."""
+    rows = 2 if len(buf) % 2 == 0 else 1
+    return memoryview(buf).cast("B", (rows, len(buf) // rows))
+
+
+def _strided(buf):
+    """A non-contiguous view that reads ``buf``'s bytes, with a filler byte after each in the buffer behind it."""
+    wide = bytearray(b"\xa5" * (2 * len(buf)))
+    wide[::2] = buf
+    return memoryview(wide)[::2]
+
+
+# Each kind but mmap wraps, or for bytes copies, a fresh bytearray of the input's bytes; an mmap is filled before
+# the call and closed after it, which only works if the entry kept no view of it.
+_WRAP = {
+    "bytes": bytes, "bytearray": lambda buf: buf, "memoryview": memoryview, "words": _words, "rows": _rows,
+    "strided": _strided,
+}
+INPUT_KINDS = [*_WRAP, "mmap"]
+
+
+def _typed_spec(seen):
+    """A from_blocks plug-in of 4-byte blocks that records the type of every key and block its block pair gets."""
+
+    def encrypt_block(key, block):
+        seen.extend([type(key), type(block)])
+        return bytes(b ^ key[0] for b in block[1:] + block[:1])
+
+    def decrypt_block(key, block):
+        seen.extend([type(key), type(block)])
+        return bytes(b ^ key[0] for b in block[-1:] + block[:-1])
+
+    return CipherSpec.from_blocks("typed", 4, 1, encrypt_block, decrypt_block)
+
+
+def _entries(seen):
+    """Every public entry that takes bytes-like input: name -> (call of its bytes-like arguments, those arguments)."""
+    rng = random.Random(0x0E)
+    typed = TweakableKey(b"\x5c", _typed_spec(seen))
+    entries = {}
+    modes = ((AeadMode.NONCE_RESPECTING, seal_nr, open_nr), (AeadMode.MISUSE_RESISTANT, seal_mr, open_mr))
+    for mode, seal, open_ in modes:
+        nonce, ad, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(20), rng.randbytes(40)
+        sealed = seal(KEY, nonce, ad, pt)
+        entries[seal.__name__] = (lambda *a, _f=seal: _f(KEY, *a), [nonce, ad, pt])
+        entries[open_.__name__] = (lambda *a, _f=open_: _f(KEY, *a), [nonce, ad, sealed.ciphertext, sealed.tag])
+    tweaks, blocks = [rng.randbytes(16) for _ in range(3)], rng.randbytes(48)
+    for many in (tweak_encrypt_many, tweak_decrypt_many):
+        entries[many.__name__] = (lambda *a, _f=many: _f(KEY, list(a[:-1]), a[-1]), [*tweaks, blocks])
+    entries["TweakableKey"] = (lambda raw: TweakableKey(raw, AES128).master_key, [MASTER])
+    for spec, k, n in ((AES128, 16, 16), (TOY, 2, 2), (typed.cipher, 1, 4)):
+        keys = [rng.randbytes(k + n) for _ in range(5)]
+        for name, batch in (("encrypt", spec.encrypt), ("decrypt", spec.decrypt)):
+            entries[f"{spec.name}.{name}"] = (lambda b, _f=batch, _k=keys: _f(_k, b), [rng.randbytes(5 * n)])
+    # A typed plug-in under the modes too, whose block pair sees what the core hands the batch.
+    nonce, ad, pt = rng.randbytes(2), rng.randbytes(6), rng.randbytes(9)
+    entries["seal_nr(from_blocks)"] = (lambda *a: seal_nr(typed, *a), [nonce, ad, pt])
+    return entries
+
+
+ENTRY_NAMES = list(_entries([]))
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("entry", ENTRY_NAMES)
+def test_every_entry_takes_every_bytes_like_input_as_its_bytes(entry, kind):
+    # The same bytes in any buffer give the result of bytes: a view measured in items or rows counts its bytes,
+    # a non-contiguous view reads its bytes and not the gaps, and no input is written.  from_blocks hands its
+    # block pair bytes whatever it is given, and what comes back is bytes.
+    seen = []
+    call, args = _entries(seen)[entry]
+    want = call(*args)
+    seen.clear()
+    buffers = [bytearray(arg) for arg in args]
+    if kind == "mmap":
+        maps = [mmap.mmap(-1, len(arg)) for arg in args]
+        for m, arg in zip(maps, args):
+            m.write(arg)
+        got = call(*maps)
+        assert [m[:] for m in maps] == args
+        for m in maps:
+            m.close()  # a BufferError here would mean the entry kept a view of its input
+    else:
+        inputs = [_WRAP[kind](buf) for buf in buffers]
+        got = call(*inputs)
+        assert [bytes(view) for view in inputs] == args
+        if kind == "strided":
+            assert all(view.obj[1::2] == b"\xa5" * len(arg) for view, arg in zip(inputs, args))
+    assert buffers == args
+    assert got == want
+    assert all(type(x) is bytes for x in (vars(got).values() if isinstance(got, SealedMessage) else [got]))
+    assert set(seen) == ({bytes} if "typed" in entry or "from_blocks" in entry else set())

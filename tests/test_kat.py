@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tortoise import block_cipher, kat, tweakable
+from tortoise import block_cipher, cli, kat, tweakable
 from tortoise.aead import AeadMode, AuthenticationError
 from tortoise.kat import (
     KatParseError,
@@ -199,6 +199,16 @@ def test_differential_check_catches_a_toy_batch_that_departs_from_the_reference(
     oracle = report.results[0]
     assert oracle.name.endswith("vs composed oracle (100 trials)")
     assert not report.ok and not oracle.ok and oracle.detail
+
+
+def test_differential_check_reports_an_accepted_corrupted_tag(monkeypatch, capsys):
+    # An open_mr that accepts whatever tag it is given: the last check fails, and so does kat diff.
+    monkeypatch.setattr(kat, "open_mr", lambda key, nonce, ad, ciphertext, tag: b"corrupt me")
+    report = differential_check(100)
+    assert [r.ok for r in report.results] == [True, True, False] and not report.ok
+    assert report.lines()[-1] == "FAIL corrupted tag rejected"
+    assert cli.main(["kat", "diff", "--trials", "100"]) == cli.EXIT_KAT
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL corrupted tag rejected"
 
 
 def test_differential_check_deterministic():

@@ -375,6 +375,49 @@ def test_toy_domain_census():
     assert stream == {x.to_bytes(2, "big") for x in range(1 << 16)}
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_short_block_domain_census(n, monkeypatch):
+    # The nr nonce is min(8, n // 2) bytes: two at n=4, leaving a one-byte counter (256 counters), and four
+    # at n=8, leaving three (2^24).  For 8 nonces, every counter at n=4 and 512 at each end at n=8, and AD
+    # indices at both ends: the layouts are disjoint, each encoder injective, and the counter fills its bytes.
+    rng = random.Random(n)
+    nr_len = nonce_length(AeadMode.NONCE_RESPECTING, n)
+    counter_len = n - 1 - nr_len
+    limit, ad_limit = 256**counter_len, 256 ** (n - 1)
+    assert (nr_len, limit) == {4: (2, 256), 8: (4, 2**24)}[n]
+    nonces = [bytes(nr_len), b"\xff" * nr_len] + [rng.randbytes(nr_len) for _ in range(6)]
+    mr_nonces = [nonce + rng.randbytes(counter_len) for nonce in nonces]
+    counters = sorted({*range(min(limit, 512)), *range(max(limit - 512, 0), limit)})
+    ad = {t for j in (*range(512), *range(ad_limit - 512, ad_limit)) for t in _tweaks(_AD, b"", range(j, j + 1), n)}
+    nr_msg = {t for nonce in nonces for t in _tweaks(_MSG, nonce, counters[:-1], n)}
+    nr_tag = {_tag_tweak(nonce, j, n) for nonce in nonces for j in counters[1:]}
+    mr_sum = {t for nonce in mr_nonces for t in _tweaks(_MSG, nonce[:nr_len], counters, n)}
+    mr_tag = {_tag_tweak(nonce, 0, n) for nonce in mr_nonces}
+    sizes = [1024, 8 * (len(counters) - 1), 8 * (len(counters) - 1), 8 * len(counters), 8]
+    assert [len(ad), len(nr_msg), len(nr_tag), len(mr_sum), len(mr_tag)] == sizes
+    assert {len(t) for t in ad | nr_msg | nr_tag | mr_sum | mr_tag} == {n}
+    msg, tag = nr_msg | mr_sum, nr_tag | mr_tag
+    assert not ad & msg and not ad & tag and not msg & tag
+    assert _tweaks(_MSG, nonces[1], range(limit - 1, limit), n) == [b"\x00" + b"\xff" * (n - 1)]
+    # As on aes128 and unlike on toy, the nr tag tweak of (nonce, j) is the mr tag tweak of the nonce then j.
+    for nonce in nonces:
+        assert _tag_tweak(nonce, limit - 1, n) == _tag_tweak(nonce + (limit - 1).to_bytes(counter_len, "big"), 0, n)
+    # The modes hand the core only these tweaks, besides the mr keystream's: a plug-in of this block length
+    # (xor_spec) seals and opens a message of the nr limit at n=4, of 300 blocks at n=8, in both modes.
+    seen = []
+    for name in ("_encrypt", "_decrypt"):
+        real = getattr(aead, name)
+        monkeypatch.setattr(aead, name, lambda k, tweaks, blocks, _f=real: seen.extend(tweaks) or _f(k, tweaks, blocks))
+    key, m, ad_data = TweakableKey(b"\x42", composed_tweakable.xor_spec(n)), min(limit - 1, 300), rng.randbytes(3 * n)
+    pt = rng.randbytes(n * m - 1)
+    for mode, nonce in ((AeadMode.NONCE_RESPECTING, nonces[2]), (AeadMode.MISUSE_RESISTANT, mr_nonces[2])):
+        sealed = aead.SEAL[mode](key, nonce, ad_data, pt)
+        assert aead.OPEN[mode](key, nonce, ad_data, sealed.ciphertext, sealed.tag) == pt
+        stream = set(_mr_stream_tweaks(sealed.tag, range(m), n)) if mode is AeadMode.MISUSE_RESISTANT else set()
+        assert set(seen) - stream <= (ad | msg | tag) and len(set(seen) - stream) == m + 1 + 4
+        seen.clear()
+
+
 @given(
     st.tuples(st.integers(0, 1), st.binary(min_size=8, max_size=8), st.integers(0, 2**56 - 1)),
     st.tuples(st.integers(0, 1), st.binary(min_size=8, max_size=8), st.integers(0, 2**56 - 1)),
