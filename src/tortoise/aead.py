@@ -92,21 +92,21 @@ def nonce_length(mode: AeadMode, block_len: int = 16) -> int:
     """
     if not 1 <= operator.index(block_len) <= 255:
         raise ValueError(f"block_len must be in [1, 255], got {block_len}")
-    if mode is _NR:
-        return min(8, block_len // 2)
-    if mode is _MR:
-        return block_len - 1
-    raise TypeError(f"mode must be an AeadMode member, not {type(mode).__name__}")
+    if mode is not _NR and mode is not _MR:
+        raise TypeError(f"mode must be an AeadMode member, not {type(mode).__name__}")
+    return _layout(mode, operator.index(block_len))[0]
 
 
 @lru_cache(maxsize=None)
-def _limits(block_len: int) -> tuple[int, int]:
-    """The counter and AD limits of ``block_len``, in blocks: 2^56 and 2^120 at n=16, 16 and 256 at n=2.
+def _layout(mode: AeadMode, n: int) -> tuple[int, int, int]:
+    """The nonce width in bytes of ``mode`` at block length ``n``, its message limit and the AD limit in blocks.
 
-    The mr keystream's own 2^64 would bind only at n >= 18, on more bytes than a message can hold.
+    Both modes count message blocks under the nr nonce, and the nr tag takes one counter: 2^56 - 1 in nr and 2^56
+    in mr at n=16, 15 and 16 at n=2.  The mr keystream's own 2^64 would bind only at n >= 18, beyond any message.
     """
-    counter_len = block_len - 1 - nonce_length(_NR, block_len)
-    return 256**counter_len if counter_len else 16, 256 ** (block_len - 1)
+    nr_len = min(8, n // 2)
+    counters = 256 ** (n - 1 - nr_len) if n - 1 > nr_len else 16
+    return (nr_len, counters - 1, 256 ** (n - 1)) if mode is _NR else (n - 1, counters, 256 ** (n - 1))
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def _cut(parts: list, lo: int, hi: int) -> bytes:
 def _pass(
     crypt: Callable, key: TweakableKey, parts: list, nonce: bytes, m: int, tags: list, a: int, split: int
 ) -> tuple:
-    """The tweakable calls over the blocks of ``parts``: each run's outputs before block ``split``, the XOR of the rest.
+    """The tweakable calls over ``parts``: each run's outputs before block ``split``, and one block, the rest's XOR.
 
     The blocks are ``parts`` laid end to end: ``m`` message blocks under the
     counter tweaks of ``nonce``, then one block per tweak in ``tags``, then
@@ -206,7 +206,7 @@ def _pass(
     if t + a <= block_cipher._LANES:
         tweaks = _tweaks(_MSG, nonce, range(m), n) + tags if m else tags
         out = crypt(key, tweaks + _tweaks(_AD, b"", range(a), n) if a else tweaks, b"".join(parts))
-        return [out[: split * n]], _fold(out[sum_from * n :], n)
+        return [out[: split * n]], _fold(out[sum_from * n :], n).to_bytes(n, "big")
     outs, acc = [], 0
     for run in block_cipher._runs(t + a):
         lo, hi = run.start, run.stop
@@ -219,7 +219,7 @@ def _pass(
         )
         outs.append(out[: max(split - lo, 0) * n])
         acc ^= _fold(out[max(sum_from - lo, 0) * n :], n)
-    return outs, acc
+    return outs, acc.to_bytes(n, "big")
 
 
 def _check(
@@ -238,7 +238,7 @@ def _check(
     if not (type(nonce) is type(ad) is type(data) is type(tag) is bytes):
         nonce, ad, data, tag = map(block_cipher._bytes, (nonce, ad, data, tag))
     n = key.cipher.block_len
-    nonce_len = nonce_length(mode, n)
+    nonce_len, limit, ad_limit = _layout(mode, n)
     if len(nonce) != nonce_len:
         raise ValueError(f"nonce must be {nonce_len} bytes, got {len(nonce)}")
     if opening:
@@ -247,8 +247,6 @@ def _check(
         if not data or len(data) % n:
             raise ValueError("ciphertext must be a positive multiple of the block size")
     m = len(data) // n + (not opening)
-    counter_limit, ad_limit = _limits(n)
-    limit = counter_limit - 1 if mode is _NR else counter_limit
     if m > limit:
         raise ValueError(f"message of {m} padded blocks exceeds the {mode.value} limit of {limit}")
     # Empty associated data still pads to one block, so (ad="", pt=x) and (ad=x, pt="") differ.
@@ -265,25 +263,23 @@ def _mr_tag(key: TweakableKey, nonce: bytes, parts: list, m: int, a: int) -> byt
     One pass sums both under their tweaks, then the sum is the tag block.
     """
     n = key.cipher.block_len
-    acc = _pass(_encrypt, key, parts, nonce[: nonce_length(_NR, n)], m, [], a, 0)[1]
-    return _encrypt(key, [_tag_tweak(nonce, 0, n)], acc.to_bytes(n, "big"))
+    total = _pass(_encrypt, key, parts, nonce[: _layout(_NR, n)[0]], m, [], a, 0)[1]
+    return _encrypt(key, [_tag_tweak(nonce, 0, n)], total)
 
 
-def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, parts: list, m: int) -> bytes:
-    """The ``m`` blocks of ``parts`` XOR the keystream seeded by ``tag``, joined; its own inverse.
+def _mr_stream(key: TweakableKey, nonce: bytes, tag: bytes, parts: list, m: int) -> list:
+    """The ``m`` blocks of ``parts`` XOR the keystream seeded by ``tag``, as each run's outputs; its own inverse.
 
     Like :func:`_pass`, one call when the blocks fit one arena, else one per run.
     """
     n = key.cipher.block_len
     seed = b"\x00" + nonce
     if m <= block_cipher._LANES:
-        return _xor(b"".join(parts), _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))
-    return b"".join(
-        [
-            _xor(_cut(parts, r.start * n, r.stop * n), _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r)))
-            for r in block_cipher._runs(m)
-        ]
-    )
+        return [_xor(b"".join(parts), _encrypt(key, _mr_stream_tweaks(tag, range(m), n), seed * m))]
+    return [
+        _xor(_cut(parts, r.start * n, r.stop * n), _encrypt(key, _mr_stream_tweaks(tag, r, n), seed * len(r)))
+        for r in block_cipher._runs(m)
+    ]
 
 
 def _release(expected: bytes, tag: bytes, data: bytearray, n: int) -> bytes:
@@ -312,7 +308,7 @@ def seal_nr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> Sea
         checksum ^= _fold(plaintext[i : i + arena], n)
     parts += [checksum.to_bytes(n, "big"), *ads]
     outs, tag = _pass(_encrypt, key, parts, nonce, m, [_tag_tweak(nonce, m, n)], a, m)
-    return SealedMessage(b"".join(outs), tag.to_bytes(n, "big"))
+    return SealedMessage(b"".join(outs), tag)
 
 
 def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -322,15 +318,15 @@ def open_nr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     # tag pass overwrites the checksum, which for one block is the candidate itself.
     data, expected = _pass(_decrypt, key, parts, nonce, m, [], 0, m)
     data = bytearray().join(data)
-    expected = _pass(_encrypt, key, [expected.to_bytes(n, "big"), *ads], nonce, 0, [_tag_tweak(nonce, m, n)], a, 0)[1]
-    return _release(expected.to_bytes(n, "big"), tag, data, n)
+    expected = _pass(_encrypt, key, [expected, *ads], nonce, 0, [_tag_tweak(nonce, m, n)], a, 0)[1]
+    return _release(expected, tag, data, n)
 
 
 def seal_mr(key: TweakableKey, nonce: bytes, ad: bytes, plaintext: bytes) -> SealedMessage:
     """Seal in misuse-resistant mode; deterministic in all four inputs."""
     n, m, a, nonce, parts, ads, _ = _check(key, _MR, nonce, ad, plaintext, False)
     tag = _mr_tag(key, nonce, parts + ads, m, a)
-    return SealedMessage(_mr_stream(key, nonce, tag, parts, m), tag)
+    return SealedMessage(b"".join(_mr_stream(key, nonce, tag, parts, m)), tag)
 
 
 def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: bytes) -> bytes:
@@ -341,7 +337,7 @@ def open_mr(key: TweakableKey, nonce: bytes, ad: bytes, ciphertext: bytes, tag: 
     or leaked on failure.
     """
     n, m, a, nonce, parts, ads, tag = _check(key, _MR, nonce, ad, ciphertext, True, tag)
-    data = bytearray(_mr_stream(key, nonce, tag, parts, m))
+    data = bytearray().join(_mr_stream(key, nonce, tag, parts, m))
     return _release(_mr_tag(key, nonce, [data, *ads], m, a), tag, data, n)
 
 

@@ -273,6 +273,24 @@ def test_every_entry_takes_its_nonce_width_from_nonce_length():
                     OPEN[mode](key, bytes(bad), b"", bytes(n), bytes(n))
 
 
+@pytest.mark.parametrize("lanes", [None, 2], ids=["one-call", "runs"])
+@pytest.mark.parametrize("spec", [AES128, TOY], ids=["aes128", "toy"])
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_no_seal_or_open_calls_nonce_length(mode, spec, lanes, monkeypatch):
+    # nonce_length checks a caller's arguments; a message reads its nonce width, in mr also the nr one its
+    # sums pass takes, from the cached layout that _check reads its limits from.  With arenas of two blocks
+    # every pass of the five-block message goes in runs.
+    n, pt = spec.block_len, bytes(range(5 * spec.block_len - 1))
+    key, nonce = TweakableKey(bytes(spec.key_len), spec), bytes(nonce_length(mode, n))
+    if lanes:
+        monkeypatch.setattr(block_cipher, "_LANES", lanes)
+    monkeypatch.setattr(aead, "nonce_length", lambda *args: pytest.fail("a message called nonce_length"))
+    sealed = SEAL[mode](key, nonce, b"ad", pt)
+    assert OPEN[mode](key, nonce, b"ad", sealed.ciphertext, sealed.tag) == pt
+    with pytest.raises(AuthenticationError):
+        OPEN[mode](key, nonce, b"da", sealed.ciphertext, sealed.tag)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 255), st.data())
 def test_round_trip_any_block_length(n, data):
@@ -334,7 +352,7 @@ def test_aes128_mr_tags_one_bit_apart_swap_keystream_blocks():
     rng = random.Random(0x13)
     key, nonce, tag = TweakableKey(rng.randbytes(16), AES128), rng.randbytes(15), rng.randbytes(16)
     near = (int.from_bytes(tag, "big") ^ 1).to_bytes(16, "big")
-    a, b = aead._mr_stream(key, nonce, tag, [bytes(32)], 2), aead._mr_stream(key, nonce, near, [bytes(32)], 2)
+    a, b = (b"".join(aead._mr_stream(key, nonce, t, [bytes(32)], 2)) for t in (tag, near))
     assert a[16:] == b[:16] and a[:16] == b[16:] and a[:16] != a[16:]
 
 

@@ -202,13 +202,42 @@ def test_differential_check_catches_a_toy_batch_that_departs_from_the_reference(
 
 
 def test_differential_check_reports_an_accepted_corrupted_tag(monkeypatch, capsys):
-    # An open_mr that accepts whatever tag it is given: the last check fails, and so does kat diff.
-    monkeypatch.setattr(kat, "open_mr", lambda key, nonce, ad, ciphertext, tag: b"corrupt me")
+    # An mr open that returns a plaintext where the real one raises: the round trips still pass, the
+    # corrupted-tag check fails, and so does kat diff.
+    real = kat.OPEN[AeadMode.MISUSE_RESISTANT]
+
+    def accepting(key, nonce, ad, ciphertext, tag):
+        try:
+            return real(key, nonce, ad, ciphertext, tag)
+        except AuthenticationError:
+            return b"corrupt me"
+
+    monkeypatch.setitem(kat.OPEN, AeadMode.MISUSE_RESISTANT, accepting)
     report = differential_check(100)
     assert [r.ok for r in report.results] == [True, True, False] and not report.ok
     assert report.lines()[-1] == "FAIL corrupted tag rejected"
     assert cli.main(["kat", "diff", "--trials", "100"]) == cli.EXIT_KAT
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL corrupted tag rejected"
+
+
+def test_differential_check_makes_exactly_one_rejected_open_in_mr(monkeypatch):
+    # perfbench/workloads.py's kat_group counts one tampered input per kat diff, and a traced run whose
+    # aead.rejects differs from that count is marked incorrect: a second tamper check here needs kat_group
+    # to count it first.
+    rejected = []
+    for mode, real in list(kat.OPEN.items()):
+
+        def counting(key, nonce, ad, ciphertext, tag, mode=mode, real=real):
+            try:
+                return real(key, nonce, ad, ciphertext, tag)
+            except AuthenticationError:
+                rejected.append(mode)
+                raise
+
+        monkeypatch.setitem(kat.OPEN, mode, counting)
+    report = differential_check(100)
+    assert report.ok, "\n".join(report.lines())
+    assert rejected == [AeadMode.MISUSE_RESISTANT]
 
 
 def test_differential_check_deterministic():
