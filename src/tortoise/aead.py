@@ -76,6 +76,7 @@ class AuthenticationError(Exception):
 class AeadMode(enum.Enum):
     NONCE_RESPECTING = "nr"
     MISUSE_RESISTANT = "mr"
+    __hash__ = object.__hash__  # members are singletons equal only to themselves: hashed in C, not by Enum's Python one
 
 
 # The members under module names, read on every message: on Python 3.11 an ``AeadMode.X`` lookup costs ~0.1 us.

@@ -55,7 +55,8 @@ def _bytes(data: bytes) -> bytes:
 
 def _lanes(keys: list[bytes], blocks: bytes, block_len: int, key_len: int) -> bytes:
     """``blocks`` by :func:`_bytes`, checked with ``keys`` by the one rule of every batch (see :class:`CipherSpec`)."""
-    blocks = _bytes(blocks)
+    if type(blocks) is not bytes:  # every batch the modes make is bytes, and skips the call
+        blocks = _bytes(blocks)
     if len(keys) * block_len != len(blocks):
         raise ValueError(
             f"need one {key_len}-byte key per {block_len}-byte block, got {len(keys)} keys for {len(blocks)} bytes"
@@ -146,13 +147,13 @@ def _load_libcrypto() -> ctypes.PyDLL:
         ("EVP_CIPHER_CTX_new", ptr, []),
         ("EVP_CIPHER_CTX_free", None, [ptr]),
         ("EVP_aes_128_ecb", ptr, []),
-        # (ctx, cipher, engine, key, iv) and (ctx, out, in, inl) run once per
-        # lane, and declared argtypes made a lane about 20% slower.
+        # The engine-free (ctx, cipher, key, iv) re-key and (ctx, out, in, inl)
+        # run once per lane; declared argtypes made a lane about 20% slower.
         # Undeclared, ctypes passes each argument as it is, so every pointer
         # must be a ``c_void_p`` or its ``from_param``, ``bytes``, ``byref``
         # or None, and every Python int is taken as a C int.
-        ("EVP_EncryptInit_ex", int_, None),
-        ("EVP_DecryptInit_ex", int_, None),
+        ("EVP_EncryptInit", int_, None),
+        ("EVP_DecryptInit", int_, None),
         ("EVP_Cipher", int_, None),
     ):
         fn = getattr(lib, name)
@@ -173,7 +174,7 @@ class _Context:
 
     ``lane`` holds what every lane passes besides its key, built once: the
     context as a ready pointer argument, the bound re-key of each direction
-    (``EVP_DecryptInit_ex``, then ``EVP_EncryptInit_ex``), ``EVP_Cipher``, a
+    (``EVP_DecryptInit``, then ``EVP_EncryptInit``), ``EVP_Cipher``, a
     view of the 32 KiB arena and a pointer to each of its ``_LANES`` lanes.
     A thread switch can fall between one lane's re-key and its block, so
     threads must not share a context.  Each thread's is freed with it, and
@@ -187,8 +188,8 @@ class _Context:
         if not self.ptr:
             raise MemoryError("EVP_CIPHER_CTX_new failed")
         try:
-            if lib.EVP_EncryptInit_ex(self.ptr, ctypes.c_void_p(lib.EVP_aes_128_ecb()), None, None, None) != 1:
-                raise RuntimeError("EVP_EncryptInit_ex failed")
+            if lib.EVP_EncryptInit(self.ptr, ctypes.c_void_p(lib.EVP_aes_128_ecb()), None, None) != 1:
+                raise RuntimeError("EVP_EncryptInit failed")
         except BaseException:
             self.close()
             raise
@@ -197,7 +198,7 @@ class _Context:
         # ctypes would turn a ``c_void_p`` into a new argument object on every call; this one goes as it is.
         ctx = ctypes.c_void_p.from_param(self.ptr.value)
         lanes = tuple(ctypes.byref(view, i) for i in range(0, _ARENA, 16))
-        inits = (lib.EVP_DecryptInit_ex, lib.EVP_EncryptInit_ex)
+        inits = (lib.EVP_DecryptInit, lib.EVP_EncryptInit)
         self.lane = (ctx, inits, lib.EVP_Cipher, memoryview(self.arena), lanes)
 
     def close(self) -> None:
@@ -239,7 +240,7 @@ def _aes128_evp(enc: int) -> _Batch:
     written.  A longer batch, which only a direct caller makes, is checked whole, then cut into :func:`_runs` of
     one pass each, each checked again.  On a failure the arena is zeroed, and the context dropped and freed.
     """
-    init_failed = ("EVP_DecryptInit_ex failed", "EVP_EncryptInit_ex failed")[enc]
+    init_failed = ("EVP_DecryptInit failed", "EVP_EncryptInit failed")[enc]
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
         blocks = _lanes(keys, blocks, 16, 16)  # EVP reads 16 bytes of each entry: a short one must not reach it
@@ -258,7 +259,7 @@ def _aes128_evp(enc: int) -> _Batch:
             arena[:n] = blocks
             for at, key in zip(lanes, keys):
                 # The cipher carries over a re-key, the init called sets the direction, and EVP_Cipher never pads.
-                if init(ctx, None, None, key, None) != 1:
+                if init(ctx, None, key, None) != 1:
                     raise RuntimeError(init_failed)
                 # EVP_Cipher returns 16, the bytes written, on OpenSSL 3's provider path but 1 on 1.1.1
                 # (its man page warns of this), and a failure as 0 or -1: so any result under 1 fails.
@@ -266,7 +267,7 @@ def _aes128_evp(enc: int) -> _Batch:
                     raise RuntimeError("EVP_Cipher failed")
             out = arena[:n].tobytes()
             arena[:n] = _ZEROS[:n]
-            if init(ctx, None, None, _ZERO_KEY, None) != 1:
+            if init(ctx, None, _ZERO_KEY, None) != 1:
                 raise RuntimeError(init_failed)
         except BaseException:
             # The context may hold a subkey or be in an unknown state, and the arena this pass's lanes: drop both.

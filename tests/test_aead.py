@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -289,6 +290,40 @@ def test_no_seal_or_open_calls_nonce_length(mode, spec, lanes, monkeypatch):
     assert OPEN[mode](key, nonce, b"ad", sealed.ciphertext, sealed.tag) == pt
     with pytest.raises(AuthenticationError):
         OPEN[mode](key, nonce, b"da", sealed.ciphertext, sealed.tag)
+
+
+@pytest.mark.parametrize("lanes", [None, 2], ids=["one-call", "runs"])
+@pytest.mark.parametrize("spec", [AES128, TOY], ids=["aes128", "toy"])
+def test_modes_hash_in_c(spec, lanes, monkeypatch):
+    # The members are singletons equal only to themselves, so they hash by identity, in C: a SEAL/OPEN lookup
+    # and the layout cache that every message reads call no Python-level __hash__, as Enum's own is, which the
+    # profiler sees as a call.  With arenas of two blocks every pass of the five-block message goes in runs.
+    assert all(hash(mode) == object.__hash__(mode) for mode in AeadMode)
+    n, pt = spec.block_len, bytes(range(5 * spec.block_len - 1))
+    key = TweakableKey(bytes(spec.key_len), spec)
+    nonces = {mode: bytes(nonce_length(mode, n)) for mode in AeadMode}
+    if lanes:
+        monkeypatch.setattr(block_cipher, "_LANES", lanes)
+    hashes, opened, rejected = [], [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            hashes.append(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for mode, nonce in nonces.items():
+            sealed = SEAL[mode](key, nonce, b"ad", pt)
+            opened.append(OPEN[mode](key, nonce, b"ad", sealed.ciphertext, sealed.tag))
+            try:
+                OPEN[mode](key, nonce, b"da", sealed.ciphertext, sealed.tag)
+            except AuthenticationError:
+                rejected.append(mode)
+    finally:
+        sys.setprofile(previous)
+    assert opened == [pt, pt] and rejected == list(AeadMode)
+    assert hashes == []
 
 
 @settings(max_examples=40, deadline=None)

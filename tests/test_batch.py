@@ -225,10 +225,10 @@ _DIRECTIONS = {
 @pytest.mark.parametrize(
     "name,code,direction",
     [
-        # The context is set up with EVP_EncryptInit_ex, so its failure reaches both directions.
-        ("EVP_EncryptInit_ex", 0, "encrypt"),
-        ("EVP_EncryptInit_ex", 0, "decrypt"),
-        ("EVP_DecryptInit_ex", 0, "decrypt"),
+        # The context is set up with EVP_EncryptInit, so its failure reaches both directions.
+        ("EVP_EncryptInit", 0, "encrypt"),
+        ("EVP_EncryptInit", 0, "decrypt"),
+        ("EVP_DecryptInit", 0, "decrypt"),
         # EVP_Cipher fails with 0 on OpenSSL 1.1.1 and with -1 on OpenSSL 3's provider path.
         *(("EVP_Cipher", code, direction) for code in (0, -1) for direction in ("encrypt", "decrypt")),
     ],
@@ -238,6 +238,8 @@ def test_failed_evp_call_raises_and_frees_the_context(name, code, direction, mon
     failures = []
 
     def fail_twice(*args):
+        # A re-key takes the engine-free form's four arguments, (ctx, cipher, key, iv); EVP_Cipher takes four too.
+        assert len(args) == 4, args
         if len(failures) < 2:
             failures.append(name)
             return code
@@ -273,14 +275,14 @@ def test_failed_zero_key_rekey_after_the_last_lane_raises_and_frees_the_context(
     # Every lane has run and the output is copied out, but the re-key to the zero key that ends the pass
     # fails: the pass raises, its span of the arena is already zero, and the context, which may still hold
     # the last lane's subkey, is dropped and freed.  The thread's next batch gets a fresh context.
-    name = {"encrypt": "EVP_EncryptInit_ex", "decrypt": "EVP_DecryptInit_ex"}[direction]
+    name = {"encrypt": "EVP_EncryptInit", "decrypt": "EVP_DecryptInit"}[direction]
     real, armed = getattr(block_cipher._LIBCRYPTO, name), []
 
-    def fail_the_zero_key_when_armed(ctx, cipher, engine, key, iv):
+    def fail_the_zero_key_when_armed(ctx, cipher, key, iv):
         if key is block_cipher._ZERO_KEY and armed:
             armed.pop()
             return 0
-        return real(ctx, cipher, engine, key, iv)
+        return real(ctx, cipher, key, iv)
 
     lib = _Lib(block_cipher._LIBCRYPTO, name, fail_the_zero_key_when_armed)
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
@@ -337,14 +339,14 @@ def test_every_batch_ends_on_the_zero_key(monkeypatch):
     def spy(name):
         real = getattr(block_cipher._LIBCRYPTO, name)
 
-        def init(ctx, cipher, engine, key, iv):
+        def init(ctx, cipher, key, iv):
             keys_seen.append((name, key))
-            return real(ctx, cipher, engine, key, iv)
+            return real(ctx, cipher, key, iv)
 
         return init
 
-    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_EncryptInit_ex", spy("EVP_EncryptInit_ex"))
-    lib.EVP_DecryptInit_ex = spy("EVP_DecryptInit_ex")
+    lib = _Lib(block_cipher._LIBCRYPTO, "EVP_EncryptInit", spy("EVP_EncryptInit"))
+    lib.EVP_DecryptInit = spy("EVP_DecryptInit")
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
 
     def run():
@@ -354,7 +356,7 @@ def test_every_batch_ends_on_the_zero_key(monkeypatch):
             want = [*keys, bytes(16)]
             if lanes > MAX:  # two even passes through the arena, of 1,025 and 1,024 lanes, each ending on the zero key
                 want.insert(MAX // 2 + 1, bytes(16))
-            for direction, name in (("encrypt", "EVP_EncryptInit_ex"), ("decrypt", "EVP_DecryptInit_ex")):
+            for direction, name in (("encrypt", "EVP_EncryptInit"), ("decrypt", "EVP_DecryptInit")):
                 keys_seen.clear()
                 _DIRECTIONS[direction][0](keys, bytes(16 * lanes))
                 assert keys_seen == [(name, key) for key in want]
@@ -554,10 +556,11 @@ def test_batch_longer_than_the_arena_is_checked_whole_before_its_first_pass(bad,
 
     def spy(name):
         real = getattr(block_cipher._LIBCRYPTO, name)
-        return lambda *args: calls.append(name) or real(*args)
+        # A re-key is (ctx, cipher, key, iv), and EVP_Cipher (ctx, out, in, inl): four arguments each.
+        return lambda a, b, c, d: calls.append(name) or real(a, b, c, d)
 
     lib = _Lib(block_cipher._LIBCRYPTO, "EVP_Cipher", spy("EVP_Cipher"))
-    lib.EVP_EncryptInit_ex, lib.EVP_DecryptInit_ex = spy("EVP_EncryptInit_ex"), spy("EVP_DecryptInit_ex")
+    lib.EVP_EncryptInit, lib.EVP_DecryptInit = spy("EVP_EncryptInit"), spy("EVP_DecryptInit")
     monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
     lanes = 2 * MAX + 1
     keys, blocks = _split(random.Random(14).randbytes(16 * lanes), 16), random.Random(15).randbytes(16 * lanes)
@@ -573,6 +576,8 @@ def test_batch_longer_than_the_arena_is_checked_whole_before_its_first_pass(bad,
                     batch([*keys[:at], bad, *keys[at + 1 :]], blocks)
                 assert calls == [] and block_cipher._THREAD.context is context and context.lane
         assert AES128.encrypt(keys, blocks) == b"".join(map(aes_encrypt_block, keys, _split(blocks, 16)))
+        # The spies are the ones the kernel calls: each lane and each pass's zero key, three even passes.
+        assert calls.count("EVP_EncryptInit") == lanes + 3 and calls.count("EVP_Cipher") == lanes
         assert (lib.made, lib.freed) == (1, 0)
 
     _on_a_new_thread(run)
