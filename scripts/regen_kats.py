@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the committed known-answer corpora.
 
-The seeds below are the corpora's recorded provenance: running this script
-must reproduce kats/*.kat byte for byte (test_acceptance criterion 8 and
-tests/test_kat.py check exactly that).
+``CORPORA`` below is the corpora's one record of provenance, the cipher,
+seed and record-pair count of each: running this script must reproduce
+kats/*.kat byte for byte (test_acceptance criterion 8 and
+tests/test_kat.py, which reads ``CORPORA`` from here, check exactly that).
+So re-seeding a corpus is one edit here, then a run.
 """
 
 from pathlib import Path

@@ -16,10 +16,12 @@ one, ``AES128.encrypt([key], block)``.
   a caller can plug in another AES-128 as a ``CipherSpec``.
 * ``TOY`` - a deliberately weak 16-bit substitution-permutation network.
   Its entire codomain can be enumerated on a desktop, which is what the
-  brute-force verification harness needs.  Its batch pair runs the rounds
-  inline, lane by lane; :func:`toy_encrypt_block` and
-  :func:`toy_decrypt_block` code the same rounds a block at a time, as
-  the reference that ``kat diff`` and the tests check the batches against.
+  brute-force verification harness needs.  One factory per direction,
+  :func:`_toy`, builds both codings over the same round tables and round
+  keys: the batch runs the rounds inline, lane by lane, and
+  :func:`toy_encrypt_block` and :func:`toy_decrypt_block` run them a block
+  at a time, as the reference that ``kat diff`` and the tests check the
+  batches against.
 """
 
 from __future__ import annotations
@@ -314,32 +316,27 @@ def _toy_round_keys(key: int) -> tuple[int, ...]:
     return key ^ c0, (k >> 13 & 0xFFFF) ^ c1, (k >> 10 & 0xFFFF) ^ c2, (k >> 7 & 0xFFFF) ^ c3, (k >> 4 & 0xFFFF) ^ c4
 
 
-def toy_encrypt_block(key: bytes, block: bytes) -> bytes:
-    if len(key) != 2 or len(block) != 2:
-        raise ValueError(f"key and block must be 2 bytes each, got {len(key)} and {len(block)}")
-    rks = _toy_round_keys(int.from_bytes(key, "big"))
-    s = int.from_bytes(block, "big") ^ rks[0]
-    for rk in rks[1:]:
-        s = _FWD_HI[s >> 8] ^ _FWD_LO[s & 255] ^ rk
-    return s.to_bytes(2, "big")
+@lru_cache(maxsize=4096)
+def _toy_inverse_keys(key: int) -> tuple[int, ...]:
+    return _toy_round_keys(key)[::-1]  # the same round keys, last first: the one place the inverse order is written
 
 
-def toy_decrypt_block(key: bytes, block: bytes) -> bytes:
-    if len(key) != 2 or len(block) != 2:
-        raise ValueError(f"key and block must be 2 bytes each, got {len(key)} and {len(block)}")
-    rks = _toy_round_keys(int.from_bytes(key, "big"))
-    s = int.from_bytes(block, "big") ^ rks[4]
-    for rk in rks[3::-1]:
-        s = _INV_HI[s >> 8] ^ _INV_LO[s & 255] ^ rk
-    return s.to_bytes(2, "big")
+def _toy(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int, ...]]) -> tuple[_Block, _Batch]:
+    """One direction's two codings over the ``hi``/``lo`` round tables and ``schedule``'s keys in the order applied.
 
-
-def _toy_batch(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int, ...]]) -> _Batch:
-    """The toy batch of one direction: the ``hi``/``lo`` round tables and the round keys in the order applied.
-
-    Checked by :func:`_lanes` before any lane; the first 2 bytes of each key entry are its lane's key.  Each
-    lane then runs the whitening key and the four table rounds inline, and the output is packed once.
+    The single-block reference checks that key and block are 2 bytes each and loops over the round keys.  The
+    batch is checked by :func:`_lanes` before any lane; the first 2 bytes of each key entry are its lane's key.
+    Each lane then runs the whitening key and the four table rounds inline, and the output is packed once.
     """
+
+    def reference(key: bytes, block: bytes) -> bytes:
+        if len(key) != 2 or len(block) != 2:
+            raise ValueError(f"key and block must be 2 bytes each, got {len(key)} and {len(block)}")
+        rks = schedule(int.from_bytes(key, "big"))
+        s = int.from_bytes(block, "big") ^ rks[0]
+        for rk in rks[1:]:
+            s = hi[s >> 8] ^ lo[s & 255] ^ rk
+        return s.to_bytes(2, "big")
 
     def kernel(keys: list[bytes], blocks: bytes) -> bytes:
         blocks = _lanes(keys, blocks, 2, 2)
@@ -354,14 +351,14 @@ def _toy_batch(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int
             out.append(hi[s >> 8] ^ lo[s & 255] ^ k4)
         return struct.pack(f">{count}H", *out)
 
-    return kernel
+    return reference, kernel
 
+
+toy_encrypt_block, _toy_encrypt = _toy(_FWD_HI, _FWD_LO, _toy_round_keys)
+toy_decrypt_block, _toy_decrypt = _toy(_INV_HI, _INV_LO, _toy_inverse_keys)
 
 AES128 = CipherSpec("aes128", 16, 16, _aes128_evp(1), _aes128_evp(0))
-TOY = CipherSpec(
-    "toy", 2, 2, _toy_batch(_FWD_HI, _FWD_LO, _toy_round_keys),
-    _toy_batch(_INV_HI, _INV_LO, lambda key: _toy_round_keys(key)[::-1]),  # the same cached keys, last first
-)
+TOY = CipherSpec("toy", 2, 2, _toy_encrypt, _toy_decrypt)
 
 CIPHERS: dict[str, CipherSpec] = {spec.name: spec for spec in (AES128, TOY)}
 

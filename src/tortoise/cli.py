@@ -283,8 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     except AuthenticationError:
         _fail("authentication failed")
         return EXIT_AUTH
-    except (ValueError, OSError, RuntimeError) as exc:  # EnvelopeError is a ValueError; a backend raises RuntimeError
-        _fail(str(exc))
+    # EnvelopeError is a ValueError; a backend raises RuntimeError, or MemoryError when it cannot allocate,
+    # and Python's own MemoryError has no message.
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        _fail(str(exc) or type(exc).__name__)
         return EXIT_USAGE
 
 

@@ -421,17 +421,12 @@ def test_toy_mr_repeated_nonce_leaks_the_plaintext_xor_of_tags_in_one_window():
     assert d >= 16 and leaks(0, 1, d & 15) == []
 
 
-def test_toy_nr_forges_from_one_nibble_flip_and_sixteen_guesses_per_tag_nibble():
-    # TOY's limit: its rounds substitute each nibble and rotate by whole nibbles, so under any key it is
-    # four independent 4-bit permutations.  In nr a flip of one ciphertext nibble outside the padded last
-    # block changes one candidate nibble, so one checksum nibble and one tag nibble: trying the 16 values
-    # of each tag nibble, 64 opens at most, forges every message.  A 16-bit PRP would accept each guess
-    # with probability 2^-16: about 0.06 expected forgeries over the 3,626 guesses of this seed (1,066 in
-    # nr, 2,560 in mr).  mr resists: its keystream tweak is the whole tag, so a new tag changes every
-    # candidate block.
+def _nibble_flip_forgeries(spec):
+    """Per mode: forgeries and opens over 40 seeded messages, each with one ciphertext nibble flipped outside
+    its last block and the 16 values of each tag nibble tried, and how many nibbles each forgery changed."""
     rng = random.Random(0x70F)
-    key = TweakableKey(rng.randbytes(2), TOY)
-    forged, opens = dict.fromkeys(AeadMode, 0), dict.fromkeys(AeadMode, 0)
+    key = TweakableKey(rng.randbytes(2), spec)
+    forged, opens, changed = dict.fromkeys(AeadMode, 0), dict.fromkeys(AeadMode, 0), []
     for mode in AeadMode:
         for _ in range(40):
             nonce, ad, pt = rng.randbytes(nonce_length(mode, 2)), rng.randbytes(3), rng.randbytes(rng.randrange(2, 30))
@@ -447,11 +442,34 @@ def test_toy_nr_forges_from_one_nibble_flip_and_sixteen_guesses_per_tag_nibble()
                 except AuthenticationError:
                     continue
                 diff = int.from_bytes(got, "big") ^ int.from_bytes(pt, "big")
-                assert len(got) == len(pt) and [diff >> 4 * k & 15 != 0 for k in range(2 * len(pt))].count(True) == 1
+                assert len(got) == len(pt)
+                changed.append([diff >> 4 * k & 15 != 0 for k in range(2 * len(pt))].count(True))
                 forged[mode] += 1
                 break
-    assert forged == {AeadMode.NONCE_RESPECTING: 40, AeadMode.MISUSE_RESISTANT: 0}
+    return forged, opens, changed
+
+
+def test_toy_nr_forges_from_one_nibble_flip_and_sixteen_guesses_per_tag_nibble():
+    # TOY's limit: its rounds substitute each nibble and rotate by whole nibbles, so under any key it is
+    # four independent 4-bit permutations.  In nr a flip of one ciphertext nibble outside the padded last
+    # block changes one candidate nibble, so one checksum nibble and one tag nibble: trying the 16 values
+    # of each tag nibble, 64 opens at most, forges every message.  A 16-bit PRP would accept each guess
+    # with probability 2^-16: about 0.06 expected forgeries over the 3,626 guesses of this seed (1,066 in
+    # nr, 2,560 in mr).  mr resists: its keystream tweak is the whole tag, so a new tag changes every
+    # candidate block.
+    forged, opens, changed = _nibble_flip_forgeries(TOY)
+    assert forged == {AeadMode.NONCE_RESPECTING: 40, AeadMode.MISUSE_RESISTANT: 0} and changed == [1] * 40
     assert opens[AeadMode.NONCE_RESPECTING] <= 40 * 64 and opens[AeadMode.MISUSE_RESISTANT] == 40 * 64
+
+
+def test_nibble_flip_forgery_fails_on_a_cipher_that_diffuses():
+    # The same attack on SMALL_PRESENT, whose rounds mix every nibble: a flipped nibble changes its whole
+    # candidate block, so each guess is accepted with probability about 2^-16.  Fixed before the run: about
+    # 2,560 guesses per mode expect 0.04 forgeries, so at most 1 per mode passes, a false-alarm rate of
+    # about 8e-4 per mode.  TOY's 40 of 40 in nr fails this bound.
+    forged, opens, _ = _nibble_flip_forgeries(composed_tweakable.SMALL_PRESENT)
+    assert all(n <= 1 for n in forged.values()), forged
+    assert min(opens.values()) >= 40 * 64 - 63, opens  # every guess of every message but a forged one ran
 
 
 # --- length limits, checked before any block work ---------------------------

@@ -132,7 +132,7 @@ def test_toy_batch_refuses_bad_input_before_any_lane():
         lanes.append(key)
         return block_cipher._toy_round_keys(key)
 
-    spied = block_cipher._toy_batch(block_cipher._FWD_HI, block_cipher._FWD_LO, schedule)
+    spied = block_cipher._toy(block_cipher._FWD_HI, block_cipher._FWD_LO, schedule)[1]  # the batch coding
     good = bytes(2)
     refused = [
         (ValueError, [good, b"\x01"], bytes(4)),  # a short key entry, after a good lane
@@ -160,6 +160,87 @@ def test_toy_round_keys_are_the_rotated_key_xor_the_round_constants():
     schedule, rotl, rc = block_cipher._toy_round_keys.__wrapped__, block_cipher._rotl16, block_cipher._TOY_RC
     for key in range(1 << 16):
         assert schedule(key) == tuple(rotl(key, 3 * r) ^ rc[r] for r in range(5)), key
+
+
+# TOY's rounds coded nibble by nibble from their definition, not from the fused round tables that both of the
+# library's codings read: forward substitutes each nibble with _SBOX4, then rotates the state one nibble
+# left; the inverse rotates one nibble right, then substitutes with _SBOX4_INV.  Nibbles are listed from the
+# most significant.
+def _nibbles(x):
+    return [x >> 12, x >> 8 & 15, x >> 4 & 15, x & 15]
+
+
+def _word(nibbles):
+    a, b, c, d = nibbles
+    return a << 12 | b << 8 | c << 4 | d
+
+
+def _rotate_left(nibbles):
+    return nibbles[1:] + nibbles[:1]
+
+
+def _rotate_right(nibbles):
+    return nibbles[3:] + nibbles[:3]
+
+
+def _toy_round(x):
+    return _word(_rotate_left([block_cipher._SBOX4[v] for v in _nibbles(x)]))
+
+
+def _toy_inverse_round(x):
+    return _word([block_cipher._SBOX4_INV[v] for v in _rotate_right(_nibbles(x))])
+
+
+def test_toy_round_tables_and_both_codings_match_a_nibble_wise_coding():
+    for hi, lo, round_, rotate in (
+        (block_cipher._FWD_HI, block_cipher._FWD_LO, _toy_round, _rotate_left),
+        (block_cipher._INV_HI, block_cipher._INV_LO, _toy_inverse_round, _rotate_right),
+    ):
+        # An entry holds the round's output nibbles that come from its own byte of the state, and 0 elsewhere.
+        hi_out, lo_out = _word(rotate([15, 15, 0, 0])), _word(rotate([0, 0, 15, 15]))
+        for b in range(256):
+            assert lo[b] == round_(b) & lo_out, b
+            assert hi[b] == round_(b << 8) & hi_out, b
+    # The whole cipher, its round keys applied as defined (k0 first forward, k4 first inverse): every block
+    # for one key, and 2,048 sampled blocks for three more, through both directions of both codings.
+    fwd, inv = [_toy_round(x) for x in range(1 << 16)], [_toy_inverse_round(x) for x in range(1 << 16)]
+    rng = random.Random(0x7AB)
+    for key, blocks in [(rng.randrange(1 << 16), range(1 << 16))] + [
+        (rng.randrange(1 << 16), rng.sample(range(1 << 16), 2048)) for _ in range(3)
+    ]:
+        k0, k1, k2, k3, k4 = block_cipher._toy_round_keys(key)
+        enc = [fwd[fwd[fwd[fwd[x ^ k0] ^ k1] ^ k2] ^ k3] ^ k4 for x in blocks]
+        dec = [inv[inv[inv[inv[y ^ k4] ^ k3] ^ k2] ^ k1] ^ k0 for y in blocks]
+        key, count = key.to_bytes(2, "big"), len(blocks)
+        packed, singles = struct.pack(f">{count}H", *blocks), [x.to_bytes(2, "big") for x in blocks]
+        for batch, block_fn, want in ((TOY.encrypt, toy_encrypt_block, enc), (TOY.decrypt, toy_decrypt_block, dec)):
+            want = struct.pack(f">{count}H", *want)
+            assert batch([key] * count, packed) == want == b"".join([block_fn(key, x) for x in singles])
+
+
+def _output_nibbles_reached(table):
+    """For each input nibble, the output nibbles that some change of it alone changes, over 64 sampled blocks."""
+    rng = random.Random(0xD1F)
+    reached = [set() for _ in range(4)]
+    for x in rng.sample(range(1 << 16), 64):
+        for i in range(4):
+            for d in range(1, 16):
+                diff = table[x] ^ table[x ^ d << 4 * i]
+                reached[i].update(j for j in range(4) if diff >> 4 * j & 15)
+    return reached
+
+
+def test_small_present_is_a_bijection_and_diffuses_where_toy_does_not():
+    # SMALL_PRESENT (tests/composed_tweakable.py) diffuses: a change of any one input nibble reaches all four
+    # output nibbles.  TOY does not: each input nibble reaches only the same output nibble, which its four
+    # one-nibble rotations take it back to.
+    spec, rng = composed_tweakable.SMALL_PRESENT, random.Random(0x5E4)
+    for key in [bytes(2)] + [rng.randbytes(2) for _ in range(2)]:
+        image = spec.encrypt([key] * (1 << 16), TOY_DOMAIN)
+        assert spec.decrypt([key] * (1 << 16), image) == TOY_DOMAIN  # so encryption is one-to-one on all 2^16 blocks
+        assert _output_nibbles_reached(struct.unpack(">65536H", image)) == [{0, 1, 2, 3}] * 4
+    toy = struct.unpack(">65536H", TOY.encrypt([key] * (1 << 16), TOY_DOMAIN))
+    assert _output_nibbles_reached(toy) == [{i} for i in range(4)]
 
 
 @given(st.binary(min_size=2, max_size=2), st.binary(min_size=2, max_size=2))

@@ -1,5 +1,6 @@
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -348,20 +349,32 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, co
 
 @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
 def test_backend_failure_is_reported_with_no_output(tmp_path, monkeypatch, capsys, command):
-    # aes128 without libcrypto, on a thread that has no EVP context yet, raises RuntimeError.
+    # On a thread that has no EVP context yet: aes128 without libcrypto raises RuntimeError, and an
+    # EVP_CIPHER_CTX_new that returns NULL, as when OpenSSL cannot allocate, raises MemoryError.  Python's
+    # own MemoryError carries no message, so the line names its type.
     src, env, out = tmp_path / "plain.bin", tmp_path / "sealed.bin", tmp_path / "out.bin"
     src.write_bytes(b"x" * 1000)
     assert main(["encrypt", "--key-hex", KEY_HEX, "--mode", "nr", "--nonce-hex", NR_NONCE,
                  "--in", str(src), "--out", str(env)]) == 0
-    monkeypatch.setattr(block_cipher, "_LIBCRYPTO", None)
-    monkeypatch.setattr(block_cipher, "_THREAD", threading.local())
     argv = {
         "encrypt": ["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-random", "--in", str(src)],
         "decrypt": ["decrypt", "--key-hex", KEY_HEX, "--in", str(env)],
     }[command]
-    assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {block_cipher._NO_LIBCRYPTO}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.bin", "sealed.bin"]
+
+    def out_of_memory():
+        raise MemoryError
+
+    failures = [
+        (None, block_cipher._NO_LIBCRYPTO),
+        (SimpleNamespace(EVP_CIPHER_CTX_new=lambda: None), "EVP_CIPHER_CTX_new failed"),
+        (SimpleNamespace(EVP_CIPHER_CTX_new=out_of_memory), "MemoryError"),
+    ]
+    for lib, message in failures:
+        monkeypatch.setattr(block_cipher, "_LIBCRYPTO", lib)
+        monkeypatch.setattr(block_cipher, "_THREAD", threading.local())
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.bin", "sealed.bin"]
 
 
 def test_longest_output_name_is_written_atomically(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,18 @@ from tortoise.kat import (
 
 KATS_DIR = Path(__file__).resolve().parent.parent / "kats"
 
-# Seeds the committed corpora were frozen from; regeneration must be
-# byte-identical (see scripts/regen_kats.py).
-COMMITTED = {"aes128.kat": ("aes128", 7, 10), "toy.kat": ("toy", 11, 10)}
+
+def _regen_kats():
+    """``scripts/regen_kats.py`` as a module, unrun."""
+    spec = importlib.util.spec_from_file_location("regen_kats", KATS_DIR.parent / "scripts" / "regen_kats.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The cipher, seed and count each committed corpus was frozen from, as the script that regenerates them
+# records them: regeneration must be byte-identical.
+COMMITTED = _regen_kats().CORPORA
 
 
 def test_serialize_parse_round_trip():
@@ -193,7 +203,7 @@ def test_differential_check_catches_a_toy_batch_that_departs_from_the_reference(
         k0, k1, k2, k3, k4 = block_cipher._toy_round_keys(key)
         return k0, k1, k2, k4, k3
 
-    mutant = block_cipher._toy_batch(block_cipher._FWD_HI, block_cipher._FWD_LO, swapped)
+    mutant = block_cipher._toy(block_cipher._FWD_HI, block_cipher._FWD_LO, swapped)[1]  # the batch coding
     monkeypatch.setattr(kat, "TOY", dataclasses.replace(kat.TOY, encrypt=mutant))
     report = differential_check(100)
     oracle = report.results[0]

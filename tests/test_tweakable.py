@@ -166,30 +166,40 @@ def test_toy_matches_composed_oracle():
 # Fixed before the run.  A random permutation of 2^16 points has Poisson(1) fixed points (to well within
 # 2^-16), so 16 independent tables have Poisson(16) in total, inside [4, 32] but for a false-alarm rate of
 # 2.2e-4.  A family averaging 3 fixed points a table (total mean 48) fails with probability 0.99, one
-# averaging 1/8 (total mean 2) with probability 0.86.  The toy SPN is weaker than that model: its rounds
-# never mix nibbles, so each table is four independent 4-bit permutations, whose fixed points multiply.
-# The mean stays 16 but the spread is far wider: for such tables the false-alarm rate of [4, 32] is about
-# 0.28 (simulated), so this seeded draw passes as a fixed regression, not as a test of randomness.
+# averaging 1/8 (total mean 2) with probability 0.86.  On SMALL_PRESENT, a 16-bit test cipher whose rounds
+# diffuse, that is a test of randomness.  The toy SPN is weaker than that model: its rounds never mix
+# nibbles, so each table is four independent 4-bit permutations, whose fixed points multiply.  The mean
+# stays 16 but the spread is far wider: for such tables the false-alarm rate of [4, 32] is about 0.28
+# (simulated), so on TOY this seeded draw passes as a fixed regression, not as a test of randomness.
 LRW_TWEAKS, LRW_FIXED_POINTS = 16, range(4, 33)
 
 
-def test_toy_tweaks_select_distinct_random_looking_permutations():
+def _lrw_fixed_points(spec):
     # Liskov-Rivest-Wagner (2002): distinct tweaks should select distinct, random-looking permutations.
-    # Each full table comes from one squeeze and one call of the TOY batch kernel.
+    # Each full table comes from one squeeze and one call of the spec's batch.
     rng = random.Random(0x1B5)
-    key = TweakableKey(rng.randbytes(2), TOY)
+    key = TweakableKey(rng.randbytes(2), spec)
     tweaks = [t.to_bytes(2, "big") for t in rng.sample(range(1 << 16), LRW_TWEAKS)]
     domain = struct.pack(">65536H", *range(1 << 16))
     tables = []
     for tweak in tweaks:
         out = hashlib.shake_128(key.master_key + tweak).digest(4)  # the subkey, then the mask
         mask = int.from_bytes(out[2:], "big")
-        tables.append(tuple(c ^ mask for c in struct.unpack(">65536H", TOY.encrypt([out] * (1 << 16), domain))))
+        tables.append(tuple(c ^ mask for c in struct.unpack(">65536H", spec.encrypt([out] * (1 << 16), domain))))
     assert struct.pack(">65536H", *tables[0]) == tweak_encrypt_many(key, [tweaks[0]] * (1 << 16), domain)
     for table in tables:
         assert sorted(table) == list(range(1 << 16))
     assert len(set(tables)) == LRW_TWEAKS
-    fixed = sum(x == y for table in tables for x, y in zip(table, range(1 << 16)))
+    return sum(x == y for table in tables for x, y in zip(table, range(1 << 16)))
+
+
+def test_toy_tweaks_select_distinct_random_looking_permutations():
+    fixed = _lrw_fixed_points(TOY)
+    assert fixed in LRW_FIXED_POINTS, fixed
+
+
+def test_diffusing_tweaks_select_distinct_random_permutations():
+    fixed = _lrw_fixed_points(composed_tweakable.SMALL_PRESENT)
     assert fixed in LRW_FIXED_POINTS, fixed
 
 
