@@ -23,9 +23,10 @@ def main() -> None:
     kats_dir.mkdir(exist_ok=True)
     for name, (cipher, seed, count) in CORPORA.items():
         path = kats_dir / name
-        text = serialize_records(generate_kats(seed, count, cipher))
-        changed = not path.exists() or path.read_text() != text
-        path.write_text(text)
+        # Bytes, not text: a text write would turn each "\n" into the platform's line ending.
+        data = serialize_records(generate_kats(seed, count, cipher)).encode()
+        changed = not path.exists() or path.read_bytes() != data
+        path.write_bytes(data)
         print(f"{path}: {2 * count} records ({'updated' if changed else 'unchanged'})")
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length
 from .block_cipher import AES128, CIPHERS
-from .kat import differential_check, generate_kats, parse_kat_text, serialize_records, verify_kats
+from .kat import Report, differential_check, generate_kats, parse_kat_text, serialize_records, verify_kats
 from .tweakable import TweakableKey
 
 __all__ = ["Envelope", "EnvelopeError", "pack_envelope", "parse_envelope", "main"]
@@ -60,14 +60,19 @@ class Envelope:
     ciphertext: bytes
 
 
-def pack_envelope(env: Envelope) -> bytes:
+def _check_lengths(mode: AeadMode, nonce_len: int, tag_len: int, ct_len: int) -> None:
+    """The envelope's one field-length rule, for both packing and parsing."""
     n = AES128.block_len
-    if len(env.nonce) != nonce_length(env.mode, n):
-        raise EnvelopeError(f"nonce must be {nonce_length(env.mode, n)} bytes for mode {env.mode.value}")
-    if len(env.tag) != n:
-        raise EnvelopeError(f"tag must be {n} bytes")
-    if not env.ciphertext or len(env.ciphertext) % n:
-        raise EnvelopeError(f"ciphertext must be a positive multiple of {n} bytes")
+    if nonce_len != nonce_length(mode, n):
+        raise EnvelopeError(f"nonce must be {nonce_length(mode, n)} bytes for mode {mode.value}, got {nonce_len}")
+    if tag_len != n:
+        raise EnvelopeError(f"tag must be {n} bytes, got {tag_len}")
+    if ct_len == 0 or ct_len % n:
+        raise EnvelopeError(f"ciphertext must be a positive multiple of {n} bytes, got {ct_len}")
+
+
+def pack_envelope(env: Envelope) -> bytes:
+    _check_lengths(env.mode, len(env.nonce), len(env.tag), len(env.ciphertext))
     return (
         MAGIC
         + bytes([VERSION, _MODE_TO_BYTE[env.mode], len(env.nonce)])
@@ -85,22 +90,15 @@ def parse_envelope(blob: bytes) -> Envelope:
         raise EnvelopeError(f"unsupported version {blob[4]}")
     if blob[5] not in _BYTE_TO_MODE:
         raise EnvelopeError(f"unknown mode byte {blob[5]:#04x}")
-    mode = _BYTE_TO_MODE[blob[5]]
-    n = AES128.block_len
-    nonce_len = blob[6]
-    if nonce_len != nonce_length(mode, n):
-        raise EnvelopeError(f"nonce_len {nonce_len} invalid for mode {mode.value}")
+    mode, nonce_len, n = _BYTE_TO_MODE[blob[5]], blob[6], AES128.block_len
     need = 7 + nonce_len + n + 8
     if len(blob) < need:
         raise EnvelopeError("truncated header")
-    nonce = blob[7 : 7 + nonce_len]
-    tag = blob[7 + nonce_len : 7 + nonce_len + n]
     ct_len = int.from_bytes(blob[need - 8 : need], "big")
-    if ct_len == 0 or ct_len % n:
-        raise EnvelopeError(f"ct_len must be a positive multiple of {n}")
+    _check_lengths(mode, nonce_len, n, ct_len)
     if len(blob) != need + ct_len:
         raise EnvelopeError(f"expected {need + ct_len} bytes total, got {len(blob)}")
-    return Envelope(mode, nonce, tag, blob[need:])
+    return Envelope(mode, blob[7 : 7 + nonce_len], blob[7 + nonce_len : need - 8], blob[need:])
 
 
 def _fail(message: str) -> None:
@@ -140,9 +138,10 @@ def _write_atomic(path: str, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it into place.
 
     A failed write leaves ``path`` as it was and removes the temp file, so
-    no partial envelope or plaintext is ever visible under ``path``.  Only
-    a missing path or a regular file is renamed over: a symlink (such as
-    ``/dev/stdout``), pipe or device is written through in place.
+    no partial envelope, plaintext or vector file is ever visible under
+    ``path``.  Only a missing path or a regular file is renamed over: a
+    symlink (such as ``/dev/stdout``), pipe or device is written through
+    in place.
     """
     target = Path(path)
     if target.is_symlink() or (target.exists() and not target.is_file()):
@@ -189,26 +188,27 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
 
 def _cmd_kat_generate(args: argparse.Namespace) -> int:
     records = generate_kats(args.seed, args.count, args.cipher)
-    Path(args.file).write_text(serialize_records(records))
+    _write_atomic(args.file, serialize_records(records).encode())
     print(f"wrote {len(records)} records to {args.file}")
     return EXIT_OK
+
+
+def _report(report: Report, *tail: str) -> int:
+    """Print a KAT report's lines, then ``tail``; return the exit code it earns."""
+    for line in [*report.lines(), *tail]:
+        print(line)
+    return EXIT_OK if report.ok else EXIT_KAT
 
 
 def _cmd_kat_verify(args: argparse.Namespace) -> int:
     records, errors = parse_kat_text(Path(args.file).read_text())
     report = verify_kats(records)
     report.parse_errors.extend(errors)
-    for line in report.lines():
-        print(line)
-    print(f"{sum(r.ok for r in report.results)}/{len(report.results)} records passed")
-    return EXIT_OK if report.ok else EXIT_KAT
+    return _report(report, f"{sum(r.ok for r in report.results)}/{len(report.results)} records passed")
 
 
 def _cmd_kat_diff(args: argparse.Namespace) -> int:
-    report = differential_check(args.trials)
-    for line in report.lines():
-        print(line)
-    return EXIT_OK if report.ok else EXIT_KAT
+    return _report(differential_check(args.trials))
 
 
 @lru_cache(maxsize=None)

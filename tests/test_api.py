@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import tortoise
-from tortoise import aead, block_cipher, tweakable
+from tortoise import aead, block_cipher, cli, kat, tweakable
 from tortoise.aead import OPEN, SEAL, AeadMode
 
 PUBLIC = [
@@ -58,6 +58,20 @@ MODULE_EXPORTS = {
         "toy_encrypt_block",
         "toy_decrypt_block",
     ],
+    kat: [
+        "KatRecord",
+        "KatParseError",
+        "CheckResult",
+        "Report",
+        "serialize_record",
+        "serialize_records",
+        "parse_record",
+        "parse_kat_text",
+        "generate_kats",
+        "verify_kats",
+        "differential_check",
+    ],
+    cli: ["Envelope", "EnvelopeError", "pack_envelope", "parse_envelope", "main"],
 }
 
 

@@ -224,6 +224,7 @@ def test_envelope_layout_is_pinned():
         lambda b: b + b"\x00",                           # trailing junk
         lambda b: b[:-1],                                # truncated ciphertext
         lambda b: b[:10],                                # truncated header
+        lambda b: b[:6] + b"\x0f" + b[7:15] + bytes(7) + b[15:],  # a 15-byte nonce in nr, every length right
     ],
 )
 def test_envelope_rejects_malformed(mutate):
@@ -320,7 +321,7 @@ class _FailingFile:
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "kat generate"])
 @pytest.mark.parametrize("existing", [None, b"previous contents"])
 def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, command, existing):
     import tortoise.cli as cli
@@ -335,11 +336,13 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, co
     before = sorted(p.name for p in tmp_path.iterdir())
     real_fdopen = cli.os.fdopen
     monkeypatch.setattr(cli.os, "fdopen", lambda *a, **k: _FailingFile(real_fdopen(*a, **k)))
+    to_out = ["--out", str(out)]
     argv = {
-        "encrypt": ["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-hex", MR_NONCE, "--in", str(src)],
-        "decrypt": ["decrypt", "--key-hex", KEY_HEX, "--in", str(env)],
+        "encrypt": ["encrypt", "--key-hex", KEY_HEX, "--mode", "mr", "--nonce-hex", MR_NONCE, "--in", str(src), *to_out],
+        "decrypt": ["decrypt", "--key-hex", KEY_HEX, "--in", str(env), *to_out],
+        "kat generate": ["kat", "generate", str(out), "--seed", "7", "--count", "1"],
     }[command]
-    assert main(argv + ["--out", str(out)]) == 1
+    assert main(argv) == 1
     assert "No space left on device" in capsys.readouterr().err
     # The output is absent or untouched, and no temp file is left beside it.
     assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -138,6 +138,10 @@ def test_single_altered_hex_digit_fails_exactly_once():
     assert not report.results[0].ok
 
 
+def _wrong_ciphertext(monkeypatch, rec):
+    return dataclasses.replace(rec, ct=bytes([rec.ct[0] ^ 1]) + rec.ct[1:])
+
+
 def _wrong_plaintext(monkeypatch, rec):
     monkeypatch.setitem(kat.OPEN, rec.mode, lambda *args: b"not the plaintext")
     return rec
@@ -162,6 +166,7 @@ def _long_nonce(monkeypatch, rec):
         (_wrong_plaintext, "open returned different plaintext"),
         (_auth_failure, "replay raised: authentication failed"),
         (_long_nonce, "replay raised: nonce must be"),
+        (_wrong_ciphertext, "seal output differs"),
     ],
 )
 def test_verify_reports_each_failure_of_a_replay(monkeypatch, breaks, detail):
