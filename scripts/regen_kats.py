@@ -5,12 +5,16 @@
 seed and record-pair count of each: running this script must reproduce
 kats/*.kat byte for byte (test_acceptance criterion 8 and
 tests/test_kat.py, which reads ``CORPORA`` from here, check exactly that).
-So re-seeding a corpus is one edit here, then a run.
+So re-seeding a corpus is one edit here, then a run.  Each corpus is
+written by ``tortoise kat generate``, called in process, so a failed
+write leaves no partial file; the script exits with the first non-zero
+exit code the command returns.
 """
 
+import sys
 from pathlib import Path
 
-from tortoise.kat import generate_kats, serialize_records
+from tortoise import cli
 
 CORPORA = {
     "aes128.kat": ("aes128", 7, 10),
@@ -18,17 +22,16 @@ CORPORA = {
 }
 
 
-def main() -> None:
+def main() -> int:
     kats_dir = Path(__file__).resolve().parent.parent / "kats"
     kats_dir.mkdir(exist_ok=True)
     for name, (cipher, seed, count) in CORPORA.items():
-        path = kats_dir / name
-        # Bytes, not text: a text write would turn each "\n" into the platform's line ending.
-        data = serialize_records(generate_kats(seed, count, cipher)).encode()
-        changed = not path.exists() or path.read_bytes() != data
-        path.write_bytes(data)
-        print(f"{path}: {2 * count} records ({'updated' if changed else 'unchanged'})")
+        argv = ["kat", "generate", str(kats_dir / name), "--seed", str(seed), "--count", str(count), "--cipher", cipher]
+        code = cli.main(argv)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

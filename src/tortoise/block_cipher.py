@@ -316,11 +316,6 @@ def _toy_round_keys(key: int) -> tuple[int, ...]:
     return key ^ c0, (k >> 13 & 0xFFFF) ^ c1, (k >> 10 & 0xFFFF) ^ c2, (k >> 7 & 0xFFFF) ^ c3, (k >> 4 & 0xFFFF) ^ c4
 
 
-@lru_cache(maxsize=4096)
-def _toy_inverse_keys(key: int) -> tuple[int, ...]:
-    return _toy_round_keys(key)[::-1]  # the same round keys, last first: the one place the inverse order is written
-
-
 def _toy(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int, ...]]) -> tuple[_Block, _Batch]:
     """One direction's two codings over the ``hi``/``lo`` round tables and ``schedule``'s keys in the order applied.
 
@@ -355,7 +350,8 @@ def _toy(hi: list[int], lo: list[int], schedule: Callable[[int], tuple[int, ...]
 
 
 toy_encrypt_block, _toy_encrypt = _toy(_FWD_HI, _FWD_LO, _toy_round_keys)
-toy_decrypt_block, _toy_decrypt = _toy(_INV_HI, _INV_LO, _toy_inverse_keys)
+# Decryption reads the same cached schedule, last round key first.
+toy_decrypt_block, _toy_decrypt = _toy(_INV_HI, _INV_LO, lambda key: _toy_round_keys(key)[::-1])
 
 AES128 = CipherSpec("aes128", 16, 16, _aes128_evp(1), _aes128_evp(0))
 TOY = CipherSpec("toy", 2, 2, _toy_encrypt, _toy_decrypt)

@@ -201,7 +201,8 @@ def _report(report: Report, *tail: str) -> int:
 
 
 def _cmd_kat_verify(args: argparse.Namespace) -> int:
-    records, errors = parse_kat_text(Path(args.file).read_text())
+    # The format is ASCII: an undecodable byte spoils only its own line, which then fails to parse like any other.
+    records, errors = parse_kat_text(Path(args.file).read_text(encoding="ascii", errors="replace"))
     report = verify_kats(records)
     report.parse_errors.extend(errors)
     return _report(report, f"{sum(r.ok for r in report.results)}/{len(report.results)} records passed")

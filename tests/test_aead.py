@@ -1,6 +1,8 @@
+import hmac
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -470,6 +472,41 @@ def test_nibble_flip_forgery_fails_on_a_cipher_that_diffuses():
     forged, opens, _ = _nibble_flip_forgeries(composed_tweakable.SMALL_PRESENT)
     assert all(n <= 1 for n in forged.values()), forged
     assert min(opens.values()) >= 40 * 64 - 63, opens  # every guess of every message but a forged one ran
+
+
+def test_random_guesses_pass_the_tag_check_at_about_two_to_the_minus_sixteen(monkeypatch):
+    """Random (ciphertext, tag) guesses on SMALL_PRESENT: the tag check passes each with probability 2^-16.
+
+    Per mode, 6,144 guesses of 1 to 3 random ciphertext blocks and a random 2-byte tag, under one seeded key,
+    nonce and AD.  A guess is accepted only if its tag verifies and its candidate's padding is valid, about
+    2^-24 for a random candidate, so the tag check is counted where ``_release`` makes it.  Fixed before the
+    run: at most 2 tag matches per mode.  At 2^-16 a mode expects 0.094, so more than 2 is a false alarm
+    with probability about 1.3e-4 per mode.  The same sample catches a check as weak as 8 bits (expected 24)
+    for certain and one of 10 bits (expected 6) with probability 0.94, but one of 12 bits (expected 1.5) only
+    with probability 0.19: the bound shows a gross weakening, not the last few bits.
+    """
+    calls, matches, accepted = dict.fromkeys(AeadMode, 0), dict.fromkeys(AeadMode, 0), dict.fromkeys(AeadMode, 0)
+
+    def compare_digest(expected, tag):  # counts for the mode of the loop below
+        match = hmac.compare_digest(expected, tag)
+        calls[mode] += 1
+        matches[mode] += match
+        return match
+
+    monkeypatch.setattr(aead, "hmac", SimpleNamespace(compare_digest=compare_digest))
+    rng = random.Random(0x6E55)
+    key = TweakableKey(rng.randbytes(2), composed_tweakable.SMALL_PRESENT)
+    for mode in AeadMode:
+        nonce, ad = rng.randbytes(nonce_length(mode, 2)), rng.randbytes(3)
+        for _ in range(6144):
+            try:
+                OPEN[mode](key, nonce, ad, rng.randbytes(2 * rng.randrange(1, 4)), rng.randbytes(2))
+            except AuthenticationError:
+                continue
+            accepted[mode] += 1
+    assert calls == dict.fromkeys(AeadMode, 6144)  # every guess reached the tag check
+    assert all(n <= 2 for n in matches.values()), matches
+    assert all(accepted[mode] <= matches[mode] for mode in AeadMode), (accepted, matches)
 
 
 # --- length limits, checked before any block work ---------------------------

@@ -295,6 +295,19 @@ def test_kat_verify_reports_parse_errors(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().out
 
 
+def test_kat_verify_reports_an_undecodable_line_as_a_parse_error(tmp_path, capsys):
+    first, second = (KATS_DIR / "toy.kat").read_bytes().splitlines(keepends=True)[:2]
+    f = tmp_path / "undecodable.kat"
+    f.write_bytes(first + b"mode=nr \xff\n" + second)
+    assert main(["kat", "verify", str(f)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "parse error: line 2: expected 8 fields, got 2",
+        "PASS record 1 (nr/toy)",
+        "PASS record 2 (nr/toy)",
+        "2/2 records passed",
+    ]
+
+
 def test_kat_diff_clean(capsys):
     assert main(["kat", "diff", "--trials", "200"]) == 0
     out = capsys.readouterr().out
