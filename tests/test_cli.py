@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tortoise import block_cipher, cli
 from tortoise.aead import AeadMode
 from tortoise.cli import Envelope, EnvelopeError, main, pack_envelope, parse_envelope
+from tortoise.kat import parse_kat_text
 
 KATS_DIR = Path(__file__).resolve().parent.parent / "kats"
 
@@ -138,6 +139,16 @@ def test_bad_hex_error_names_the_flag(tmp_path, capsys, flag):
 def test_missing_args_is_usage_error(capsys):
     assert main(["encrypt", "--key-hex", KEY_HEX]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command", ["tortoise", "tortoise encrypt", "tortoise decrypt", "tortoise kat generate", "tortoise kat verify",
+                "tortoise kat diff"],
+)
+def test_help_exits_0_with_usage_on_stdout(capsys, command):
+    # argparse ends --help with SystemExit(0), which main must not count as a usage error.
+    assert main([*command.split()[1:], "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: {command} ")
 
 
 def test_flipped_ciphertext_bit_auth_fails_no_output(tmp_path):
@@ -275,6 +286,19 @@ def test_kat_verify_committed_corpora(capsys):
         assert main(["kat", "verify", str(KATS_DIR / name)]) == 0
     out = capsys.readouterr().out
     assert "20/20 records passed" in out
+
+
+@pytest.mark.parametrize("name", ["aes128.kat", "toy.kat"])
+def test_kat_verify_reads_crlf_line_endings(tmp_path, capsys, name):
+    # A corpus saved with Windows line endings.  Reading a file as text already turns CRLF into LF, so the
+    # parser is also handed the CRLF text as it is.
+    lf = (KATS_DIR / name).read_bytes()
+    crlf = lf.replace(b"\n", b"\r\n")
+    (tmp_path / name).write_bytes(crlf)
+    assert main(["kat", "verify", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "20/20 records passed"
+    records, errors = parse_kat_text(crlf.decode("ascii"))
+    assert errors == [] and len(records) == 20 and records == parse_kat_text(lf.decode("ascii"))[0]
 
 
 def test_kat_verify_detects_tampering(tmp_path, capsys):
