@@ -37,9 +37,10 @@ from tortoise.tweakable import TweakableKey, tweak_decrypt_many, tweak_encrypt_m
 
 ROOT = Path(__file__).resolve().parent.parent
 MAX = block_cipher._LANES
-# The EVP kernel's shapes: empty and tiny batches, one lane short of the arena, a full arena (the largest
-# batch aead makes), one lane over it, which goes through in two runs, and one that goes through in three.
-AES_LANES = [0, 1, 2, 3, MAX - 1, MAX, MAX + 1, 2 * MAX + 1]
+# Empty and tiny batches, 511-513 lanes (where a table-based kernel once took over), around the
+# largest batch aead makes, which fills the EVP kernel's arena, and one that goes through the arena
+# in three runs.
+AES_LANES = [0, 1, 2, 3, 511, 512, 513, MAX - 1, MAX, MAX + 1, 2 * MAX + 1]
 
 
 def _split(data: bytes, n: int) -> list[bytes]:
@@ -69,7 +70,7 @@ def test_aes128_batch_matches_independent_implementation(lanes):
     rng = random.Random(0xB0 + lanes)
     keys, blocks = _split(rng.randbytes(16 * lanes), 16), rng.randbytes(16 * lanes)
     # Every lane is checked at the small sizes; a spread sample at the large ones.
-    picks = range(lanes) if lanes <= 3 else sorted(rng.sample(range(lanes), 40) + [0, lanes - 1])
+    picks = range(lanes) if lanes <= 513 else sorted(rng.sample(range(lanes), 40) + [0, lanes - 1])
     ct = _split(AES128.encrypt(keys, blocks), 16)
     pt = _split(AES128.decrypt(keys, blocks), 16)
     for i in picks:
@@ -642,7 +643,7 @@ def test_public_entries_take_bytes_like_input(spec, kind):
 
 @pytest.mark.parametrize(
     "spec,lanes",
-    [(TOY, 0), (TOY, 1), (TOY, 5), (TOY, 300), (AES256, 1), (AES256, 513)],
+    [(TOY, 0), (TOY, 1), (TOY, 5), (TOY, 300), (AES256, 1), (AES256, 511), (AES256, 512), (AES256, 513)],
     ids=lambda v: v.name if isinstance(v, CipherSpec) else str(v),
 )
 def test_from_blocks_batch_matches_single_block_calls(spec, lanes):

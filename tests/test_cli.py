@@ -141,9 +141,17 @@ def test_missing_args_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["tortoise", "tortoise kat"])
+def test_missing_subcommand_is_usage_error(capsys, command):
+    # Both levels of subcommand are required: without one there is no handler to run.
+    assert main(command.split()[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {command} ") and "error: the following arguments are required" in err
+
+
 @pytest.mark.parametrize(
-    "command", ["tortoise", "tortoise encrypt", "tortoise decrypt", "tortoise kat generate", "tortoise kat verify",
-                "tortoise kat diff"],
+    "command", ["tortoise", "tortoise encrypt", "tortoise decrypt", "tortoise kat", "tortoise kat generate",
+                "tortoise kat verify", "tortoise kat diff"],
 )
 def test_help_exits_0_with_usage_on_stdout(capsys, command):
     # argparse ends --help with SystemExit(0), which main must not count as a usage error.
