@@ -1,22 +1,28 @@
-"""The tweakable cipher written out by hand, used only as a cross-check oracle.
+"""The scheme written out by hand: the reference that tier-1 compares the modes against.
 
-One hashlib SHAKE128 squeeze of ``master_key || tweak`` gives the subkey
-and then the mask; the block goes through a one-lane call of the spec's
+It writes out every layer of both modes.  The tweakable cipher: one
+hashlib SHAKE128 squeeze of ``master_key || tweak`` gives the subkey and
+then the mask; the block goes through a one-lane call of the spec's
 ``encrypt`` or ``decrypt`` under the subkey alone, and the mask is XORed
 on, except that ``aes128`` blocks go through :data:`CRYPTOGRAPHY_AES128`,
 so that no check against this oracle runs the library's EVP kernel.  The
-PKCS#7 padding and the associated-data sum are written out here too.  Nothing from ``tortoise.tweakable`` or
-``tortoise.aead`` is used except the key type, so a fault in the library's
-batch path, padding or AD tweaks cannot agree with this.  :func:`xor_spec`
-gives a cheap block cipher of any block length for tests that sweep it,
-:func:`aes_spec` AES from ``cryptography`` (the ``test`` extra), and
-:data:`SMALL_PRESENT` a 16-bit cipher that diffuses, unlike TOY, for the
-toy-scale attack and randomness tests.
+tweak layouts: :func:`tweak`, the counter-in-tweak layout of the message,
+tag and associated-data domains, and :func:`stream_tweak`, the mr
+keystream's.  The PKCS#7 padding, the associated-data sum, and both modes
+over padded blocks, block by block (:func:`seal`), which also forges the
+badly padded messages that only the padding check rejects.  Nothing from
+``tortoise.tweakable`` or ``tortoise.aead`` is used except the key type,
+so a fault in the library's batch path, padding, tweak encoders or passes
+cannot agree with this.  :func:`xor_spec` gives a cheap block cipher of
+any block length for tests that sweep it, :func:`aes_spec` AES from
+``cryptography`` (the ``test`` extra), and :data:`SMALL_PRESENT` a 16-bit
+cipher that diffuses, unlike TOY, for the toy-scale attack and randomness
+tests.
 """
 
 import hashlib
 import struct
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -85,13 +91,57 @@ def decrypt(key, tweak, block):
     return _block_cipher(key).decrypt([subkey], xor(block, mask))
 
 
+MSG, TAG, AD = 0, 1, 2  # the domains of the counter-in-tweak layout, byte 0's high nibble
+
+
+def tweak(domain, nonce, j, n):
+    """The ``n``-byte tweak of counter ``j`` in ``domain``: the domain nibble, ``nonce``, then ``j`` big-endian.
+
+    The counter fills the bytes after the nonce; when the nonce leaves none,
+    as for an nr message at n=2 or an mr tag, it goes in byte 0's low nibble.
+    """
+    counter_len = n - 1 - len(nonce)
+    if counter_len:
+        return bytes([domain << 4]) + nonce + j.to_bytes(counter_len, "big")
+    assert j < 16
+    return bytes([domain << 4 | j]) + nonce
+
+
+def stream_tweak(tag, j):
+    """The mr keystream's tweak of counter ``j``: the tag XOR ``j``, big-endian."""
+    return xor(tag, j.to_bytes(len(tag), "big"))
+
+
 def ad_sum(key, ad):
-    """XOR of the padded associated-data blocks, block i encrypted under the tweak 0x20 || i."""
+    """XOR of the padded associated-data blocks, block i encrypted under ``tweak(AD, b"", i, n)``."""
     n = key.cipher.block_len
     padded, acc = pad(ad, n), bytes(n)
     for i in range(len(padded) // n):
-        acc = xor(acc, encrypt(key, b"\x20" + i.to_bytes(n - 1, "big"), padded[i * n : i * n + n]))
+        acc = xor(acc, encrypt(key, tweak(AD, b"", i, n), padded[i * n : i * n + n]))
     return acc
+
+
+def seal(mode, key, nonce, ad, padded):
+    """The ciphertext and tag of ``padded`` message blocks in ``mode``, an ``AeadMode`` read by its value.
+
+    nr: block j under ``tweak(MSG, nonce, j)``; the tag is the blocks' XOR
+    under ``tweak(TAG, nonce, m)`` for ``m`` blocks, XOR the AD sum.  mr: the
+    tag is the blocks under the message tweaks of the nonce's first
+    ``min(8, n // 2)`` bytes, XOR the AD sum, under ``tweak(TAG, nonce, 0)``;
+    block j is XORed with ``0x00 || nonce`` under ``stream_tweak(tag, j)``.
+    ``padded`` is taken as it is, so a block-aligned message that is not
+    PKCS#7 padded gives a forgery with a valid tag.
+    """
+    n = key.cipher.block_len
+    blocks = [padded[i : i + n] for i in range(0, len(padded), n)]
+    m, auth = len(blocks), ad_sum(key, ad)
+    if mode.value == "nr":
+        ct = b"".join(encrypt(key, tweak(MSG, nonce, j, n), p) for j, p in enumerate(blocks))
+        return ct, xor(encrypt(key, tweak(TAG, nonce, m, n), reduce(xor, blocks)), auth)
+    sums = [encrypt(key, tweak(MSG, nonce[: min(8, n // 2)], j, n), p) for j, p in enumerate(blocks)]
+    tag = encrypt(key, tweak(TAG, nonce, 0, n), reduce(xor, sums, auth))
+    stream = [encrypt(key, stream_tweak(tag, j), b"\x00" + nonce) for j in range(m)]
+    return b"".join(map(xor, blocks, stream)), tag
 
 
 def xor_spec(n):

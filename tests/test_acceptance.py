@@ -9,14 +9,13 @@ import time
 from pathlib import Path
 
 import composed_tweakable
+from composed_tweakable import MSG, tweak
 
 from tortoise.aead import (
     OPEN,
     SEAL,
     AeadMode,
     AuthenticationError,
-    _MSG,
-    _tweaks,
     nonce_length,
     open_mr,
     open_nr,
@@ -163,8 +162,10 @@ def test_criterion_6_nr_tag_structure():
             # ciphertext corresponds position-wise to the permuted blocks:
             # position j carries the relocated block under tweak j, and the
             # padding block (position 3) is identical.
-            for j, (p, tweak) in enumerate(zip(perm, _tweaks(_MSG, nonce, range(3), 16))):
-                if sealed.ciphertext[16 * j : 16 * (j + 1)] != composed_tweakable.encrypt(key, tweak, blocks[p]):
+            for j, p in enumerate(perm):
+                if sealed.ciphertext[16 * j : 16 * (j + 1)] != composed_tweakable.encrypt(
+                    key, tweak(MSG, nonce, j, 16), blocks[p]
+                ):
                     ok = False
             if sealed.ciphertext[48:] != base.ciphertext[48:]:
                 ok = False

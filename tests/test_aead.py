@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed_tweakable
+from composed_tweakable import MSG, TAG, tweak
 from tortoise import aead, block_cipher, tweakable
 from tortoise.aead import (
     OPEN,
     SEAL,
     AeadMode,
     AuthenticationError,
-    _MSG,
-    _tag_tweak,
-    _tweaks,
     nonce_length,
     open_mr,
     open_nr,
@@ -36,27 +34,84 @@ NR_KAT_TAG = bytes.fromhex("cec892afe1dbcb5be3a594efc1afc870")
 MR_KAT_CT = bytes.fromhex("56221e8bff761bc349d1905e6c8c0e11")
 MR_KAT_TAG = bytes.fromhex("51b5e24e0cb461a157fab256d8f5fbc8")
 AUTH_EMPTY_AD = bytes.fromhex("5fba08572a71a90f1bea4153f87527f5")
+ZERO_KATS = {AeadMode.NONCE_RESPECTING: (NR_KAT_CT, NR_KAT_TAG), AeadMode.MISUSE_RESISTANT: (MR_KAT_CT, MR_KAT_TAG)}
 
 
 # --- associated-data sum ---------------------------------------------------
-# Seals against the oracle's AD sum over 1 to 7 padded AD blocks: tests/test_batch.py's hand composition.
+# Seals against the oracle's AD sum over 1 to 7 padded AD blocks: tests/test_batch.py's comparison with the
+# modes written out in composed_tweakable.seal.
 
 def test_auth_empty_ad_kat():
     # The AD share of the frozen nr tag.  With an empty message the tag block is one block of
     # padding under the tag tweak of counter 1; empty AD still contributes one padded block.
-    tag_block = composed_tweakable.encrypt(ZERO_KEY, _tag_tweak(bytes(8), 1, 16), bytes([16]) * 16)
+    tag_block = composed_tweakable.encrypt(ZERO_KEY, tweak(TAG, bytes(8), 1, 16), bytes([16]) * 16)
     assert composed_tweakable.ad_sum(ZERO_KEY, b"") == AUTH_EMPTY_AD
     assert composed_tweakable.xor(tag_block, AUTH_EMPTY_AD) == NR_KAT_TAG
 
 
+# --- both modes ------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_seal_zero_kat(mode):
+    nonce, (ct, tag) = bytes(nonce_length(mode)), ZERO_KATS[mode]
+    sealed = SEAL[mode](ZERO_KEY, nonce, b"", b"")
+    assert sealed.ciphertext == ct
+    assert sealed.tag == tag
+    assert OPEN[mode](ZERO_KEY, nonce, b"", ct, tag) == b""
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_open_rejects_bit_flips_sampled(mode):
+    # Every 7th ciphertext bit, every 5th tag bit, two other ADs, and the nonce's first byte with its low or its
+    # high bit flipped: under the zero nonce and under 0, 1, 2, ...
+    xor, width = composed_tweakable.xor, nonce_length(mode)
+    for nonce in (bytes(width), bytes(range(width))):
+        sealed = SEAL[mode](ZERO_KEY, nonce, b"ad", b"attack at dawn")
+        ct, tag = sealed.ciphertext, sealed.tag
+        forged = [(nonce, b"ad", xor(ct, (1 << bit).to_bytes(len(ct), "big")), tag) for bit in range(0, 8 * len(ct), 7)]
+        forged += [(nonce, b"ad", ct, xor(tag, (1 << bit).to_bytes(16, "big"))) for bit in range(0, 128, 5)]
+        forged += [(nonce, other, ct, tag) for other in (b"AD", b"da")]
+        forged += [(xor(nonce, bytes([flip]) + bytes(width - 1)), b"ad", ct, tag) for flip in (0x01, 0x80)]
+        for args in forged:
+            with pytest.raises(AuthenticationError):
+                OPEN[mode](ZERO_KEY, *args)
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+def test_argument_errors(mode):
+    nonce = bytes(nonce_length(mode))
+    with pytest.raises(ValueError):
+        SEAL[mode](ZERO_KEY, bytes(15 if mode is AeadMode.NONCE_RESPECTING else 8), b"", b"")
+    # A ciphertext of a block and a half, an empty one, and a short tag.
+    for ct, tag in [(bytes(24), bytes(16)), (b"", bytes(16)), (bytes(16), bytes(15))]:
+        with pytest.raises(ValueError):
+            OPEN[mode](ZERO_KEY, nonce, b"", ct, tag)
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+@settings(max_examples=60)
+@given(st.binary(max_size=53), st.binary(max_size=35))
+def test_round_trip_aes(mode, pt, ad):
+    nonce = b"nonce!!!" if mode is AeadMode.NONCE_RESPECTING else b"misuse nonce 15"
+    sealed = SEAL[mode](ZERO_KEY, nonce, ad, pt)
+    assert OPEN[mode](ZERO_KEY, nonce, ad, sealed.ciphertext, sealed.tag) == pt
+
+
+@pytest.mark.parametrize("mode", list(AeadMode))
+@given(
+    st.binary(min_size=2, max_size=2),
+    st.binary(min_size=1, max_size=1),
+    st.binary(max_size=7),
+    st.binary(max_size=11),
+)
+def test_round_trip_toy(mode, key, nonce, ad, pt):
+    k = TweakableKey(key, TOY)
+    sealed = SEAL[mode](k, nonce, ad, pt)
+    assert len(sealed.ciphertext) % 2 == 0
+    assert OPEN[mode](k, nonce, ad, sealed.ciphertext, sealed.tag) == pt
+
+
 # --- nonce-respecting mode ------------------------------------------------
-
-def test_seal_nr_zero_kat():
-    sealed = seal_nr(ZERO_KEY, bytes(8), b"", b"")
-    assert sealed.ciphertext == NR_KAT_CT
-    assert sealed.tag == NR_KAT_TAG
-    assert open_nr(ZERO_KEY, bytes(8), b"", NR_KAT_CT, NR_KAT_TAG) == b""
-
 
 def test_seal_nr_distinct_nonces_distinct_ciphertexts():
     rng = random.Random(0x40)
@@ -78,22 +133,11 @@ def test_nr_block_permutation_preserves_tag():
         permuted = seal_nr(key, nonce, b"", b"".join(blocks[p] for p in perm))
         assert permuted.tag == base.tag
         # each position encrypts the relocated block under that position's tweak
-        for j, (p, tweak) in enumerate(zip(perm, _tweaks(_MSG, nonce, range(3), 16))):
-            assert permuted.ciphertext[16 * j : 16 * (j + 1)] == composed_tweakable.encrypt(key, tweak, blocks[p])
+        for j, p in enumerate(perm):
+            want = composed_tweakable.encrypt(key, tweak(MSG, nonce, j, 16), blocks[p])
+            assert permuted.ciphertext[16 * j : 16 * (j + 1)] == want
         # the trailing padding block is untouched
         assert permuted.ciphertext[48:] == base.ciphertext[48:]
-
-
-def test_open_nr_rejects_bit_flips_sampled():
-    sealed = seal_nr(ZERO_KEY, bytes(8), b"ad", b"attack at dawn")
-    for bit in range(0, len(sealed.ciphertext) * 8, 7):
-        bad = composed_tweakable.xor(sealed.ciphertext, (1 << bit).to_bytes(len(sealed.ciphertext), "big"))
-        with pytest.raises(AuthenticationError):
-            open_nr(ZERO_KEY, bytes(8), b"ad", bad, sealed.tag)
-    with pytest.raises(AuthenticationError):
-        open_nr(ZERO_KEY, bytes(8), b"AD", sealed.ciphertext, sealed.tag)
-    with pytest.raises(AuthenticationError):
-        open_nr(ZERO_KEY, b"\x01" + bytes(7), b"ad", sealed.ciphertext, sealed.tag)
 
 
 def test_open_nr_truncation_rejected():
@@ -105,45 +149,7 @@ def test_open_nr_truncation_rejected():
         open_nr(ZERO_KEY, bytes(8), b"", one_block.ciphertext[:-16], one_block.tag)
 
 
-def test_nr_argument_errors():
-    with pytest.raises(ValueError):
-        seal_nr(ZERO_KEY, bytes(15), b"", b"")
-    with pytest.raises(ValueError):
-        open_nr(ZERO_KEY, bytes(8), b"", bytes(24), bytes(16))
-    with pytest.raises(ValueError):
-        open_nr(ZERO_KEY, bytes(8), b"", b"", bytes(16))
-    with pytest.raises(ValueError):
-        open_nr(ZERO_KEY, bytes(8), b"", bytes(16), bytes(15))
-
-
-@settings(max_examples=60)
-@given(st.binary(max_size=53), st.binary(max_size=35))
-def test_nr_round_trip_aes(pt, ad):
-    sealed = seal_nr(ZERO_KEY, b"nonce!!!", ad, pt)
-    assert open_nr(ZERO_KEY, b"nonce!!!", ad, sealed.ciphertext, sealed.tag) == pt
-
-
-@given(
-    st.binary(min_size=2, max_size=2),
-    st.binary(min_size=1, max_size=1),
-    st.binary(max_size=7),
-    st.binary(max_size=11),
-)
-def test_nr_round_trip_toy(key, nonce, ad, pt):
-    k = TweakableKey(key, TOY)
-    sealed = seal_nr(k, nonce, ad, pt)
-    assert len(sealed.ciphertext) % 2 == 0
-    assert open_nr(k, nonce, ad, sealed.ciphertext, sealed.tag) == pt
-
-
 # --- misuse-resistant mode --------------------------------------------------
-
-def test_seal_mr_zero_kat():
-    sealed = seal_mr(ZERO_KEY, bytes(15), b"", b"")
-    assert sealed.ciphertext == MR_KAT_CT
-    assert sealed.tag == MR_KAT_TAG
-    assert open_mr(ZERO_KEY, bytes(15), b"", MR_KAT_CT, MR_KAT_TAG) == b""
-
 
 def test_seal_mr_deterministic():
     nonce = bytes(range(15))
@@ -166,19 +172,6 @@ def test_mr_single_block_change_changes_tag():
         assert seal_mr(ZERO_KEY, nonce, b"", pt1).tag != seal_mr(ZERO_KEY, nonce, b"", pt2).tag
 
 
-def test_open_mr_rejects_bit_flips_sampled():
-    nonce = bytes(range(15))
-    sealed = seal_mr(ZERO_KEY, nonce, b"ad", b"attack at dawn")
-    for bit in range(0, 128, 5):
-        bad_tag = composed_tweakable.xor(sealed.tag, (1 << bit).to_bytes(16, "big"))
-        with pytest.raises(AuthenticationError):
-            open_mr(ZERO_KEY, nonce, b"ad", sealed.ciphertext, bad_tag)
-    with pytest.raises(AuthenticationError):
-        open_mr(ZERO_KEY, nonce, b"da", sealed.ciphertext, sealed.tag)
-    with pytest.raises(AuthenticationError):
-        open_mr(ZERO_KEY, b"\x80" + nonce[1:], b"ad", sealed.ciphertext, sealed.tag)
-
-
 def test_mr_tag_swap_both_fail():
     n1, n2 = bytes(15), b"\x01" * 15
     s1 = seal_mr(ZERO_KEY, n1, b"", b"first message")
@@ -196,37 +189,6 @@ def test_mr_failure_reveals_nothing():
         open_mr(ZERO_KEY, bytes(15), b"", sealed.ciphertext, bad_tag)
     assert b"secret" not in str(exc_info.value).encode()
     assert str(exc_info.value) == "authentication failed"
-
-
-def test_mr_argument_errors():
-    with pytest.raises(ValueError):
-        seal_mr(ZERO_KEY, bytes(8), b"", b"")
-    with pytest.raises(ValueError):
-        open_mr(ZERO_KEY, bytes(15), b"", b"", bytes(16))
-    with pytest.raises(ValueError):
-        open_mr(ZERO_KEY, bytes(15), b"", bytes(24), bytes(16))
-    with pytest.raises(ValueError):
-        open_mr(ZERO_KEY, bytes(15), b"", bytes(16), bytes(15))
-
-
-@settings(max_examples=60)
-@given(st.binary(max_size=53), st.binary(max_size=35))
-def test_mr_round_trip_aes(pt, ad):
-    nonce = b"misuse nonce 15"
-    sealed = seal_mr(ZERO_KEY, nonce, ad, pt)
-    assert open_mr(ZERO_KEY, nonce, ad, sealed.ciphertext, sealed.tag) == pt
-
-
-@given(
-    st.binary(min_size=2, max_size=2),
-    st.binary(min_size=1, max_size=1),
-    st.binary(max_size=7),
-    st.binary(max_size=11),
-)
-def test_mr_round_trip_toy(key, nonce, ad, pt):
-    k = TweakableKey(key, TOY)
-    sealed = seal_mr(k, nonce, ad, pt)
-    assert open_mr(k, nonce, ad, sealed.ciphertext, sealed.tag) == pt
 
 
 # --- cross-mode properties ---------------------------------------------------

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import reduce
 from itertools import accumulate
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import composed_tweakable
 import reference_aes
-from composed_tweakable import aes_decrypt_block, aes_encrypt_block
+from composed_tweakable import AD, MSG, TAG, aes_decrypt_block, aes_encrypt_block, pad, seal, stream_tweak, tweak
 from tortoise import aead, block_cipher, tweakable
 from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec, toy_decrypt_block, toy_encrypt_block
 from tortoise.aead import (
@@ -762,10 +761,8 @@ def test_public_entries_refuse_malformed_batches_before_any_work(spec, monkeypat
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_nr_tweak_batch_matches_single(block_len):
     nonce = bytes(range(1, nonce_length(AeadMode.NONCE_RESPECTING, block_len) + 1))
-    counters = range(3, 15)
-    assert _tweaks(_MSG, nonce, counters, block_len) == [
-        _tweaks(_MSG, nonce, range(j, j + 1), block_len)[0] for j in counters
-    ]
+    counters = range(1, 16)
+    assert _tweaks(_MSG, nonce, counters, block_len) == [tweak(MSG, nonce, j, block_len) for j in counters]
     assert _tweaks(_MSG, nonce, range(0), block_len) == []
 
 
@@ -775,25 +772,23 @@ def test_nr_tag_tweak_is_the_prefix_one_counter_tweak(block_len):
     nonce = bytes(range(1, nonce_length(AeadMode.NONCE_RESPECTING, block_len) + 1))
     for count in range(1, 16):
         want = bytes.fromhex(f"100102030405060708{count:014x}" if block_len == 16 else f"1{count:x}01")
-        assert _tag_tweak(nonce, count, block_len) == want
+        assert _tag_tweak(nonce, count, block_len) == tweak(TAG, nonce, count, block_len) == want
         # The message tweak of the same counter differs only in the prefix nibble.
-        [msg] = _tweaks(_MSG, nonce, range(count, count + 1), block_len)
+        msg = tweak(MSG, nonce, count, block_len)
         assert bytes([msg[0] ^ 0x10]) + msg[1:] == want
 
 
 @pytest.mark.parametrize("block_len", [16, 2])
 def test_ad_tweak_batch_matches_single(block_len):
     indices = range(250, 256)
-    assert _tweaks(_AD, b"", indices, block_len) == [
-        _tweaks(_AD, b"", range(i, i + 1), block_len)[0] for i in indices
-    ]
+    assert _tweaks(_AD, b"", indices, block_len) == [tweak(AD, b"", i, block_len) for i in indices]
     assert _tweaks(_AD, b"", range(0), block_len) == []
 
 
 def test_stream_tweak_batch_matches_single():
     tag = bytes(range(16))
     counters = range(300)
-    assert _mr_stream_tweaks(tag, counters, 16) == [_mr_stream_tweaks(tag, range(j, j + 1), 16)[0] for j in counters]
+    assert _mr_stream_tweaks(tag, counters, 16) == [stream_tweak(tag, j) for j in counters]
 
 
 @pytest.mark.parametrize("mode", list(AeadMode))
@@ -808,24 +803,6 @@ def test_aead_runs_give_the_same_bytes(mode, monkeypatch):
     assert OPEN[mode](key, nonce, ad, whole.ciphertext, whole.tag) == pt
 
 
-def _seal_by_hand(mode, key, nonce, ad, pt):
-    """The mode's equations block by block through ``composed_tweakable``, for 16-byte blocks."""
-    def enc(tweak, block):
-        return composed_tweakable.encrypt(key, tweak, block)
-
-    xor = composed_tweakable.xor
-    blocks = _split(composed_tweakable.pad(pt, 16), 16)
-    m = len(blocks)
-    auth = composed_tweakable.ad_sum(key, ad)
-    if mode is AeadMode.NONCE_RESPECTING:
-        ct = b"".join(map(enc, _tweaks(_MSG, nonce, range(m), 16), blocks))
-        return ct, xor(enc(_tag_tweak(nonce, m, 16), reduce(xor, blocks)), auth)
-    sums = list(map(enc, _tweaks(_MSG, nonce[:8], range(m), 16), blocks))
-    tag = enc(_tag_tweak(nonce, 0, 16), reduce(xor, sums, auth))
-    stream = [enc(t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(m), 16)]
-    return b"".join(map(xor, blocks, stream)), tag
-
-
 @pytest.mark.parametrize("segment", [1, 2, 3, 4, 5])
 def test_runs_cut_across_message_tag_and_ad_give_the_same_bytes(segment, monkeypatch):
     # A pass lays the message, the nr tag block and the AD end to end and cuts them into runs.
@@ -838,7 +815,7 @@ def test_runs_cut_across_message_tag_and_ad_give_the_same_bytes(segment, monkeyp
     for mode, m, a in cases:
         nonce, ad, pt = rng.randbytes(nonce_length(mode)), rng.randbytes(16 * a - 1), rng.randbytes(16 * m - 1)
         sealed = SEAL[mode](key, nonce, ad, pt)
-        assert (sealed.ciphertext, sealed.tag) == _seal_by_hand(mode, key, nonce, ad, pt)
+        assert (sealed.ciphertext, sealed.tag) == seal(mode, key, nonce, ad, pad(pt, 16))
         inputs[mode, m, a] = nonce, ad, pt, sealed
     lanes = []
     real = aead._encrypt

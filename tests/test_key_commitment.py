@@ -18,20 +18,9 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import composed_tweakable
-from composed_tweakable import xor
+from composed_tweakable import AD, MSG, TAG, stream_tweak, tweak, xor
 from tortoise import cli
-from tortoise.aead import (
-    OPEN,
-    SEAL,
-    AeadMode,
-    SealedMessage,
-    _AD,
-    _MSG,
-    _mr_stream_tweaks,
-    _tag_tweak,
-    _tweaks,
-    open_nr,
-)
+from tortoise.aead import OPEN, SEAL, AeadMode, SealedMessage, open_nr
 from tortoise.block_cipher import AES128
 from tortoise.tweakable import TweakableKey
 
@@ -83,7 +72,7 @@ def _choose_ad(rng, out, free, target):
     The AD is ``free`` whole blocks, so its padding is one more block of
     sixteen 16s, folded into the target here.
     """
-    tweaks = _tweaks(_AD, b"", range(free + 1), 16)
+    tweaks = [tweak(AD, b"", i, 16) for i in range(free + 1)]
     return _choose(rng, out, tweaks[:free], target ^ out(tweaks[free], bytes([16]) * 16))
 
 
@@ -123,8 +112,7 @@ def _nr_envelope(seed, k=2, free=None):
     rng = random.Random(seed)
     keys = [TweakableKey(rng.randbytes(16), AES128) for _ in range(k)]
     nonce = rng.randbytes(8)
-    [msg_tweak] = _tweaks(_MSG, nonce, range(1), 16)
-    tag_tweak = _tag_tweak(nonce, 1, 16)
+    msg_tweak, tag_tweak = tweak(MSG, nonce, 0, 16), tweak(TAG, nonce, 1, 16)
     enc = composed_tweakable.encrypt
     ct, blocks = _padded_block(rng, keys, msg_tweak)
     # One block is its own checksum.  The tags agree when each other key's AD sum differs from the first
@@ -146,17 +134,15 @@ def _mr_envelope(seed):
     rng = random.Random(seed)
     k1, k2 = TweakableKey(rng.randbytes(16), AES128), TweakableKey(rng.randbytes(16), AES128)
     nonce = rng.randbytes(15)
-    [msg_tweak] = _tweaks(_MSG, nonce[:8], range(1), 16)
-    tag_tweak = _tag_tweak(nonce, 0, 16)
+    msg_tweak, tag_tweak = tweak(MSG, nonce[:8], 0, 16), tweak(TAG, nonce, 0, 16)
     enc, dec = composed_tweakable.encrypt, composed_tweakable.decrypt
     # The keystream depends on the tag, so retry the tag with the ciphertext block until that
     # block decrypts to valid padding under both keys.
     while True:
         tag = rng.randbytes(16)
-        [stream_tweak] = _mr_stream_tweaks(tag, range(1), 16)
         p1 = rng.randbytes(15) + b"\x01"
-        ct = xor(p1, enc(k1, stream_tweak, b"\x00" + nonce))
-        p2 = xor(ct, enc(k2, stream_tweak, b"\x00" + nonce))
+        ct = xor(p1, enc(k1, stream_tweak(tag, 0), b"\x00" + nonce))
+        p2 = xor(ct, enc(k2, stream_tweak(tag, 0), b"\x00" + nonce))
         if _valid_padding(p2):
             break
     # Under each key, the message block's output XOR the AD sum must be the tag block's preimage:
@@ -205,10 +191,10 @@ def _nr_empty_ad_envelope(seed):
     rng = random.Random(seed)
     keys = [TweakableKey(rng.randbytes(16), AES128) for _ in range(2)]
     nonce = rng.randbytes(8)
-    tweaks = _tweaks(_MSG, nonce, range(free + 1), 16)
+    tweaks = [tweak(MSG, nonce, j, 16) for j in range(free + 1)]
     last, lasts = _padded_block(rng, keys, tweaks[free])
     tag = rng.randbytes(16)
-    tag_tweak = _tag_tweak(nonce, free + 1, 16)
+    tag_tweak = tweak(TAG, nonce, free + 1, 16)
     dec = composed_tweakable.decrypt
     checksums = [dec(key, tag_tweak, xor(tag, composed_tweakable.ad_sum(key, b""))) for key in keys]
     target = _int(*map(xor, checksums, lasts))

@@ -2,27 +2,16 @@
 
 Honest seals always pad correctly, so the padding branch of ``open_*`` is
 only reachable with a forged message: it carries a valid tag over
-block-aligned bytes that are not PKCS#7 padded.  The forgers build it from
-the library's tweak encoders and the hand-written oracle, for AES-128 and
-for a cheap cipher at block lengths from 1 to 255.
+block-aligned bytes that are not PKCS#7 padded.  ``composed_tweakable.seal``,
+the modes written out by hand, forges it, for AES-128 and for a cheap
+cipher at block lengths from 1 to 255.
 """
 
 import pytest
 
-from composed_tweakable import ad_sum, pad, xor, xor_spec
-from composed_tweakable import encrypt as tweak_encrypt  # by hand, not through tortoise.tweakable
+from composed_tweakable import pad, seal, xor, xor_spec
 from tortoise import block_cipher
-from tortoise.aead import (
-    OPEN,
-    SEAL,
-    AeadMode,
-    AuthenticationError,
-    _MSG,
-    _mr_stream_tweaks,
-    _tag_tweak,
-    _tweaks,
-    nonce_length,
-)
+from tortoise.aead import OPEN, SEAL, AeadMode, AuthenticationError, nonce_length
 from tortoise.block_cipher import AES128
 from tortoise.cli import Envelope, main, pack_envelope
 from tortoise.tweakable import TweakableKey
@@ -62,39 +51,12 @@ def _other_key(n: int) -> tuple[TweakableKey, bytes]:
     return TweakableKey(b"\x5a", xor_spec(n)), AD if n > 1 else b""
 
 
-def _forge_nr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tuple[bytes, bytes]:
-    n = key.cipher.block_len
-    blocks = [padded[i : i + n] for i in range(0, len(padded), n)]
-    checksum = bytes(n)
-    for p in blocks:
-        checksum = xor(checksum, p)
-    m = len(blocks)
-    ct = b"".join(tweak_encrypt(key, t, p) for t, p in zip(_tweaks(_MSG, nonce, range(m), n), blocks))
-    ftag = tweak_encrypt(key, _tag_tweak(nonce, m, n), checksum)
-    return ct, xor(ftag, ad_sum(key, ad))
-
-
-def _forge_mr(key: TweakableKey, nonce: bytes, ad: bytes, padded: bytes) -> tuple[bytes, bytes]:
-    n = key.cipher.block_len
-    blocks = [padded[i : i + n] for i in range(0, len(padded), n)]
-    acc = ad_sum(key, ad)
-    msg_nonce = nonce[: nonce_length(AeadMode.NONCE_RESPECTING, n)]
-    for t, p in zip(_tweaks(_MSG, msg_nonce, range(len(blocks)), n), blocks):
-        acc = xor(acc, tweak_encrypt(key, t, p))
-    tag = tweak_encrypt(key, _tag_tweak(nonce, 0, n), acc)
-    stream = (tweak_encrypt(key, t, b"\x00" + nonce) for t in _mr_stream_tweaks(tag, range(len(blocks)), n))
-    return b"".join(map(xor, blocks, stream)), tag
-
-
-FORGE = {AeadMode.NONCE_RESPECTING: _forge_nr, AeadMode.MISUSE_RESISTANT: _forge_mr}
-
-
 def _flip(tag: bytes) -> bytes:
     return xor(tag, b"\x01" + bytes(len(tag) - 1))
 
 
 def _assert_open_fails_like_bad_tag(key: TweakableKey, mode: AeadMode, nonce: bytes, ad: bytes, padded: bytes) -> None:
-    ct, tag = FORGE[mode](key, nonce, ad, padded)
+    ct, tag = seal(mode, key, nonce, ad, padded)
     with pytest.raises(AuthenticationError) as bad_pad:
         OPEN[mode](key, nonce, ad, ct, tag)
     with pytest.raises(AuthenticationError) as bad_tag:
@@ -108,7 +70,7 @@ def _assert_open_fails_like_bad_tag(key: TweakableKey, mode: AeadMode, nonce: by
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_forger_matches_seal(mode, pt):
     nonce = bytes(range(nonce_length(mode)))
-    ct, tag = FORGE[mode](KEY, nonce, AD, pad(pt, 16))
+    ct, tag = seal(mode, KEY, nonce, AD, pad(pt, 16))
     sealed = SEAL[mode](KEY, nonce, AD, pt)
     assert (sealed.ciphertext, sealed.tag) == (ct, tag)
     assert OPEN[mode](KEY, nonce, AD, ct, tag) == pt
@@ -147,7 +109,7 @@ def _assert_rejection_keeps_no_candidate(mode, fault, candidate):
     for block in blocks:
         checksum ^= int.from_bytes(block, "big")
     secrets = blocks + [checksum.to_bytes(16, "big")]
-    ct, tag = FORGE[mode](KEY, nonce, AD, candidate)
+    ct, tag = seal(mode, KEY, nonce, AD, candidate)
     with pytest.raises(AuthenticationError) as rejected:
         OPEN[mode](KEY, nonce, AD + b"!" if fault == "tag" else AD, ct, tag)
     seen, tb = set(), rejected.value.__traceback__
@@ -194,12 +156,12 @@ def test_rejected_open_cut_into_runs_keeps_no_candidate_plaintext(mode, fault, m
 @pytest.mark.parametrize("n", OTHER_BLOCK_LENS)
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_forger_matches_seal_any_block_length(mode, n):
-    # The forgers are right at n, so a failure below comes from the padding check, not a bad tag.
+    # The forger is right at n, so a failure below comes from the padding check, not a bad tag.
     key, ad = _other_key(n)
     nonce = bytes(range(nonce_length(mode, n)))
     for size in sorted({0, 1, n - 1, n, 2 * n + 1}):
         pt = (bytes(range(1, 256)) * 3)[:size]
-        ct, tag = FORGE[mode](key, nonce, ad, pad(pt, n))
+        ct, tag = seal(mode, key, nonce, ad, pad(pt, n))
         sealed = SEAL[mode](key, nonce, ad, pt)
         assert (sealed.ciphertext, sealed.tag) == (ct, tag)
         assert OPEN[mode](key, nonce, ad, ct, tag) == pt
@@ -216,7 +178,7 @@ def test_bad_padding_raises_like_bad_tag_any_block_length(mode, n):
 @pytest.mark.parametrize("mode", list(AeadMode))
 def test_cli_bad_padding_exits_like_bad_tag(tmp_path, capsys, mode):
     nonce = bytes(range(nonce_length(mode)))
-    ct, tag = FORGE[mode](KEY, nonce, AD, BAD_PAD)
+    ct, tag = seal(mode, KEY, nonce, AD, BAD_PAD)
     outcomes = []
     for name, t in (("pad", tag), ("tag", _flip(tag))):
         env, out = tmp_path / f"{name}.tort", tmp_path / f"{name}.out"
