@@ -103,6 +103,14 @@ MUTANTS = [
            "mr keystream tweak: the tag plus the counter"),
     Mutant("T2", _AEAD, "hmac.compare_digest(expected, tag)", "hmac.compare_digest(expected[:-1], tag[:-1])",
            "_release: the tag's last byte unchecked"),
+    # A run cut inside the AD, and layouts at block lengths other than 2 and 16: tests/test_frozen_bytes.py
+    # kills each of these on its own, and so does the rest of tier-1.
+    Mutant("F1", _AEAD, 'range(max(lo - t, 0), hi - t), n)', 'range(hi - max(lo, t)), n)',
+           "_pass: each run's AD counters restart at 0"),
+    Mutant("F2", _AEAD, "nonce[: _layout(_NR, n)[0]]", "nonce[: n // 2]",
+           "mr sums: the nonce cut to n // 2 bytes, past 8 from n = 18"),
+    Mutant("F3", _AEAD, "if n - 1 > nr_len else 16", "if n - 1 > nr_len + 1 else 16",
+           "_layout: a one-byte nr counter held to 16 values, as a nibble is (n = 3, 4)"),
 ]
 
 _COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")

